@@ -3,16 +3,46 @@
 Everything here enumerates rather than counts cleverly, so these functions
 are only meant for small n.  They deliberately avoid the machinery they
 verify: k-sets come from explicit separating-line tests instead of j-edge
-tables, and the bichromatic depth comes from the sampling oracle instead of
-the sweep.
+tables, the bichromatic depth comes from the sampling oracle instead of
+the sweep, and general position is decided by an in-circle test on every
+quadruple instead of the bisector order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .geom import PointSet, _int_coords, _orient_int
+from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
 from .depth import bichromatic_pairs, oracle_weights
+
+
+def general_position_violations(ps: PointSet) -> list[Violation]:
+    """The violation list of ``validate_general_position`` by exhaustive search.
+
+    O(n^4): every triple is tested for collinearity and every quadruple with
+    no collinear triple by the in-circle determinant.  Leaves
+    ``ps.gp_certified`` untouched.
+    """
+    pts = _int_coords([cp.point for cp in ps.points])
+    n = len(pts)
+    duplicates = [
+        Violation("duplicate", (i, j))
+        for i, j in combinations(range(n), 2)
+        if pts[i] == pts[j]
+    ]
+    if duplicates:
+        return duplicates
+    collinear = [t for t in combinations(range(n), 3) if _orient_int(*(pts[i] for i in t)) == 0]
+    skip = set(collinear)
+    cocircular = [
+        quad
+        for quad in combinations(range(n), 4)
+        if not skip.intersection(combinations(quad, 3))
+        and _incircle_det_int(*(pts[i] for i in quad)) == 0
+    ]
+    return [Violation("collinear", t) for t in collinear] + [
+        Violation("cocircular", quad) for quad in cocircular
+    ]
 
 
 def separable(ps: PointSet, subset: frozenset[int]) -> bool:

@@ -66,7 +66,7 @@ def check_triple_pair_sum(ps: PointSet, stats=None) -> CheckResult:
     """c[k] + c[n-k-3] == 2(k+1)(n-k-2) for every k (exact, all sets)."""
     ps.require_certified()
     n = len(ps)
-    stats = stats or triple_counts(ps)
+    stats = triple_counts(ps) if stats is None else stats
     rows = []
     for k in range(0, n - 2):
         rows.append(
@@ -98,7 +98,7 @@ def check_weight_census(ps: PointSet, profiles: list[BisectorProfile] | None = N
     """
     ps.require_certified()
     n = len(ps)
-    profiles = profiles or all_profiles(ps)
+    profiles = all_profiles(ps) if profiles is None else profiles
     census = segment_weight_census(ps, profiles)
     stats = triple_counts(ps)
     edges = j_edge_counts(ps)
@@ -149,7 +149,7 @@ def check_enclosure_count_bounds(ps: PointSet, stats=None) -> CheckResult:
     n = len(ps)
     if n < 4:
         raise ValueError("need at least four points")
-    stats = stats or triple_counts(ps)
+    stats = triple_counts(ps) if stats is None else stats
     rows = []
     k = 0
     while k < (n - 3) / 2:
@@ -277,7 +277,7 @@ def check_profile_invariants(ps: PointSet, profiles: list[BisectorProfile] | Non
     """
     ps.require_certified()
     n = len(ps)
-    profiles = profiles or all_profiles(ps)
+    profiles = all_profiles(ps) if profiles is None else profiles
     step_bad = ends_bad = cover_bad = 0
     for profile in profiles:
         w = profile.weights
@@ -303,7 +303,7 @@ def check_profile_invariants(ps: PointSet, profiles: list[BisectorProfile] | Non
 def check_oracle_match(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> CheckResult:
     """Sweep weights equal sampled-circle oracle weights, elementwise, every pair."""
     ps.require_certified()
-    profiles = profiles or all_profiles(ps)
+    profiles = all_profiles(ps) if profiles is None else profiles
     mismatches = 0
     for profile in profiles:
         p, q = profile.pair

@@ -35,6 +35,10 @@ EXIT_GENERATOR = 2
 EXIT_DEGENERATE = 3
 EXIT_CHECK_FAILED = 4
 
+# A grid-like input has O(n^4) cocircular quadruples; stderr names the first
+# few and the total.
+VIOLATIONS_SHOWN = 20
+
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -57,8 +61,14 @@ def _load_certified(path: str):
         raise SystemExit(EXIT_PARSE)
     violations = validate_general_position(pf.points)
     if violations:
-        for v in violations:
+        for v in violations[:VIOLATIONS_SHOWN]:
             print(f"general-position violation: {v}", file=sys.stderr)
+        if len(violations) > VIOLATIONS_SHOWN:
+            print(
+                f"{len(violations)} general-position violations in total, "
+                f"the first {VIOLATIONS_SHOWN} shown",
+                file=sys.stderr,
+            )
         raise SystemExit(EXIT_DEGENERATE)
     return pf, input_digest(data)
 

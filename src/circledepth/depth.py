@@ -18,18 +18,29 @@ and x is enclosed exactly for parameters on its own side of s_x: the side is
 {s > s_x} when x lies strictly left of the directed line p->q, {s < s_x}
 otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
+
+:func:`sweep_totals` folds every pair's sequence into the tables of an
+analysis without keeping a profile; the table functions below it
+(``triple_counts``, ``j_edge_counts`` and the rest) count the same tables
+independently, as references and for the checks.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .geom import (
+    BisectorParam,
+    Color,
     DegenerateInputError,
     Point,
     PointSet,
     Scalar,
+    _bisector_order,
     _incircle_det_int,
     _int_coords,
     _orient_int,
@@ -121,30 +132,24 @@ class RepeatStats:
         return [k for k in range(1, len(self.b)) if self.b[k] > 0]
 
 
-def _event_data(ints, p: int, q: int) -> list[tuple[int, int, int]]:
-    """Per third point x: (x, dot(x-p, x-q), cross(q-p, x-p)), so that
-    s_x = dot / (2 * cross).
+def _sweep(ints, p: int, q: int) -> tuple[list[BisectorParam], list[int]]:
+    """The bisector order of pair (p, q) and its weight sequence.
 
-    Computed on the common integer grid; s is invariant under the uniform
-    scaling because both the frame and the circumcenters scale with it.
+    Before the first event every point with ``left`` false is enclosed (its
+    side is s < s_x), and each event adds or removes its point.
     """
-    px, py = ints[p]
-    qx, qy = ints[q]
-    ux, uy = qx - px, qy - py
-    out = []
-    for x in range(len(ints)):
-        if x == p or x == q:
-            continue
-        xx, xy = ints[x]
-        ax, ay = xx - px, xy - py
-        cross = ux * ay - uy * ax
-        if cross == 0:
+    order = _bisector_order(ints, p, q, (x for x in range(len(ints)) if x != p and x != q))
+    for a, b in zip(order, order[1:]):
+        if a[0] == b[0]:
             raise DegenerateInputError(
-                "collinear triple encountered on a certified set", (p, q, x)
+                "cocircular quadruple encountered on a certified set", (p, q, a[3], b[3])
             )
-        num = ax * (xx - qx) + ay * (xy - qy)
-        out.append((x, num, cross))
-    return out
+    weight = sum(1 for e in order if not e[4])
+    weights = [weight]
+    for e in order:
+        weight += 1 if e[4] else -1
+        weights.append(weight)
+    return order, weights
 
 
 def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
@@ -152,27 +157,13 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    ints = _int_coords([cp.point for cp in ps.points])
-    events = []
-    for x, num, cross in _event_data(ints, p, q):
-        events.append(BisectorEvent(x, Fraction(num, 2 * cross), cross > 0))
-    events.sort(key=lambda e: e.s)
-    for a, b in zip(events, events[1:]):
-        if a.s == b.s:
-            raise DegenerateInputError(
-                "cocircular quadruple encountered on a certified set",
-                (p, q, a.index, b.index),
-            )
-    weight = sum(1 for e in events if not e.covers_positive)
-    weights = [weight]
-    for e in events:
-        weight += 1 if e.covers_positive else -1
-        weights.append(weight)
+    order, weights = _sweep(_int_coords(ps.coords()), p, q)
+    events = tuple(BisectorEvent(x, Fraction(num, 2 * den), left) for _, num, den, x, left in order)
     pp = ps.point(p)
     qp = ps.point(q)
     mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
     direction = (-(qp.y - pp.y), qp.x - pp.x)
-    return BisectorProfile((p, q), mid, direction, tuple(events), tuple(weights))
+    return BisectorProfile((p, q), mid, direction, events, tuple(weights))
 
 
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
@@ -224,6 +215,34 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` chunks: never more than the CPUs this
+    process may run on, nor than there are chunks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, tasks))
+
+
+def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
+    """``task`` over consecutive chunks of ``pairs``, results in pair order.
+
+    ``jobs <= 1`` runs one chunk in this process.  Otherwise the pairs are
+    cut into about four chunks per worker and mapped over a process pool of
+    at most ``jobs`` workers (see :func:`_workers`).
+    """
+    if jobs <= 1 or len(pairs) < 2:
+        return [task(pairs)]
+    size = -(-len(pairs) // (4 * _workers(jobs, len(pairs))))
+    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
+    workers = _workers(jobs, len(chunks))
+    if workers == 1:
+        return [task(pairs)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, chunks))
+
+
 def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
     """Profiles for every unordered pair, in lexicographic pair order.
 
@@ -231,19 +250,12 @@ def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
     order (and therefore every downstream aggregate) is identical for any
     jobs value.
     """
-    pairs = all_pairs(len(ps))
-    if jobs <= 1 or len(pairs) < 4:
-        return [weight_sequence(ps, p, q) for p, q in pairs]
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    chunk = max(1, len(pairs) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(partial(_profile_task, ps), pairs, chunksize=chunk))
+    chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs)
+    return [profile for chunk in chunks for profile in chunk]
 
 
-def _profile_task(ps: PointSet, pair: tuple[int, int]) -> BisectorProfile:
-    return weight_sequence(ps, pair[0], pair[1])
+def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[BisectorProfile]:
+    return [weight_sequence(ps, p, q) for p, q in pairs]
 
 
 def pair_depth(ps: PointSet, p: int, q: int) -> DepthSummary:
@@ -262,7 +274,7 @@ def maximin_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) ->
         raise ValueError("need at least two points")
     best_pair = None
     best = -1
-    for profile in profiles or all_profiles(ps):
+    for profile in all_profiles(ps) if profiles is None else profiles:
         value = min(profile.weights)
         if value > best:
             best = value
@@ -273,27 +285,24 @@ def maximin_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) ->
 def minimax_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> tuple[tuple[int, int], int]:
     """Pair minimizing the maximum weight on its bisector.
 
-    The result never exceeds floor((2n-3)/3); that bound is exact at every n,
-    so it is asserted here rather than merely reported.
+    Ties break to the lexicographically smallest index pair.  The value is
+    returned as found; the bound floor((2n-3)/3) is the ``minimax-bound``
+    check's to judge.
     """
     ps.require_certified()
-    n = len(ps)
-    if n < 2:
+    if len(ps) < 2:
         raise ValueError("need at least two points")
     best_pair = None
     best = None
-    for profile in profiles or all_profiles(ps):
+    for profile in all_profiles(ps) if profiles is None else profiles:
         value = max(profile.weights)
         if best is None or value < best:
             best = value
             best_pair = profile.pair
-    assert best <= (2 * n - 3) // 3, f"minimax {best} exceeds floor((2n-3)/3) for n={n}"
     return best_pair, best
 
 
 def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
-    from .geom import Color
-
     reds = ps.indices_of(Color.RED)
     blues = ps.indices_of(Color.BLUE)
     if not reds or not blues:
@@ -351,8 +360,6 @@ def bichromatic_triple_counts(ps: PointSet) -> TripleStats:
     n = len(ps)
     if n < 3:
         raise ValueError("need at least three points")
-    from .geom import Color
-
     colors = [ps.color(i) for i in range(n)]
     ints = _int_coords([cp.point for cp in ps.points])
     counts = [0] * (n - 2)
@@ -436,7 +443,7 @@ def segment_weight_census(
     ps.require_certified()
     n = len(ps)
     hist = [0] * (n - 1)
-    for profile in profiles or all_profiles(ps):
+    for profile in all_profiles(ps) if profiles is None else profiles:
         for w in profile.weights:
             hist[w] += 1
     return WeightCensus(tuple(hist))
@@ -465,7 +472,7 @@ def repeated_weight_stats(
     n = len(ps)
     b = [0] * n
     max_mult = [0] * n
-    for profile in profiles or all_profiles(ps):
+    for profile in all_profiles(ps) if profiles is None else profiles:
         seen: dict[int, int] = {}
         for w in profile.weights:
             seen[w] = seen.get(w, 0) + 1
@@ -476,3 +483,128 @@ def repeated_weight_stats(
             if mult > max_mult[k]:
                 max_mult[k] = mult
     return RepeatStats(tuple(b), tuple(max_mult))
+
+
+@dataclass(frozen=True)
+class SweepTotals:
+    """Every table and extremal pair of an analysis, from one sweep per pair.
+
+    ``triples`` is derived, not counted: a circle through three points that
+    encloses k others is an event on each of its three bisectors, between
+    segments of weights k and k+1, so c[k] is a third of the number of
+    adjacent weight pairs with minimum k.  The end weights of a bisector are
+    the side counts of its pair's line, which give ``edges``.  The extremal
+    pairs are None when the set has no pair, or no red-blue pair.
+    """
+
+    triples: TripleStats
+    census: WeightCensus
+    edges: EdgeStats
+    repeats: RepeatStats
+    maximin: tuple[tuple[int, int], int] | None
+    minimax: tuple[tuple[int, int], int] | None
+    bichromatic_maximin: tuple[tuple[int, int], int] | None
+
+
+def _least(a, b):
+    return b if a is None or (b is not None and b < a) else a
+
+
+class _Fold:
+    """O(n) accumulators over the swept pairs of an n-point set.
+
+    Extremal pairs are kept as keys whose least element wins, (-min weight,
+    p, q) and (max weight, p, q), so a tie goes to the lexicographically
+    smallest pair however the pairs were split into chunks.
+    """
+
+    def __init__(self, n: int):
+        self.hist = [0] * max(n - 1, 0)
+        self.incidences = [0] * max(n - 2, 0)
+        self.directed = [0] * max(n - 1, 0)
+        self.undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
+        self.repeat_b = [0] * n
+        self.max_collinear = [0] * n
+        self.maximin = None
+        self.minimax = None
+        self.red_blue_maximin = None
+
+    def add(self, pair: tuple[int, int], weights: list[int], red_blue: bool) -> None:
+        lo, hi = min(weights), max(weights)
+        mult = [0] * (hi - lo + 1)
+        for w in weights:
+            mult[w - lo] += 1
+        for w, m in enumerate(mult, lo):
+            self.hist[w] += m
+            if m >= 4:
+                self.repeat_b[w + 1] += 1
+            if m > self.max_collinear[w + 1]:
+                self.max_collinear[w + 1] = m
+        incidences = self.incidences
+        for a, b in zip(weights, weights[1:]):
+            incidences[a if a < b else b] += 1
+        first, last = weights[0], weights[-1]
+        self.directed[first] += 1
+        self.directed[last] += 1
+        self.undirected[min(first, last)] += 1
+        maximin = (-lo, *pair)
+        self.maximin = _least(self.maximin, maximin)
+        self.minimax = _least(self.minimax, (hi, *pair))
+        if red_blue:
+            self.red_blue_maximin = _least(self.red_blue_maximin, maximin)
+
+    def merge(self, other: "_Fold") -> None:
+        for mine, theirs in (
+            (self.hist, other.hist),
+            (self.incidences, other.incidences),
+            (self.directed, other.directed),
+            (self.undirected, other.undirected),
+            (self.repeat_b, other.repeat_b),
+        ):
+            for i, v in enumerate(theirs):
+                mine[i] += v
+        self.max_collinear = [max(a, b) for a, b in zip(self.max_collinear, other.max_collinear)]
+        self.maximin = _least(self.maximin, other.maximin)
+        self.minimax = _least(self.minimax, other.minimax)
+        self.red_blue_maximin = _least(self.red_blue_maximin, other.red_blue_maximin)
+
+    def totals(self) -> SweepTotals:
+        return SweepTotals(
+            TripleStats(tuple(v // 3 for v in self.incidences)),
+            WeightCensus(tuple(self.hist)),
+            EdgeStats(tuple(self.directed), tuple(self.undirected)),
+            RepeatStats(tuple(self.repeat_b), tuple(self.max_collinear)),
+            _extremal(self.maximin, -1),
+            _extremal(self.minimax, 1),
+            _extremal(self.red_blue_maximin, -1),
+        )
+
+
+def _extremal(key, sign: int) -> tuple[tuple[int, int], int] | None:
+    return None if key is None else ((key[1], key[2]), sign * key[0])
+
+
+def _fold_chunk(ints, colors: tuple[Color, ...], pairs: list[tuple[int, int]]) -> _Fold:
+    fold = _Fold(len(ints))
+    red_blue = {Color.RED, Color.BLUE}
+    for p, q in pairs:
+        _, weights = _sweep(ints, p, q)
+        fold.add((p, q), weights, {colors[p], colors[q]} == red_blue)
+    return fold
+
+
+def sweep_totals(ps: PointSet, jobs: int = 1) -> SweepTotals:
+    """Fold every pair's weight sequence into :class:`SweepTotals`.
+
+    O(n^3 log n) time and O(n) memory per worker: no profile is kept.  With
+    ``jobs > 1`` workers fold chunks of pairs and their accumulators are
+    merged, so the result is the same for any jobs value.
+    """
+    ps.require_certified()
+    n = len(ps)
+    colors = tuple(cp.color for cp in ps.points)
+    total = _Fold(n)
+    task = partial(_fold_chunk, _int_coords(ps.coords()), colors)
+    for part in _map_chunks(task, all_pairs(n), jobs):
+        total.merge(part)
+    return total.totals()

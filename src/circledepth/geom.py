@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -153,6 +155,54 @@ def _incircle_det_int(
     )
 
 
+# One third point x on the bisector of a pair (p, q): (key, num, den, x, left).
+# The circumcenter of (p, q, x) sits at parameter s = num / (2 * den) with
+# den > 0; ``key`` is an integer that orders the points of one bisector as s
+# does, ties included; ``left`` says whether x lies strictly left of p->q.
+BisectorParam = tuple[int, int, int, int, bool]
+
+
+def _bisector_order(
+    ints: Sequence[tuple[int, int]], p: int, q: int, others: Iterable[int]
+) -> list[BisectorParam]:
+    """The points ``others`` in increasing order of their circumcenter with
+    (p, q) along the pair's bisector, exactly and without fractions.
+
+    On the frame of :mod:`circledepth.depth` (midpoint of pq, direction
+    rot90(q - p)) the circumcenter of (p, q, x) sits at
+
+        s_x = dot(x - p, x - q) / (2 * cross(q - p, x - p)),
+
+    which is invariant under the common scaling of the integer grid.  With
+    every den below 2^B, two distinct values num/den differ by at least
+    1/(den_a * den_b) > 2^-2B, so key = floor(num * 2^2B / den) is strictly
+    increasing in s and equal exactly when s is: equal keys are points
+    cocircular with p and q.  The sort is stable, so tied points keep the
+    order of ``others``.  Raises :class:`DegenerateInputError` for an x
+    collinear with p and q, where no circumcenter exists.
+    """
+    px, py = ints[p]
+    qx, qy = ints[q]
+    ux, uy = qx - px, qy - py
+    quotients = []
+    for x in others:
+        xx, xy = ints[x]
+        ax, ay = xx - px, xy - py
+        cross = ux * ay - uy * ax
+        if cross == 0:
+            raise DegenerateInputError(
+                "collinear triple encountered on a certified set", (p, q, x)
+            )
+        num = ax * (xx - qx) + ay * (xy - qy)
+        quotients.append((num, cross, x, True) if cross > 0 else (-num, -cross, x, False))
+    if not quotients:
+        return []
+    shift = 2 * max(den for _, den, _, _ in quotients).bit_length()
+    params = [((num << shift) // den, num, den, x, left) for num, den, x, left in quotients]
+    params.sort(key=itemgetter(0))
+    return params
+
+
 def orientation(a: Point, b: Point, c: Point) -> int:
     """Return +1 if (a, b, c) turns counterclockwise, -1 clockwise, 0 collinear."""
     ia, ib, ic = _int_coords([a, b, c])
@@ -206,13 +256,21 @@ class Violation:
 
 
 def validate_general_position(ps: PointSet) -> list[Violation]:
-    """Exhaustively list duplicates, collinear triples, cocircular quadruples.
+    """List duplicates, collinear triples and cocircular quadruples.
 
     Returns an empty list exactly when the set is in general position, in
     which case ``ps.gp_certified`` is set.  Violations are data, not errors:
     callers (e.g. the construction generators) repair the named tuples.
     Quadruples containing a collinear triple are skipped; the triple itself
     is already reported.
+
+    Collinear triples come from an O(n^3) scan.  A quadruple i < j < k < m
+    with no collinear triple is cocircular exactly when the circumcenters of
+    (i, j, k) and (i, j, m) coincide, i.e. when k and m tie in the order of
+    :func:`_bisector_order` on the bisector of (i, j); four points on one
+    circle never include three on a line.  So one exact sort per pair finds
+    them all in O(n^3 log n).  ``brute.general_position_violations`` is the
+    exhaustive O(n^4) reference, with the same output.
     """
     pts = _int_coords([cp.point for cp in ps.points])
     n = len(pts)
@@ -235,18 +293,16 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
                     collinear_triples.add((i, j, k))
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if (i, j, k) in collinear_triples:
-                    continue
-                for m in range(k + 1, n):
-                    if (
-                        (i, j, m) in collinear_triples
-                        or (i, k, m) in collinear_triples
-                        or (j, k, m) in collinear_triples
-                    ):
-                        continue
-                    if _incircle_det_int(pts[i], pts[j], pts[k], pts[m]) == 0:
-                        violations.append(Violation("cocircular", (i, j, k, m)))
+            later = [x for x in range(j + 1, n) if (i, j, x) not in collinear_triples]
+            order = _bisector_order(pts, i, j, later)
+            tied: list[tuple[int, int]] = []
+            start = 0
+            for end in range(1, len(order) + 1):
+                if end == len(order) or order[end][0] != order[start][0]:
+                    tied.extend(combinations(sorted(e[3] for e in order[start:end]), 2))
+                    start = end
+            for k, m in sorted(tied):
+                violations.append(Violation("cocircular", (i, j, k, m)))
     ps.gp_certified = not violations
     return violations
 

@@ -14,17 +14,7 @@ import json
 from . import __version__
 from .geom import Color, PointSet
 from .checks import CheckResult
-from .depth import (
-    all_profiles,
-    bichromatic_maximin,
-    j_edge_counts,
-    kset_counts,
-    maximin_pair,
-    minimax_pair,
-    repeated_weight_stats,
-    segment_weight_census,
-    triple_counts,
-)
+from .depth import kset_counts, sweep_totals
 
 SCHEMA_VERSION = 1
 
@@ -52,10 +42,15 @@ def check_to_dict(check: CheckResult) -> dict:
 
 
 def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
-    """Full depth analysis: extremal pairs and every count table."""
+    """Full depth analysis: extremal pairs and every count table.
+
+    Everything comes from one fold over the pairs' weight sequences
+    (:func:`circledepth.depth.sweep_totals`); ``verify`` recounts the tables
+    independently.
+    """
     ps.require_certified()
     n = len(ps)
-    profiles = all_profiles(ps, jobs=jobs)
+    totals = sweep_totals(ps, jobs=jobs)
     reds = ps.indices_of(Color.RED)
     blues = ps.indices_of(Color.BLUE)
     report = {
@@ -69,26 +64,24 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
         },
     }
     extremal: dict = {}
-    if n >= 2:
-        pair, value = maximin_pair(ps, profiles)
-        extremal["maximin"] = {"pair": list(pair), "value": value}
-        pair, value = minimax_pair(ps, profiles)
-        extremal["minimax"] = {"pair": list(pair), "value": value}
-    if reds and blues:
-        pair, value = bichromatic_maximin(ps)
-        extremal["bichromatic_maximin"] = {"pair": list(pair), "value": value}
+    for name, found in (
+        ("maximin", totals.maximin),
+        ("minimax", totals.minimax),
+        ("bichromatic_maximin", totals.bichromatic_maximin),
+    ):
+        if found is not None:
+            pair, value = found
+            extremal[name] = {"pair": list(pair), "value": value}
     report["extremal"] = extremal
     tables: dict = {}
     if n >= 3:
-        tables["triple_counts"] = list(triple_counts(ps).c)
-    tables["weight_census"] = list(segment_weight_census(ps, profiles).hist)
-    edges = j_edge_counts(ps)
-    tables["directed_j"] = list(edges.directed_j)
-    tables["undirected_j"] = list(edges.undirected_j)
-    tables["ksets"] = list(kset_counts(ps, edges).ksets)
-    repeats = repeated_weight_stats(ps, profiles)
-    tables["repeat_b"] = list(repeats.b)
-    tables["max_collinear"] = list(repeats.max_collinear)
+        tables["triple_counts"] = list(totals.triples.c)
+    tables["weight_census"] = list(totals.census.hist)
+    tables["directed_j"] = list(totals.edges.directed_j)
+    tables["undirected_j"] = list(totals.edges.undirected_j)
+    tables["ksets"] = list(kset_counts(ps, totals.edges).ksets)
+    tables["repeat_b"] = list(totals.repeats.b)
+    tables["max_collinear"] = list(totals.repeats.max_collinear)
     report["tables"] = tables
     return report
 

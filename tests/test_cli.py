@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 
@@ -55,6 +57,21 @@ def test_analyze_matches_golden(capsys):
     assert stdout == (DATA / "random8.analysis.json").read_text()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_analyze_tiny_inputs_match_golden(n, capsys):
+    code, stdout, _ = run_cli(["analyze", str(DATA / f"tiny{n}.txt")], capsys)
+    assert code == 0
+    assert stdout == (DATA / f"tiny{n}.analysis.json").read_text()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_on_fewer_than_two_points_passes_vacuously(n, capsys):
+    code, stdout, _ = run_cli(["verify", str(DATA / f"tiny{n}.txt")], capsys)
+    report = json.loads(stdout)
+    assert code == 0 and report["pass"] is True
+    assert [c["name"] for c in report["checks"]] == ["profile-invariants", "oracle-match"]
+
+
 def test_analyze_golden_fields():
     report = json.loads((DATA / "random8.analysis.json").read_text())
     assert report["schema"] == 1
@@ -75,6 +92,17 @@ def test_analyze_collinear_exit(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(bad)], capsys)
     assert code == 3
     assert "collinear(0, 1, 2)" in err
+
+
+def test_general_position_violations_on_stderr_are_capped(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("".join(f"{x} {y}\n" for x in range(7) for y in range(7)))
+    code, _, err = run_cli(["analyze", str(grid)], capsys)
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) <= 21
+    assert lines[0] == "general-position violation: collinear(0, 1, 2)"
+    assert "6528 general-position violations in total" in lines[-1]
 
 
 def test_analyze_parse_error_exit(tmp_path, capsys):

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circledepth import (
+    BisectorProfile,
     Color,
     NotCertifiedError,
+    Point,
     PointSet,
     all_profiles,
     bichromatic_maximin,
@@ -18,10 +21,14 @@ from circledepth import (
     repeated_weight_stats,
     segment_weight_census,
     triple_counts,
+    validate_general_position,
     weight_sequence,
 )
-from circledepth.brute import kset_counts_bruteforce
+from circledepth import depth
+from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
+from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position
+from circledepth.depth import sweep_totals
 
 from conftest import make_set, random_corpus
 
@@ -165,6 +172,19 @@ def test_minimax_bound_holds():
     assert value <= (2 * 20 - 3) // 3
 
 
+def test_minimax_pair_returns_a_value_above_the_bound(quad):
+    # A hand-built profile above floor((2*4-3)/3) = 1: the helper reports it,
+    # and judging it is the minimax-bound check's job.
+    high = BisectorProfile((0, 1), Point.of(5, 0), (Fraction(0), Fraction(10)), (), (0, 1, 2))
+    assert minimax_pair(quad, [high]) == ((0, 1), 2)
+    assert not check_minimax_bound(quad, [high]).passed
+
+
+def test_empty_profile_list_is_not_recomputed(quad):
+    assert segment_weight_census(quad, []).hist == (0, 0, 0)
+    assert repeated_weight_stats(quad, []).b == (0, 0, 0, 0)
+
+
 def test_repeat_stats(triangle):
     stats = repeated_weight_stats(triangle)
     assert all(b == 0 for b in stats.b)
@@ -220,3 +240,77 @@ def test_parallel_profiles_match_serial():
     serial = [p.weights for p in all_profiles(ps, jobs=1)]
     parallel = [p.weights for p in all_profiles(ps, jobs=2)]
     assert serial == parallel
+    assert sweep_totals(ps, jobs=2) == sweep_totals(ps, jobs=1)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "n, jobs, workers",
+    [(9, 100_000, 8), (9, 3, 3), (3, 100_000, 3), (9, 1, None), (9, 0, None)],
+)
+def test_jobs_fan_out_is_bounded(monkeypatch, n, jobs, workers):
+    # Eight CPUs available: the pool gets min(jobs, CPUs, chunks) workers,
+    # and jobs <= 1 makes none.
+    monkeypatch.setattr(depth, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(InProcessPool, "created", [])
+    ps = random_general_position(n, seed=13, coord_range=10**6)
+    serial_profiles = [p.weights for p in all_profiles(ps)]
+    serial_totals = sweep_totals(ps)
+    assert InProcessPool.created == []
+    assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial_profiles
+    assert sweep_totals(ps, jobs=jobs) == serial_totals
+    assert InProcessPool.created == ([] if workers is None else [workers, workers])
+
+
+integer_coord = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+rational_coord = st.tuples(
+    st.fractions(-1000, 1000, max_denominator=997), st.fractions(-1000, 1000, max_denominator=997)
+)
+
+
+@st.composite
+def certified_sets(draw):
+    coords = draw(st.lists(st.one_of(integer_coord, rational_coord), max_size=14, unique=True))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=len(coords), max_size=len(coords)))
+    ps = PointSet.from_coords(coords, colors)
+    assume(not validate_general_position(ps))
+    return ps
+
+
+@given(certified_sets())
+@settings(max_examples=60, deadline=None)
+def test_sweep_totals_match_independent_references(ps):
+    n = len(ps)
+    totals = sweep_totals(ps)
+    profiles = all_profiles(ps)
+    if n >= 3:
+        assert totals.triples == triple_counts(ps)
+    assert totals.edges == j_edge_counts(ps)
+    assert totals.census == segment_weight_census(ps, profiles)
+    assert totals.repeats == repeated_weight_stats(ps, profiles)
+    assert totals.maximin == (maximin_pair(ps, profiles) if n >= 2 else None)
+    assert totals.minimax == (minimax_pair(ps, profiles) if n >= 2 else None)
+    if ps.indices_of(Color.RED) and ps.indices_of(Color.BLUE):
+        assert totals.bichromatic_maximin == bichromatic_maximin_bruteforce(ps)
+    else:
+        assert totals.bichromatic_maximin is None
+    if n <= 9:
+        assert list(kset_counts(ps, totals.edges).ksets) == kset_counts_bruteforce(ps)

@@ -16,6 +16,7 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
+from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
 from conftest import make_set
@@ -142,11 +143,29 @@ def _scan_general_position(ps: PointSet) -> bool:
     return True
 
 
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=7))
-@settings(max_examples=60, deadline=None)
+# Degenerate seeds: a small grid (collinear triples, cocircular squares) and
+# the lattice points on the circles of radius 5 and sqrt(65) about (15, 15).
+grid_point = st.tuples(st.integers(10, 14), st.integers(10, 14))
+circle_point = st.sampled_from(
+    [(15 + x, 15 + y) for x in range(-8, 9) for y in range(-8, 9) if x * x + y * y in (25, 65)]
+)
+
+
+any_point = st.tuples(st.integers(0, 30), st.integers(0, 30))
+
+
+@given(
+    st.one_of(
+        st.lists(any_point, min_size=1, max_size=7),
+        st.lists(st.one_of(grid_point, circle_point), min_size=4, max_size=9, unique=True),
+    )
+)
+@settings(max_examples=100, deadline=None)
 def test_validate_matches_independent_scan(coords):
     ps = PointSet.from_coords(coords)
-    assert (validate_general_position(ps) == []) == _scan_general_position(ps)
+    violations = validate_general_position(ps)
+    assert violations == general_position_violations(PointSet.from_coords(coords))
+    assert (violations == []) == _scan_general_position(ps)
 
 
 def test_snap_examples():
