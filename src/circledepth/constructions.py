@@ -97,14 +97,14 @@ def claim_failures(out: ConstructionOutput) -> list[str]:
     n = len(ps)
     failures: list[str] = []
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
+    ints = _int_coords([cp.point for cp in ps.points])
 
     def weights(pair) -> tuple[int, ...]:
         pair = tuple(pair)
         if pair not in cache:
-            cache[pair] = weight_sequence(ps, pair[0], pair[1]).weights
+            cache[pair] = weight_sequence(ps, pair[0], pair[1], ints).weights
         return cache[pair]
 
-    ints = _int_coords([cp.point for cp in ps.points])
     for claim in out.claims:
         kind, params = claim.kind, claim.params
         if kind == "halving-pair":

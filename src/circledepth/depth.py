@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .geom import (
     BisectorParam,
@@ -59,11 +59,36 @@ class BisectorEvent:
 
 @dataclass(frozen=True)
 class BisectorProfile:
+    """The weight sequence of one pair's bisector and the events cutting it.
+
+    ``params`` are the third points in increasing s, as the sweep sorted them
+    (see :data:`circledepth.geom.BisectorParam`).  The exact ``events`` and
+    the frame (``midpoint``, ``direction``) are built from them and from the
+    pair's points on first use, so a caller reading only ``weights`` never
+    builds a Fraction.
+    """
+
     pair: tuple[int, int]
-    midpoint: Point
-    direction: tuple[Scalar, Scalar]  # rot90(q - p); center(s) = midpoint + s * direction
-    events: tuple[BisectorEvent, ...]
+    ends: tuple[Point, Point]  # the points p and q
+    params: tuple[BisectorParam, ...]
     weights: tuple[int, ...]
+
+    @cached_property
+    def events(self) -> tuple[BisectorEvent, ...]:
+        return tuple(
+            BisectorEvent(x, Fraction(num, 2 * den), left) for _, num, den, x, left in self.params
+        )
+
+    @property
+    def midpoint(self) -> Point:
+        p, q = self.ends
+        return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+    @property
+    def direction(self) -> tuple[Scalar, Scalar]:
+        # rot90(q - p); center(s) = midpoint + s * direction
+        p, q = self.ends
+        return (-(q.y - p.y), q.x - p.x)
 
     def multiplicity(self, weight: int) -> int:
         return sum(1 for w in self.weights if w == weight)
@@ -132,12 +157,19 @@ class RepeatStats:
         return [k for k in range(1, len(self.b)) if self.b[k] > 0]
 
 
-def _sweep(ints, p: int, q: int) -> tuple[list[BisectorParam], list[int]]:
-    """The bisector order of pair (p, q) and its weight sequence.
+def weight_sequence(ps: PointSet, p: int, q: int, ints=None) -> BisectorProfile:
+    """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    Before the first event every point with ``left`` false is enclosed (its
-    side is s < s_x), and each event adds or removes its point.
+    ``ints`` is the set's common integer grid (``_int_coords(ps.coords())``),
+    which callers sweeping many pairs compute once.  Before the first event
+    every point whose side is s < s_x is enclosed, and each event adds or
+    removes its point.
     """
+    ps.require_certified()
+    if p == q:
+        raise ValueError("pair indices must differ")
+    if ints is None:
+        ints = _int_coords(ps.coords())
     order = _bisector_order(ints, p, q, (x for x in range(len(ints)) if x != p and x != q))
     for a, b in zip(order, order[1:]):
         if a[0] == b[0]:
@@ -149,21 +181,7 @@ def _sweep(ints, p: int, q: int) -> tuple[list[BisectorParam], list[int]]:
     for e in order:
         weight += 1 if e[4] else -1
         weights.append(weight)
-    return order, weights
-
-
-def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
-    """Weight sequence of the bisector of pair (p, q), in increasing-s order."""
-    ps.require_certified()
-    if p == q:
-        raise ValueError("pair indices must differ")
-    order, weights = _sweep(_int_coords(ps.coords()), p, q)
-    events = tuple(BisectorEvent(x, Fraction(num, 2 * den), left) for _, num, den, x, left in order)
-    pp = ps.point(p)
-    qp = ps.point(q)
-    mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
-    direction = (-(qp.y - pp.y), qp.x - pp.x)
-    return BisectorProfile((p, q), mid, direction, events, tuple(weights))
+    return BisectorProfile((p, q), (ps.point(p), ps.point(q)), tuple(order), tuple(weights))
 
 
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
@@ -216,8 +234,8 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` chunks: never more than the CPUs this
-    process may run on, nor than there are chunks."""
+    """Worker processes for ``tasks`` pairs: never more than the CPUs this
+    process may run on, nor than there are pairs, and one for ``jobs <= 1``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -232,13 +250,11 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     cut into about four chunks per worker and mapped over a process pool of
     at most ``jobs`` workers (see :func:`_workers`).
     """
-    if jobs <= 1 or len(pairs) < 2:
-        return [task(pairs)]
-    size = -(-len(pairs) // (4 * _workers(jobs, len(pairs))))
-    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-    workers = _workers(jobs, len(chunks))
+    workers = _workers(jobs, len(pairs))
     if workers == 1:
         return [task(pairs)]
+    size = -(-len(pairs) // (4 * workers))
+    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, chunks))
 
@@ -255,7 +271,8 @@ def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
 
 
 def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[BisectorProfile]:
-    return [weight_sequence(ps, p, q) for p, q in pairs]
+    ints = _int_coords(ps.coords())
+    return [weight_sequence(ps, p, q, ints) for p, q in pairs]
 
 
 def pair_depth(ps: PointSet, p: int, q: int) -> DepthSummary:
@@ -313,10 +330,11 @@ def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
 def bichromatic_maximin(ps: PointSet) -> tuple[tuple[int, int], int]:
     """Maximin depth restricted to red-blue pairs; same tie-break as maximin_pair."""
     ps.require_certified()
+    ints = _int_coords(ps.coords())
     best_pair = None
     best = -1
     for p, q in bichromatic_pairs(ps):
-        value = min(weight_sequence(ps, p, q).weights)
+        value = min(weight_sequence(ps, p, q, ints).weights)
         if value > best:
             best = value
             best_pair = (p, q)
@@ -454,8 +472,9 @@ def bichromatic_weight_census(ps: PointSet) -> WeightCensus:
     ps.require_certified()
     n = len(ps)
     hist = [0] * (n - 1)
+    ints = _int_coords(ps.coords())
     for p, q in bichromatic_pairs(ps):
-        for w in weight_sequence(ps, p, q).weights:
+        for w in weight_sequence(ps, p, q, ints).weights:
             hist[w] += 1
     return WeightCensus(tuple(hist))
 
@@ -584,12 +603,13 @@ def _extremal(key, sign: int) -> tuple[tuple[int, int], int] | None:
     return None if key is None else ((key[1], key[2]), sign * key[0])
 
 
-def _fold_chunk(ints, colors: tuple[Color, ...], pairs: list[tuple[int, int]]) -> _Fold:
-    fold = _Fold(len(ints))
+def _fold_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> _Fold:
+    ints = _int_coords(ps.coords())
+    fold = _Fold(len(ps))
     red_blue = {Color.RED, Color.BLUE}
     for p, q in pairs:
-        _, weights = _sweep(ints, p, q)
-        fold.add((p, q), weights, {colors[p], colors[q]} == red_blue)
+        weights = weight_sequence(ps, p, q, ints).weights
+        fold.add((p, q), weights, {ps.color(p), ps.color(q)} == red_blue)
     return fold
 
 
@@ -602,9 +622,7 @@ def sweep_totals(ps: PointSet, jobs: int = 1) -> SweepTotals:
     """
     ps.require_certified()
     n = len(ps)
-    colors = tuple(cp.color for cp in ps.points)
     total = _Fold(n)
-    task = partial(_fold_chunk, _int_coords(ps.coords()), colors)
-    for part in _map_chunks(task, all_pairs(n), jobs):
+    for part in _map_chunks(partial(_fold_chunk, ps), all_pairs(n), jobs):
         total.merge(part)
     return total.totals()

@@ -184,21 +184,29 @@ def _bisector_order(
     px, py = ints[p]
     qx, qy = ints[q]
     ux, uy = qx - px, qy - py
-    quotients = []
+    # Two passes, with no per-point tuple held between them: the first finds
+    # the largest den (hence the shift), the second builds each point's key.
+    others = list(others)
+    crosses = []
     for x in others:
         xx, xy = ints[x]
-        ax, ay = xx - px, xy - py
-        cross = ux * ay - uy * ax
+        cross = ux * (xy - py) - uy * (xx - px)
         if cross == 0:
             raise DegenerateInputError(
                 "collinear triple encountered on a certified set", (p, q, x)
             )
-        num = ax * (xx - qx) + ay * (xy - qy)
-        quotients.append((num, cross, x, True) if cross > 0 else (-num, -cross, x, False))
-    if not quotients:
+        crosses.append(cross)
+    if not crosses:
         return []
-    shift = 2 * max(den for _, den, _, _ in quotients).bit_length()
-    params = [((num << shift) // den, num, den, x, left) for num, den, x, left in quotients]
+    shift = 2 * max(map(abs, crosses)).bit_length()
+    params = []
+    for x, cross in zip(others, crosses):
+        xx, xy = ints[x]
+        num = (xx - px) * (xx - qx) + (xy - py) * (xy - qy)
+        if cross > 0:
+            params.append(((num << shift) // cross, num, cross, x, True))
+        else:
+            params.append(((-num << shift) // -cross, -num, -cross, x, False))
     params.sort(key=itemgetter(0))
     return params
 

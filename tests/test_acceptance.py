@@ -217,7 +217,7 @@ def test_criterion_05_minimax_bound():
     for i in range(200):
         n = sizes[i % len(sizes)]
         ps = random_general_position(n, seed=40_000 + i, coord_range=10**6)
-        _, value = minimax_pair(ps)  # asserts value <= floor((2n-3)/3) internally
+        _, value = minimax_pair(ps)
         assert value <= (2 * n - 3) // 3
     for i in range(10):
         tri = random_general_position(3, seed=41_000 + i, coord_range=10**4)

@@ -29,6 +29,7 @@ from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_brutef
 from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position
 from circledepth.depth import sweep_totals
+from circledepth.geom import _int_coords
 
 from conftest import make_set, random_corpus
 
@@ -71,6 +72,17 @@ def test_profile_structure(quad):
     # Event parameters place circumcenters on the bisector frame exactly.
     assert profile.events[0].s == Fraction(-1, 18)
     assert profile.events[1].s == Fraction(1, 18)
+
+
+def test_profile_builds_events_on_first_read(quad):
+    # The fold reads only weights, so no Fraction is built until the events
+    # are read.  The frame is midpoint of pq and rot90(q - p).
+    profile = weight_sequence(quad, 0, 2)
+    assert "events" not in vars(profile)
+    assert [(e.index, e.covers_positive) for e in profile.events] == [(1, False), (3, True)]
+    assert profile.midpoint == Point.of(Fraction(9, 2), Fraction(9, 2))
+    assert profile.direction == (-9, 9)
+    assert weight_sequence(quad, 0, 2, _int_coords(quad.coords())) == profile
 
 
 def test_two_point_set():
@@ -175,7 +187,7 @@ def test_minimax_bound_holds():
 def test_minimax_pair_returns_a_value_above_the_bound(quad):
     # A hand-built profile above floor((2*4-3)/3) = 1: the helper reports it,
     # and judging it is the minimax-bound check's job.
-    high = BisectorProfile((0, 1), Point.of(5, 0), (Fraction(0), Fraction(10)), (), (0, 1, 2))
+    high = BisectorProfile((0, 1), (Point.of(0, 0), Point.of(10, 0)), (), (0, 1, 2))
     assert minimax_pair(quad, [high]) == ((0, 1), 2)
     assert not check_minimax_bound(quad, [high]).passed
 
