@@ -4,7 +4,13 @@ Each generator verifies its claims exactly before returning, so everything
 printed here has already been checked against the depth engine.
 """
 
-from circledepth import bichromatic_maximin, repeated_weight_stats, weight_sequence
+from circledepth import (
+    all_profiles,
+    bichromatic_pairs,
+    maximin_pair,
+    repeated_weight_stats,
+    weight_sequence,
+)
 from circledepth.constructions import (
     halving_line_construction,
     recursive_seven_region,
@@ -13,7 +19,9 @@ from circledepth.constructions import (
 
 n = 5
 out = two_colored_convex(n)
-pair, depth = bichromatic_maximin(out.points)
+# The red-blue maximin is the plain maximin over the red-blue pairs' profiles.
+red_blue = all_profiles(out.points, pairs=bichromatic_pairs(out.points))
+pair, depth = maximin_pair(out.points, red_blue)
 print(f"two_colored_convex({n}): {2 * n} convex points, colors alternating by cluster")
 print(f"  bichromatic maximin = {depth} (every red-blue pair has a circle "
       f"enclosing <= {n // 2} points)\n")

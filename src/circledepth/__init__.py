@@ -35,10 +35,7 @@ from .depth import (
     TripleStats,
     WeightCensus,
     all_profiles,
-    bichromatic_directed_j,
-    bichromatic_maximin,
-    bichromatic_triple_counts,
-    bichromatic_weight_census,
+    bichromatic_pairs,
     j_edge_counts,
     kset_counts,
     maximin_pair,

@@ -9,15 +9,13 @@ the full evidence as JSON rather than a bare boolean.  Instances marked
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 from .geom import Color, PointSet
 from .depth import (
-    BisectorProfile,
     all_profiles,
-    bichromatic_directed_j,
-    bichromatic_triple_counts,
-    bichromatic_weight_census,
+    bichromatic_pairs,
     j_edge_counts,
     kset_counts,
     minimax_pair,
@@ -44,6 +42,9 @@ class CheckResult:
     passed: bool
 
 
+EVIDENCE_PAIRS = 3  # offending pairs a failing check names in info rows
+
+
 def _relate(relation: str, lhs: int, rhs: int) -> bool:
     if relation == "==":
         return lhs == rhs
@@ -62,11 +63,11 @@ def _result(name: str, claim: str, raw: list[tuple[str, int, int, str]]) -> Chec
     return CheckResult(name, claim, instances, all(inst.passed for inst in gating))
 
 
-def check_triple_pair_sum(ps: PointSet, stats=None) -> CheckResult:
+def check_triple_pair_sum(ps: PointSet) -> CheckResult:
     """c[k] + c[n-k-3] == 2(k+1)(n-k-2) for every k (exact, all sets)."""
     ps.require_certified()
     n = len(ps)
-    stats = triple_counts(ps) if stats is None else stats
+    stats = triple_counts(ps)
     rows = []
     for k in range(0, n - 2):
         rows.append(
@@ -79,7 +80,7 @@ def check_triple_pair_sum(ps: PointSet, stats=None) -> CheckResult:
     )
 
 
-def check_weight_census(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> CheckResult:
+def check_weight_census(ps: PointSet) -> CheckResult:
     """The exact segment-census law, plus the classical pair-sum as information.
 
     Counting (event, adjacent segment) incidences proves, for every weight w,
@@ -98,8 +99,7 @@ def check_weight_census(ps: PointSet, profiles: list[BisectorProfile] | None = N
     """
     ps.require_certified()
     n = len(ps)
-    profiles = all_profiles(ps) if profiles is None else profiles
-    census = segment_weight_census(ps, profiles)
+    census = segment_weight_census(ps, all_profiles(ps))
     stats = triple_counts(ps)
     edges = j_edge_counts(ps)
     rows: list[tuple[str, int, int, str]] = [
@@ -131,11 +131,11 @@ def check_weight_census(ps: PointSet, profiles: list[BisectorProfile] | None = N
     )
 
 
-def check_minimax_bound(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> CheckResult:
+def check_minimax_bound(ps: PointSet) -> CheckResult:
     """Some pair's circles all enclose at most floor((2n-3)/3) points."""
     ps.require_certified()
     n = len(ps)
-    _, value = minimax_pair(ps, profiles)
+    _, value = minimax_pair(ps)
     return _result(
         "minimax-bound",
         "min over pairs of max enclosed count <= floor((2n-3)/3)",
@@ -143,13 +143,13 @@ def check_minimax_bound(ps: PointSet, profiles: list[BisectorProfile] | None = N
     )
 
 
-def check_enclosure_count_bounds(ps: PointSet, stats=None) -> CheckResult:
+def check_enclosure_count_bounds(ps: PointSet) -> CheckResult:
     """c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2."""
     ps.require_certified()
     n = len(ps)
     if n < 4:
         raise ValueError("need at least four points")
-    stats = triple_counts(ps) if stats is None else stats
+    stats = triple_counts(ps)
     rows = []
     k = 0
     while k < (n - 3) / 2:
@@ -230,16 +230,21 @@ def check_bichromatic_census(ps: PointSet) -> CheckResult:
     random inputs (first at N = 4, 9 > 8), because a segment may owe both its
     endpoint events to circles of matching count.  The census pair sum is
     reported as data only.
+
+    The law needs every point red or blue, as in the theorem: a circle
+    through a red, a blue and an uncolored point lies on only one red-blue
+    bisector.  Each table is the plain one over the red-blue pairs.
     """
     ps.require_certified()
-    if not ps.indices_of(Color.RED) or not ps.indices_of(Color.BLUE):
-        raise ValueError("need at least one red and one blue point")
+    red_blue = bichromatic_pairs(ps)
+    if ps.indices_of(Color.UNCOLORED):
+        raise ValueError("bichromatic-census needs every point red or blue")
     n = len(ps)
-    census = bichromatic_weight_census(ps)
+    census = segment_weight_census(ps, all_profiles(ps, pairs=red_blue))
     rows: list[tuple[str, int, int, str]] = []
     if n >= 3:
-        mixed = bichromatic_triple_counts(ps)
-        directed = bichromatic_directed_j(ps)
+        mixed = triple_counts(ps, red_blue)
+        directed = j_edge_counts(ps, red_blue).directed_j
         for w in range(0, n - 1):
             rows.append(
                 (
@@ -268,30 +273,40 @@ def check_bichromatic_census(ps: PointSet) -> CheckResult:
     )
 
 
-def check_profile_invariants(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> CheckResult:
+def check_profile_invariants(ps: PointSet) -> CheckResult:
     """Structural facts of every weight sequence.
 
     Consecutive weights differ by exactly 1; the first and last weights are
-    the two side counts {j, n-j-2} of the pair's line; every integer between
-    them occurs.  ``lhs`` counts violating pairs, so the expected value is 0.
+    the two side counts {j, n-j-2} of the pair's line, i.e. they sum to
+    n-2; every integer between them occurs.  ``lhs`` counts violating pairs,
+    so the expected value is 0.  The first few offending pairs follow as
+    info rows, one per broken invariant.
     """
     ps.require_certified()
     n = len(ps)
-    profiles = all_profiles(ps) if profiles is None else profiles
-    step_bad = ends_bad = cover_bad = 0
-    for profile in profiles:
+    bad = [0, 0, 0]
+    evidence: list[tuple[str, int, int, str]] = []
+    offenders = 0
+    for profile in all_profiles(ps):
         w = profile.weights
-        if any(abs(a - b) != 1 for a, b in zip(w, w[1:])):
-            step_bad += 1
-        j = min(w[0], w[-1])
-        if {w[0], w[-1]} != {j, n - j - 2}:
-            ends_bad += 1
-        if set(range(min(w), max(w) + 1)) - set(w):
-            cover_bad += 1
+        measured = (
+            ("non-unit steps", sum(abs(a - b) != 1 for a, b in zip(w, w[1:])), 0),
+            ("end weights w[0] + w[-1]", w[0] + w[-1], n - 2),
+            ("missing intermediate weights", len(set(range(min(w), max(w) + 1)) - set(w)), 0),
+        )
+        broken = [i for i, (_, got, want) in enumerate(measured) if got != want]
+        for i in broken:
+            bad[i] += 1
+        offenders += bool(broken)
+        if broken and offenders <= EVIDENCE_PAIRS:
+            for i in broken:
+                label, got, want = measured[i]
+                evidence.append((f"pair {profile.pair} {label}", got, want, "info"))
     rows = [
-        ("unit steps", step_bad, 0, "=="),
-        ("end weights {j, n-j-2}", ends_bad, 0, "=="),
-        ("full intermediate coverage", cover_bad, 0, "=="),
+        ("unit steps", bad[0], 0, "=="),
+        ("end weights {j, n-j-2}", bad[1], 0, "=="),
+        ("full intermediate coverage", bad[2], 0, "=="),
+        *evidence,
     ]
     return _result(
         "profile-invariants",
@@ -300,19 +315,27 @@ def check_profile_invariants(ps: PointSet, profiles: list[BisectorProfile] | Non
     )
 
 
-def check_oracle_match(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> CheckResult:
-    """Sweep weights equal sampled-circle oracle weights, elementwise, every pair."""
+def check_oracle_match(ps: PointSet) -> CheckResult:
+    """Sweep weights equal sampled-circle oracle weights, elementwise, every pair.
+
+    The first few mismatching pairs follow as info rows: the first differing
+    segment, sweep weight against oracle weight (-1 for a missing segment).
+    """
     ps.require_certified()
-    profiles = all_profiles(ps) if profiles is None else profiles
     mismatches = 0
-    for profile in profiles:
-        p, q = profile.pair
-        if list(profile.weights) != oracle_weights(ps, p, q):
+    evidence: list[tuple[str, int, int, str]] = []
+    for profile in all_profiles(ps):
+        sampled = oracle_weights(ps, *profile.pair)
+        if list(profile.weights) != sampled:
             mismatches += 1
+            if mismatches <= EVIDENCE_PAIRS:
+                segments = enumerate(zip_longest(profile.weights, sampled, fillvalue=-1))
+                i, swept, oracle = next((i, a, b) for i, (a, b) in segments if a != b)
+                evidence.append((f"pair {profile.pair} segment {i}", swept, oracle, "info"))
     return _result(
         "oracle-match",
         "weight_sequence equals oracle_weights elementwise for every pair",
-        [("mismatching pairs", mismatches, 0, "==")],
+        [("mismatching pairs", mismatches, 0, "=="), *evidence],
     )
 
 
@@ -334,6 +357,8 @@ CHECKS = {
 def applicable_checks(ps: PointSet) -> list[str]:
     """Check names that make sense for this set's size and coloring."""
     n = len(ps)
+    # The red-blue census law needs red and blue points and no uncolored one.
+    two_colored = {cp.color for cp in ps.points} == {Color.RED, Color.BLUE}
     names = []
     for name in CHECKS:
         if name in ("triple-pair-sum", "weight-census", "region-count-sum") and n < 3:
@@ -344,9 +369,7 @@ def applicable_checks(ps: PointSet) -> list[str]:
             continue
         if name == "minimax-bound" and n < 2:
             continue
-        if name == "bichromatic-census" and (
-            not ps.indices_of(Color.RED) or not ps.indices_of(Color.BLUE)
-        ):
+        if name == "bichromatic-census" and not two_colored:
             continue
         names.append(name)
     return names

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .geom import validate_general_position
 from .pointfile import PointFileError, parse_point_file, serialize_point_file
-from .checks import CHECKS, applicable_checks, run_checks
+from .checks import CHECKS, run_checks
 from .constructions import (
     ConstructionError,
     ConstructionOutput,
@@ -114,18 +114,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     pf, digest = _load_certified(args.input)
-    if args.checks == "all":
-        names = applicable_checks(pf.points)
-    else:
+    names = None  # run_checks picks the checks that apply to the set
+    if args.checks != "all":
         names = [name.strip() for name in args.checks.split(",") if name.strip()]
-        unknown = [name for name in names if name not in CHECKS]
-        if unknown:
-            print(
-                f"error: unknown checks: {', '.join(unknown)} "
-                f"(known: {', '.join(CHECKS)})",
-                file=sys.stderr,
-            )
-            return EXIT_PARSE
     try:
         results = run_checks(pf.points, names)
     except ValueError as exc:

@@ -22,7 +22,9 @@ which is affine in s with slope 2 * cross(q - p, x - p).
 :func:`sweep_totals` folds every pair's sequence into the tables of an
 analysis without keeping a profile; the table functions below it
 (``triple_counts``, ``j_edge_counts`` and the rest) count the same tables
-independently, as references and for the checks.
+independently, as references and for the checks.  They take the pairs they
+range over, so the red-blue tables of a colored set are the same functions
+over :func:`bichromatic_pairs`.
 """
 
 from __future__ import annotations
@@ -259,14 +261,18 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
         return list(pool.map(task, chunks))
 
 
-def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
-    """Profiles for every unordered pair, in lexicographic pair order.
+def all_profiles(
+    ps: PointSet, jobs: int = 1, pairs: list[tuple[int, int]] | None = None
+) -> list[BisectorProfile]:
+    """Profiles for ``pairs`` in their order, by default every unordered pair
+    in lexicographic order.
 
     ``jobs > 1`` fans the per-pair work out to a process pool; the result
     order (and therefore every downstream aggregate) is identical for any
     jobs value.
     """
-    chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs)
+    pairs = all_pairs(len(ps)) if pairs is None else pairs
+    chunks = _map_chunks(partial(_profile_chunk, ps), pairs, jobs)
     return [profile for chunk in chunks for profile in chunk]
 
 
@@ -320,6 +326,7 @@ def minimax_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) ->
 
 
 def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
+    """Red-blue pairs (p, q) with p < q, sorted: the pairs the red-blue tables range over."""
     reds = ps.indices_of(Color.RED)
     blues = ps.indices_of(Color.BLUE)
     if not reds or not blues:
@@ -327,65 +334,26 @@ def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
     return sorted((min(r, b), max(r, b)) for r in reds for b in blues)
 
 
-def bichromatic_maximin(ps: PointSet) -> tuple[tuple[int, int], int]:
-    """Maximin depth restricted to red-blue pairs; same tie-break as maximin_pair."""
-    ps.require_certified()
-    ints = _int_coords(ps.coords())
-    best_pair = None
-    best = -1
-    for p, q in bichromatic_pairs(ps):
-        value = min(weight_sequence(ps, p, q, ints).weights)
-        if value > best:
-            best = value
-            best_pair = (p, q)
-    return best_pair, best
-
-
-def triple_counts(ps: PointSet) -> TripleStats:
-    """Brute-force enclosure counts over all circumcircles of point triples.
+def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:
+    """Brute-force enclosure counts over the circumcircles of point triples.
 
     Deliberately O(n^4) and independent of the sweep: this table is the
-    reference the census checks compare against.
+    reference the census checks compare against.  With ``pairs`` a triple
+    counts only if it contains one of them, i.e. its circle's center is an
+    event on one of their bisectors; over the red-blue pairs of a set whose
+    points are all red or blue these are the mixed-color triples.
     """
     ps.require_certified()
     n = len(ps)
     if n < 3:
         raise ValueError("need at least three points")
+    chosen = None if pairs is None else {(min(p, q), max(p, q)) for p, q in pairs}
     ints = _int_coords([cp.point for cp in ps.points])
     counts = [0] * (n - 2)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                orient = _orient_int(ints[i], ints[j], ints[k])
-                enclosed = 0
-                for m in range(n):
-                    if m in (i, j, k):
-                        continue
-                    if _sign(_incircle_det_int(ints[i], ints[j], ints[k], ints[m])) * orient > 0:
-                        enclosed += 1
-                counts[enclosed] += 1
-    return TripleStats(tuple(counts))
-
-
-def bichromatic_triple_counts(ps: PointSet) -> TripleStats:
-    """Enclosure counts over circumcircles of mixed-color triples only.
-
-    A mixed triple (two points of one color, one of the other) is exactly a
-    triple whose circumcenter is an event on some red-blue bisector; these
-    are the counts the bichromatic census identity runs on.
-    """
-    ps.require_certified()
-    n = len(ps)
-    if n < 3:
-        raise ValueError("need at least three points")
-    colors = [ps.color(i) for i in range(n)]
-    ints = _int_coords([cp.point for cp in ps.points])
-    counts = [0] * (n - 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                kinds = {colors[i], colors[j], colors[k]}
-                if len(kinds) != 2 or Color.UNCOLORED in kinds:
+                if chosen is not None and chosen.isdisjoint(((i, j), (i, k), (j, k))):
                     continue
                 orient = _orient_int(ints[i], ints[j], ints[k])
                 enclosed = 0
@@ -398,41 +366,23 @@ def bichromatic_triple_counts(ps: PointSet) -> TripleStats:
     return TripleStats(tuple(counts))
 
 
-def bichromatic_directed_j(ps: PointSet) -> tuple[int, ...]:
-    """directed_j restricted to red-blue pairs (both orders of each pair)."""
-    ps.require_certified()
-    n = len(ps)
-    ints = _int_coords([cp.point for cp in ps.points])
-    directed = [0] * max(n - 1, 0)
-    for p, q in bichromatic_pairs(ps):
-        left = 0
-        for x in range(n):
-            if x in (p, q):
-                continue
-            if _orient_int(ints[p], ints[q], ints[x]) > 0:
-                left += 1
-        directed[left] += 1
-        directed[n - 2 - left] += 1
-    return tuple(directed)
-
-
-def j_edge_counts(ps: PointSet) -> EdgeStats:
+def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> EdgeStats:
+    """j-edge counts over ``pairs`` (default every pair), by orientation tests."""
     ps.require_certified()
     n = len(ps)
     ints = _int_coords([cp.point for cp in ps.points])
     directed = [0] * max(n - 1, 0)
     undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            left = 0
-            for x in range(n):
-                if x in (i, j):
-                    continue
-                if _orient_int(ints[i], ints[j], ints[x]) > 0:
-                    left += 1
-            directed[left] += 1
-            directed[n - 2 - left] += 1
-            undirected[min(left, n - 2 - left)] += 1
+    for i, j in all_pairs(n) if pairs is None else pairs:
+        left = 0
+        for x in range(n):
+            if x in (i, j):
+                continue
+            if _orient_int(ints[i], ints[j], ints[x]) > 0:
+                left += 1
+        directed[left] += 1
+        directed[n - 2 - left] += 1
+        undirected[min(left, n - 2 - left)] += 1
     return EdgeStats(tuple(directed), tuple(undirected))
 
 
@@ -457,24 +407,12 @@ def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
 def segment_weight_census(
     ps: PointSet, profiles: list[BisectorProfile] | None = None
 ) -> WeightCensus:
-    """Histogram of segment weights over all C(n,2) bisectors."""
+    """Histogram of segment weights over the profiled bisectors (default all C(n,2))."""
     ps.require_certified()
     n = len(ps)
     hist = [0] * (n - 1)
     for profile in all_profiles(ps) if profiles is None else profiles:
         for w in profile.weights:
-            hist[w] += 1
-    return WeightCensus(tuple(hist))
-
-
-def bichromatic_weight_census(ps: PointSet) -> WeightCensus:
-    """Histogram of segment weights over red-blue bisectors only."""
-    ps.require_certified()
-    n = len(ps)
-    hist = [0] * (n - 1)
-    ints = _int_coords(ps.coords())
-    for p, q in bichromatic_pairs(ps):
-        for w in weight_sequence(ps, p, q, ints).weights:
             hist[w] += 1
     return WeightCensus(tuple(hist))
 

@@ -1,6 +1,12 @@
 import pytest
 
-from circledepth import PointSet, validate_general_position
+from circledepth import (
+    PointSet,
+    all_profiles,
+    bichromatic_pairs,
+    maximin_pair,
+    validate_general_position,
+)
 from circledepth.constructions import random_general_position
 
 # One verdict line per acceptance criterion, printed after the run summary so
@@ -20,6 +26,11 @@ def make_set(coords, colors=None) -> PointSet:
     violations = validate_general_position(ps)
     assert not violations, f"fixture not in general position: {violations}"
     return ps
+
+
+def red_blue_maximin(ps: PointSet):
+    """Maximin depth over the red-blue pairs: the plain maximin, filtered."""
+    return maximin_pair(ps, all_profiles(ps, pairs=bichromatic_pairs(ps)))
 
 
 def random_corpus(count: int, sizes, seed0: int = 1000, coord_range: int = 10**6):

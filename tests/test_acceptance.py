@@ -13,16 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, red_blue_maximin
 
 from circledepth import (
     Color,
     PointSet,
     all_profiles,
-    bichromatic_maximin,
-    bichromatic_directed_j,
-    bichromatic_triple_counts,
-    bichromatic_weight_census,
+    bichromatic_pairs,
     j_edge_counts,
     kset_counts,
     maximin_pair,
@@ -43,7 +40,6 @@ from circledepth.constructions import (
     recursive_seven_region,
     two_colored_convex,
 )
-from circledepth.depth import bichromatic_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -329,15 +325,16 @@ def test_criterion_11_bichromatic_exact_relation_and_oracle(corpus_colored):
     identity_checked = 0
     for ps in corpus_colored:
         n = len(ps)
-        census = bichromatic_weight_census(ps)
-        mixed = bichromatic_triple_counts(ps)
-        directed = bichromatic_directed_j(ps)
+        red_blue = bichromatic_pairs(ps)
+        census = segment_weight_census(ps, all_profiles(ps, pairs=red_blue))
+        mixed = triple_counts(ps, red_blue)
+        directed = j_edge_counts(ps, red_blue).directed_j
         for w in range(0, n - 1):
             assert 2 * census.at(w) == 2 * (mixed.at(w) + mixed.at(w - 1)) + directed[w], (
                 f"bichromatic census identity fails at n={n}, w={w}"
             )
             identity_checked += 1
-        assert bichromatic_maximin(ps) == bichromatic_maximin_bruteforce(ps)
+        assert red_blue_maximin(ps) == bichromatic_maximin_bruteforce(ps)
     report(f"criterion 11 PASS (exact relation + oracle): red-blue census identity "
            f"({identity_checked} instances) and bichromatic maximin matches the "
            f"sampled-circle oracle on 50 colored sets")
@@ -351,8 +348,9 @@ def test_criterion_11_bichromatic_stated_bound(corpus_colored):
     red-blue bisectors and a single-color circle on none, so inc' = 2c' with
     c' over mixed triples; c' <= c and criterion 1 give the bound.  The
     incidences come from the swept weight sequences, not from
-    ``bichromatic_triple_counts``.  The distinct red-blue census ``hist'``
-    is not this quantity and exceeds the bound already at N = 4 (9 > 8).
+    ``triple_counts(ps, bichromatic_pairs(ps))``.  The distinct red-blue
+    census ``hist'`` is not this quantity and exceeds the bound already at
+    N = 4 (9 > 8).
     """
     instances = 0
     for ps in corpus_colored:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from circledepth import Color, kset_counts, triple_counts
+from circledepth import Color, kset_counts, oracle_weights, triple_counts
+from circledepth import checks
 from circledepth.checks import (
     CHECKS,
     applicable_checks,
@@ -152,9 +155,70 @@ def test_bichromatic_census_two_points():
     assert check_bichromatic_census(ps).passed  # vacuous: no valid k
 
 
+def test_bichromatic_census_needs_every_point_colored():
+    ps = make_set(
+        [(0, 0), (10, 0), (9, 9), (0, 10)],
+        [Color.RED, Color.BLUE, Color.UNCOLORED, Color.RED],
+    )
+    assert "bichromatic-census" not in applicable_checks(ps)
+    with pytest.raises(ValueError, match="every point red or blue"):
+        check_bichromatic_census(ps)
+
+
 def test_profile_and_oracle_checks(quad):
     assert check_profile_invariants(quad).passed
     assert check_oracle_match(quad).passed
+    # A passing check carries no evidence rows.
+    assert [i.label for i in check_oracle_match(quad).instances] == ["mismatching pairs"]
+    assert len(check_profile_invariants(quad).instances) == 3
+
+
+def test_failed_oracle_match_names_the_pair_and_segment(monkeypatch, quad):
+    # Bisector (1, 3) carries (1, 2, 1); the corrupted oracle says (1, 3, 1).
+    def corrupted(ps, p, q):
+        weights = oracle_weights(ps, p, q)
+        if (p, q) == (1, 3):
+            weights[1] += 1
+        return weights
+
+    monkeypatch.setattr(checks, "oracle_weights", corrupted)
+    result = check_oracle_match(quad)
+    assert not result.passed
+    rows = [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances]
+    assert rows == [
+        ("mismatching pairs", 1, 0, "=="),
+        ("pair (1, 3) segment 1", 2, 3, "info"),
+    ]
+
+
+def test_failed_oracle_match_names_at_most_three_pairs(monkeypatch):
+    ps = random_general_position(6, seed=5, coord_range=10**6)
+    monkeypatch.setattr(checks, "oracle_weights", lambda ps, p, q: oracle_weights(ps, p, q)[:1])
+    result = check_oracle_match(ps)
+    assert result.instances[0].lhs == 15
+    # The truncated oracle first differs where its single segment ends.
+    assert [(i.label, i.rhs) for i in result.instances[1:]] == [
+        ("pair (0, 1) segment 1", -1),
+        ("pair (0, 2) segment 1", -1),
+        ("pair (0, 3) segment 1", -1),
+    ]
+
+
+def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
+    # Bisector (0, 2) carries (1, 0, 1); the corrupted profile says (1, 3, 1).
+    real = checks.all_profiles(quad)
+    profiles = [real[0], dataclasses.replace(real[1], weights=(1, 3, 1)), *real[2:]]
+    monkeypatch.setattr(checks, "all_profiles", lambda ps: profiles)
+    result = check_profile_invariants(quad)
+    assert not result.passed
+    rows = [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances]
+    assert rows == [
+        ("unit steps", 1, 0, "=="),
+        ("end weights {j, n-j-2}", 0, 0, "=="),
+        ("full intermediate coverage", 1, 0, "=="),
+        ("pair (0, 2) non-unit steps", 2, 0, "info"),
+        ("pair (0, 2) missing intermediate weights", 1, 0, "info"),
+    ]
 
 
 def test_run_checks_selection_and_order(quad):

@@ -184,7 +184,24 @@ def test_verify_check_selection(capsys):
     ]
     code, _, err = run_cli(["verify", str(DATA / "random8.txt"), "--checks", "nope"], capsys)
     assert code == 1
-    assert "unknown checks" in err
+    assert err == (
+        "error: unknown checks: nope (known: triple-pair-sum, weight-census, minimax-bound, "
+        "enclosure-count-bounds, region-count-sum, cumulative-kset-bound, "
+        "bichromatic-census, profile-invariants, oracle-match)\n"
+    )
+
+
+def test_verify_partly_colored_set_skips_bichromatic_census(tmp_path, capsys):
+    # A red-blue-uncolored circle lies on one red-blue bisector, not two, so
+    # the red-blue census law does not apply unless every point is colored.
+    src = tmp_path / "partly.txt"
+    src.write_text("0 0 R\n10 0 B\n9 9\n0 10 R\n")
+    code, stdout, _ = run_cli(["verify", str(src)], capsys)
+    assert code == 0
+    assert "bichromatic-census" not in [c["name"] for c in json.loads(stdout)["checks"]]
+    code, stdout, err = run_cli(["verify", str(src), "--checks", "bichromatic-census"], capsys)
+    assert code == 1 and stdout == ""
+    assert err == "error: bichromatic-census needs every point red or blue\n"
 
 
 def test_render_points(tmp_path, capsys):

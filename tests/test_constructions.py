@@ -2,7 +2,6 @@ import pytest
 
 from circledepth import (
     Color,
-    bichromatic_maximin,
     convex_hull,
     maximin_pair,
     repeated_weight_stats,
@@ -18,6 +17,8 @@ from circledepth.constructions import (
     recursive_seven_region,
     two_colored_convex,
 )
+
+from conftest import red_blue_maximin
 
 
 def test_rng_is_reproducible():
@@ -70,7 +71,7 @@ def test_two_colored_convex_sizes_and_bound():
     assert len(convex_hull([cp.point for cp in ps.points])) == 14
     assert len(ps.indices_of(Color.RED)) == 7
     assert len(ps.indices_of(Color.BLUE)) == 7
-    _, value = bichromatic_maximin(ps)
+    _, value = red_blue_maximin(ps)
     assert value <= 3
     # Four clusters of ceil/floor(n/2) points with alternating colors, emitted
     # in cluster order: 4 red, 4 blue, 3 red, 3 blue.
@@ -88,7 +89,7 @@ def test_two_colored_convex_deterministic():
 
 def test_two_colored_convex_maximin_bound_example():
     out = two_colored_convex(4)
-    _, value = bichromatic_maximin(out.points)
+    _, value = red_blue_maximin(out.points)
     assert value <= 2
 
 

@@ -10,8 +10,7 @@ from circledepth import (
     Point,
     PointSet,
     all_profiles,
-    bichromatic_maximin,
-    bichromatic_weight_census,
+    bichromatic_pairs,
     j_edge_counts,
     kset_counts,
     maximin_pair,
@@ -31,7 +30,7 @@ from circledepth.constructions import random_convex, random_general_position
 from circledepth.depth import sweep_totals
 from circledepth.geom import _int_coords
 
-from conftest import make_set, random_corpus
+from conftest import make_set, random_corpus, red_blue_maximin
 
 
 def test_requires_certification():
@@ -184,12 +183,13 @@ def test_minimax_bound_holds():
     assert value <= (2 * 20 - 3) // 3
 
 
-def test_minimax_pair_returns_a_value_above_the_bound(quad):
+def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
     # A hand-built profile above floor((2*4-3)/3) = 1: the helper reports it,
     # and judging it is the minimax-bound check's job.
     high = BisectorProfile((0, 1), (Point.of(0, 0), Point.of(10, 0)), (), (0, 1, 2))
     assert minimax_pair(quad, [high]) == ((0, 1), 2)
-    assert not check_minimax_bound(quad, [high]).passed
+    monkeypatch.setattr(depth, "all_profiles", lambda ps, jobs=1, pairs=None: [high])
+    assert not check_minimax_bound(quad).passed
 
 
 def test_empty_profile_list_is_not_recomputed(quad):
@@ -227,12 +227,12 @@ def test_index_permutation_invariance(quad):
 
 def test_bichromatic_two_points():
     ps = make_set([(0, 0), (5, 2)], [Color.RED, Color.BLUE])
-    assert bichromatic_maximin(ps) == ((0, 1), 0)
+    assert red_blue_maximin(ps) == ((0, 1), 0)
 
 
 def test_bichromatic_requires_both_colors(quad):
     with pytest.raises(ValueError):
-        bichromatic_maximin(quad)
+        bichromatic_pairs(quad)
 
 
 def test_bichromatic_census_quad():
@@ -242,8 +242,14 @@ def test_bichromatic_census_quad():
     )
     # Bichromatic pairs are exactly the four hull edges, each with weights
     # (0, 1, 2); the same-color diagonals drop out.
-    assert bichromatic_weight_census(ps).hist == (4, 4, 4)
-    pair, value = bichromatic_maximin(ps)
+    red_blue = bichromatic_pairs(ps)
+    assert red_blue == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert segment_weight_census(ps, all_profiles(ps, pairs=red_blue)).hist == (4, 4, 4)
+    # Both triples through a diagonal and a third point contain a red-blue
+    # pair, so every triple counts; the red-blue j-edges are the hull edges.
+    assert triple_counts(ps, red_blue) == triple_counts(ps)
+    assert j_edge_counts(ps, red_blue).directed_j == (4, 0, 4)
+    pair, value = red_blue_maximin(ps)
     assert value == 0 and pair == (0, 1)
 
 
