@@ -6,6 +6,9 @@ verify: k-sets come from explicit separating-line tests instead of j-edge
 tables, the bichromatic depth comes from the sampling oracle instead of
 the sweep, and general position is decided by an in-circle test on every
 quadruple instead of the bisector order.
+The O(n^4) references that ``verify`` runs at every size, the integer
+sampling oracle and in-circle count, are ``depth.oracle_weights`` and
+``depth.triple_counts``.
 """
 
 from __future__ import annotations

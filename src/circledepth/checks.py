@@ -9,11 +9,13 @@ the full evidence as JSON rather than a bare boolean.  Instances marked
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from math import comb
 
 from .geom import Color, PointSet
 from .depth import (
+    _map_chunks,
     all_profiles,
     bichromatic_pairs,
     j_edge_counts,
@@ -315,17 +317,24 @@ def check_profile_invariants(ps: PointSet) -> CheckResult:
     )
 
 
-def check_oracle_match(ps: PointSet) -> CheckResult:
+def _oracle_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[list[int]]:
+    return [oracle_weights(ps, p, q) for p, q in pairs]
+
+
+def check_oracle_match(ps: PointSet, jobs: int = 1) -> CheckResult:
     """Sweep weights equal sampled-circle oracle weights, elementwise, every pair.
 
-    The first few mismatching pairs follow as info rows: the first differing
-    segment, sweep weight against oracle weight (-1 for a missing segment).
+    ``jobs > 1`` spreads the oracle over a process pool; the report does not
+    depend on it.  The first few mismatching pairs follow as info rows: the
+    first differing segment, sweep weight against oracle weight (-1 for a
+    missing segment).
     """
     ps.require_certified()
+    profiles = all_profiles(ps)
+    chunks = _map_chunks(partial(_oracle_chunk, ps), [p.pair for p in profiles], jobs)
     mismatches = 0
     evidence: list[tuple[str, int, int, str]] = []
-    for profile in all_profiles(ps):
-        sampled = oracle_weights(ps, *profile.pair)
+    for profile, sampled in zip(profiles, (w for chunk in chunks for w in chunk)):
         if list(profile.weights) != sampled:
             mismatches += 1
             if mismatches <= EVIDENCE_PAIRS:
@@ -375,11 +384,15 @@ def applicable_checks(ps: PointSet) -> list[str]:
     return names
 
 
-def run_checks(ps: PointSet, names: list[str] | None = None) -> list[CheckResult]:
+def run_checks(ps: PointSet, names: list[str] | None = None, jobs: int = 1) -> list[CheckResult]:
+    # ``jobs`` serves oracle-match, the costliest check; results do not depend on it.
     ps.require_certified()
     selected = applicable_checks(ps) if names is None else list(names)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
     ordered = [name for name in CHECKS if name in selected]
-    return [CHECKS[name](ps) for name in ordered]
+    return [
+        CHECKS[name](ps, jobs=jobs) if name == "oracle-match" else CHECKS[name](ps)
+        for name in ordered
+    ]

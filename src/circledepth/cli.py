@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
     if args.checks != "all":
         names = [name.strip() for name in args.checks.split(",") if name.strip()]
     try:
-        results = run_checks(pf.points, names)
+        results = run_checks(pf.points, names, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check names, or 'all' (default); known: " + ", ".join(CHECKS),
     )
     ver.add_argument("--output", "-o", default=None)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes for oracle-match")
     ver.set_defaults(func=cmd_verify)
 
     ren = sub.add_parser("render", help="render a point file to SVG")

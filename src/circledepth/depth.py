@@ -33,7 +33,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, cmp_to_key, partial
+from math import gcd
 
 from .geom import (
     BisectorParam,
@@ -43,12 +44,8 @@ from .geom import (
     PointSet,
     Scalar,
     _bisector_order,
-    _incircle_det_int,
     _int_coords,
     _orient_int,
-    _sign,
-    circumcenter,
-    sqdist,
 )
 
 
@@ -189,45 +186,48 @@ def weight_sequence(ps: PointSet, p: int, q: int, ints=None) -> BisectorProfile:
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     """Independent re-derivation of the weight sequence by sampling circles.
 
-    Uses circumcenters projected on the bisector for the event parameters and
-    counts enclosed points by exact squared-distance comparison at one sample
-    center per segment (midpoints between events; the two unbounded segments
-    are sampled at min - 1 and max + 1).  Shares no code with the sweep in
-    :func:`weight_sequence`.
+    On the common integer grid: event parameters are the integer
+    circumcenters projected on the bisector, and one sample s = a/b per
+    segment (midpoints between events; min - 1 and max + 1 for the unbounded
+    two) is the center C / 2b, C = (p + q) * b + 2a * d, whose circle
+    encloses x iff |C - 2b x|^2 < |C - 2b p|^2 (never true for p and q).
+    Shares no code with the sweep in :func:`weight_sequence`.
     """
     ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    pp = ps.point(p)
-    qp = ps.point(q)
-    mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
-    dx = -(qp.y - pp.y)
-    dy = qp.x - pp.x
+    ints = _int_coords(ps.coords())
+    (px, py), (qx, qy) = ints[p], ints[q]
+    bx, by = qx - px, qy - py
+    dx, dy = -by, bx  # rot90(q - p); center(s) = (p + q) / 2 + s * d
     dd = dx * dx + dy * dy
-    params = []
-    for x in range(len(ps)):
-        if x in (p, q):
-            continue
-        center = circumcenter(pp, qp, ps.point(x))
-        params.append(((center.x - mid.x) * dx + (center.y - mid.y) * dy) / dd)
-    params.sort()
+    params = []  # (a, b) for s = a / b, b > 0
+    for xx, xy in (xy for x, xy in enumerate(ints) if x != p and x != q):
+        # Circumcenter of (p, q, x): p + (ux, uy) / den.
+        cx, cy = xx - px, xy - py
+        den = 2 * (bx * cy - by * cx)
+        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        ux, uy = cy * bb - by * cc, bx * cc - cx * bb
+        # 2 * den * (center - midpoint) = 2u - den * (q - p), projected on d.
+        a, b = (2 * ux - den * bx) * dx + (2 * uy - den * by) * dy, 2 * den * dd
+        params.append((a, b) if b > 0 else (-a, -b))
+    params.sort(key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
     if params:
-        samples = [params[0] - 1]
-        samples += [(a + b) / 2 for a, b in zip(params, params[1:])]
-        samples.append(params[-1] + 1)
+        (lo_a, lo_b), (hi_a, hi_b) = params[0], params[-1]
+        samples = [(lo_a - lo_b, lo_b)]
+        samples += [(a * e + c * b, 2 * b * e) for (a, b), (c, e) in zip(params, params[1:])]
+        samples.append((hi_a + hi_b, hi_b))
     else:
-        samples = [Fraction(0)]
+        samples = [(0, 1)]
+    sx, sy = px + qx, py + qy
     counts = []
-    for s in samples:
-        center = Point(mid.x + s * dx, mid.y + s * dy)
-        r2 = sqdist(center, pp)
-        inside = 0
-        for x in range(len(ps)):
-            if x in (p, q):
-                continue
-            if sqdist(center, ps.point(x)) < r2:
-                inside += 1
-        counts.append(inside)
+    for a, b in samples:
+        g = gcd(a, b)  # the center's integers stay as small as for s in lowest terms
+        a, b = a // g, b // g
+        cx, cy = sx * b + 2 * a * dx, sy * b + 2 * a * dy
+        t = 2 * b
+        r2 = (cx - t * px) ** 2 + (cy - t * py) ** 2
+        counts.append(len([1 for xx, xy in ints if (cx - t * xx) ** 2 + (cy - t * xy) ** 2 < r2]))
     return counts
 
 
@@ -338,31 +338,35 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
     """Brute-force enclosure counts over the circumcircles of point triples.
 
     Deliberately O(n^4) and independent of the sweep: this table is the
-    reference the census checks compare against.  With ``pairs`` a triple
-    counts only if it contains one of them, i.e. its circle's center is an
-    event on one of their bisectors; over the red-blue pairs of a set whose
-    points are all red or blue these are the mixed-color triples.
+    reference the census checks compare against.  With points lifted to
+    (x, y, x^2 + y^2) relative to i, the lifted plane through i, j, k has
+    normal N = (j - i) x (k - i), whose z part is the triple's orientation;
+    m is strictly inside iff N . (m - i) has the opposite sign (0 for m in
+    i, j, k): the in-circle determinant, expanded once per triple.
+    With ``pairs`` a triple counts only if it contains one of them, i.e. its
+    circle's center is an event on one of their bisectors; over the red-blue
+    pairs of a set whose points are all red or blue these are the
+    mixed-color triples.
     """
     ps.require_certified()
     n = len(ps)
     if n < 3:
         raise ValueError("need at least three points")
     chosen = None if pairs is None else {(min(p, q), max(p, q)) for p, q in pairs}
-    ints = _int_coords([cp.point for cp in ps.points])
+    ints = _int_coords(ps.coords())
     counts = [0] * (n - 2)
-    for i in range(n):
+    for i, (ix, iy) in enumerate(ints):
+        lifted = [(x - ix, y - iy, (x - ix) ** 2 + (y - iy) ** 2) for x, y in ints]
         for j in range(i + 1, n):
+            ax, ay, az = lifted[j]
             for k in range(j + 1, n):
                 if chosen is not None and chosen.isdisjoint(((i, j), (i, k), (j, k))):
                     continue
-                orient = _orient_int(ints[i], ints[j], ints[k])
-                enclosed = 0
-                for m in range(n):
-                    if m in (i, j, k):
-                        continue
-                    if _sign(_incircle_det_int(ints[i], ints[j], ints[k], ints[m])) * orient > 0:
-                        enclosed += 1
-                counts[enclosed] += 1
+                bx, by, bz = lifted[k]
+                nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+                if nz < 0:
+                    nx, ny, nz = -nx, -ny, -nz
+                counts[len([1 for x, y, z in lifted if nx * x + ny * y + nz * z < 0])] += 1
     return TripleStats(tuple(counts))
 
 

@@ -7,6 +7,10 @@ emit machine-readable ``# @pair i j`` comment lines naming their designated
 index pairs; the parser collects these so renders and verifiers can use them
 while plain consumers still see an ordinary point file.
 
+A decimal exponent may be at most 4300 in magnitude, CPython's digit limit
+on the mantissa: ``Fraction`` computes 10**exponent, so ``1e999999999``
+alone would cost unbounded time.
+
 Serialization is canonical (``str(Fraction)``, one space between fields), so
 serialize(parse(serialize(...))) is byte-identical.
 """
@@ -34,9 +38,14 @@ class PointFile:
 
 
 _COLOR_TOKENS = {"R": Color.RED, "B": Color.BLUE}
+MAX_EXPONENT = 4300  # largest magnitude of a decimal exponent (see module docstring)
 
 
 def _parse_scalar(token: str, line_no: int) -> Fraction:
+    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > MAX_EXPONENT):
+        message = f"bad coordinate {token!r}: exponent beyond +-{MAX_EXPONENT}"
+        raise PointFileError(message, line_no)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

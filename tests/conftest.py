@@ -33,6 +33,24 @@ def red_blue_maximin(ps: PointSet):
     return maximin_pair(ps, all_profiles(ps, pairs=bichromatic_pairs(ps)))
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 def random_corpus(count: int, sizes, seed0: int = 1000, coord_range: int = 10**6):
     """Deterministic list of certified random sets cycling through sizes."""
     sizes = list(sizes)

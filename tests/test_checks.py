@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from circledepth import Color, kset_counts, oracle_weights, triple_counts
-from circledepth import checks
+from circledepth import checks, depth
 from circledepth.checks import (
     CHECKS,
     applicable_checks,
@@ -20,7 +20,7 @@ from circledepth.checks import (
 )
 from circledepth.constructions import random_convex, random_general_position
 
-from conftest import make_set, random_corpus
+from conftest import InProcessPool, make_set, random_corpus
 
 
 def test_triple_pair_sum_on_random_sets():
@@ -219,6 +219,28 @@ def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
         ("pair (0, 2) non-unit steps", 2, 0, "info"),
         ("pair (0, 2) missing intermediate weights", 1, 0, "info"),
     ]
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, None), (0, None), (3, 3), (100_000, 8)])
+def test_oracle_match_fan_out_is_bounded(monkeypatch, jobs, workers):
+    # Eight CPUs available: the oracle's pool gets min(jobs, CPUs, chunks)
+    # workers, jobs <= 1 makes none, and every pair is sampled once through
+    # the name the checks module holds.
+    monkeypatch.setattr(depth, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(InProcessPool, "created", [])
+    ps = random_general_position(9, seed=13, coord_range=10**6)
+    serial = run_checks(ps)
+    calls = []
+
+    def counted(ps, p, q):
+        calls.append((p, q))
+        return oracle_weights(ps, p, q)
+
+    monkeypatch.setattr(checks, "oracle_weights", counted)
+    assert run_checks(ps, jobs=jobs) == serial
+    assert calls == [(p, q) for p in range(9) for q in range(p + 1, 9)]
+    assert InProcessPool.created == ([] if workers is None else [workers])
 
 
 def test_run_checks_selection_and_order(quad):

@@ -86,6 +86,12 @@ def test_analyze_jobs_do_not_change_bytes(capsys):
     assert serial == parallel
 
 
+def test_verify_jobs_do_not_change_bytes(capsys):
+    _, serial, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "1"], capsys)
+    _, parallel, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "2"], capsys)
+    assert serial == parallel
+
+
 def test_analyze_collinear_exit(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0\n1 0\n2 0\n")
@@ -113,6 +119,14 @@ def test_analyze_parse_error_exit(tmp_path, capsys):
     assert "line 1" in err
     code, _, _ = run_cli(["analyze", str(tmp_path / "missing.txt")], capsys)
     assert code == 1
+
+
+def test_huge_exponent_exits_with_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0\n1e999999999 1\n")
+    code, _, err = run_cli(["verify", str(bad)], capsys)
+    assert code == 1
+    assert "line 2: bad coordinate '1e999999999': exponent beyond +-4300" in err
 
 
 def test_verify_all_passes_golden(capsys):
@@ -150,7 +164,7 @@ def test_verify_exit_code_on_check_failure(tmp_path, capsys, monkeypatch):
     import circledepth.cli as cli_mod
     from circledepth.checks import CheckInstance, CheckResult
 
-    def fake_run_checks(ps, names):
+    def fake_run_checks(ps, names, jobs=1):
         return [
             CheckResult(
                 "triple-pair-sum",

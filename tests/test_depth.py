@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,8 @@ from circledepth import (
     PointSet,
     all_profiles,
     bichromatic_pairs,
+    circumcenter,
+    in_circle,
     j_edge_counts,
     kset_counts,
     maximin_pair,
@@ -19,6 +22,7 @@ from circledepth import (
     pair_depth,
     repeated_weight_stats,
     segment_weight_census,
+    sqdist,
     triple_counts,
     validate_general_position,
     weight_sequence,
@@ -30,7 +34,7 @@ from circledepth.constructions import random_convex, random_general_position
 from circledepth.depth import sweep_totals
 from circledepth.geom import _int_coords
 
-from conftest import make_set, random_corpus, red_blue_maximin
+from conftest import InProcessPool, make_set, random_corpus, red_blue_maximin
 
 
 def test_requires_certification():
@@ -261,24 +265,6 @@ def test_parallel_profiles_match_serial():
     assert sweep_totals(ps, jobs=2) == sweep_totals(ps, jobs=1)
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
-    created: list[int] = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize(
     "n, jobs, workers",
     [(9, 100_000, 8), (9, 3, 3), (3, 100_000, 3), (9, 1, None), (9, 0, None)],
@@ -332,3 +318,79 @@ def test_sweep_totals_match_independent_references(ps):
         assert totals.bichromatic_maximin is None
     if n <= 9:
         assert list(kset_counts(ps, totals.edges).ksets) == kset_counts_bruteforce(ps)
+
+
+def fraction_oracle(ps, p, q):
+    """The sampling oracle in Fraction arithmetic: circumcenters projected on
+    the bisector, one sample per segment, squared distances compared."""
+    pp, qp = ps.point(p), ps.point(q)
+    mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
+    dx, dy = -(qp.y - pp.y), qp.x - pp.x
+    others = [ps.point(x) for x in range(len(ps)) if x not in (p, q)]
+    params = []
+    for x in others:
+        center = circumcenter(pp, qp, x)
+        params.append(((center.x - mid.x) * dx + (center.y - mid.y) * dy) / (dx * dx + dy * dy))
+    params.sort()
+    samples = [params[0] - 1, *((a + b) / 2 for a, b in zip(params, params[1:])), params[-1] + 1]
+    counts = []
+    for s in samples:
+        center = Point(mid.x + s * dx, mid.y + s * dy)
+        counts.append(sum(sqdist(center, x) < sqdist(center, pp) for x in others))
+    return counts
+
+
+def in_circle_counts(ps, pairs=None):
+    """Triple enclosure counts by the public in-circle predicate, quadruple by quadruple."""
+    n = len(ps)
+    chosen = None if pairs is None else set(pairs)
+    counts = [0] * (n - 2)
+    for i, j, k in combinations(range(n), 3):
+        if chosen is not None and chosen.isdisjoint(((i, j), (i, k), (j, k))):
+            continue
+        a, b, c = ps.point(i), ps.point(j), ps.point(k)
+        inside = [m for m in range(n) if m not in (i, j, k) and in_circle(a, b, c, ps.point(m)) > 0]
+        counts[len(inside)] += 1
+    return tuple(counts)
+
+
+@st.composite
+def reference_sets(draw):
+    """Certified sets of 3-12 points: integer, rational with a distinct
+    denominator per coordinate, or red/blue with both colors present."""
+    kind = draw(st.sampled_from(["integer", "rational", "red-blue"]))
+    n = draw(st.integers(3, 12))
+    if kind == "rational":
+        dens = draw(st.lists(st.integers(2, 997), min_size=2 * n, max_size=2 * n, unique=True))
+        nums = draw(st.lists(st.integers(-10**4, 10**4), min_size=2 * n, max_size=2 * n))
+        values = [Fraction(a, b) for a, b in zip(nums, dens)]
+        coords = list(zip(values[::2], values[1::2]))
+    else:
+        coords = draw(st.lists(integer_coord, min_size=n, max_size=n))
+    colors = None
+    if kind == "red-blue":
+        colors = draw(st.lists(st.sampled_from([Color.RED, Color.BLUE]), min_size=n, max_size=n))
+        assume(len(set(colors)) == 2)
+    assume(len(set(coords)) == n)
+    ps = PointSet.from_coords(coords, colors)
+    assume(not validate_general_position(ps))
+    return ps
+
+
+@given(reference_sets())
+@settings(max_examples=60, deadline=None)
+def test_integer_oracle_matches_sweep_and_fraction_oracle(ps):
+    for p, q in combinations(range(len(ps)), 2):
+        sampled = oracle_weights(ps, p, q)
+        assert sampled == list(weight_sequence(ps, p, q).weights)
+        assert sampled == fraction_oracle(ps, p, q)
+        assert oracle_weights(ps, q, p) == list(weight_sequence(ps, q, p).weights)
+
+
+@given(reference_sets())
+@settings(max_examples=60, deadline=None)
+def test_lifted_triple_counts_match_in_circle(ps):
+    assert triple_counts(ps).c == in_circle_counts(ps)
+    if ps.indices_of(Color.RED):
+        red_blue = bichromatic_pairs(ps)
+        assert triple_counts(ps, red_blue).c == in_circle_counts(ps, red_blue)

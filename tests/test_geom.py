@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,22 @@ def test_point_file_comments_and_errors():
         parse_point_file("1 2 G\n")
     with pytest.raises(PointFileError):
         parse_point_file("1 2\n# @pair 0 5\n")
+
+
+@pytest.mark.parametrize(
+    "token", ["1e4301", "1e-4301", "1e999999999", "-2.5E-999999999", "1e+0_4301"]
+)
+def test_point_file_rejects_exponents_beyond_the_bound(token):
+    # Fraction would compute 10**exponent; the parser refuses before it does.
+    message = f"line 2: bad coordinate '{token}': exponent beyond +-4300"
+    with pytest.raises(PointFileError, match=re.escape(message)):
+        parse_point_file(f"0 0\n1 {token}\n")
+
+
+def test_point_file_accepts_exponents_at_the_bound():
+    pf = parse_point_file("1e4300 1E-4300\n2.5e00004300 0\n")
+    assert pf.points.point(0) == Point(Fraction(10**4300), Fraction(1, 10**4300))
+    assert pf.points.point(1).x == Fraction(5, 2) * 10**4300
 
 
 def test_colored_indices():
