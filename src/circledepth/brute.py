@@ -23,8 +23,9 @@ def general_position_violations(ps: PointSet) -> list[Violation]:
     """The violation list of ``validate_general_position`` by exhaustive search.
 
     O(n^4): every triple is tested for collinearity and every quadruple with
-    no collinear triple by the in-circle determinant.  Leaves
-    ``ps.gp_certified`` untouched.
+    no collinear triple by the in-circle determinant.  It builds its own
+    integer grid, since it runs on uncertified sets, and leaves ``ps.grid``
+    untouched.
     """
     pts = _int_coords([cp.point for cp in ps.points])
     n = len(pts)
@@ -60,24 +61,17 @@ def separable(ps: PointSet, subset: frozenset[int]) -> bool:
     n = len(ps)
     if not subset or len(subset) == n:
         return False
-    if n == 1:
-        return False
-    ints = _int_coords([cp.point for cp in ps.points])
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            ok = True
-            for x in range(n):
-                if x == u or x == v:
-                    continue
-                side = _orient_int(ints[u], ints[v], ints[x])
-                if (x in subset and side <= 0) or (x not in subset and side >= 0):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    ints = ps.require_certified()
+    return any(
+        all(
+            _orient_int(ints[u], ints[v], ints[x]) == (1 if x in subset else -1)
+            for x in range(n)
+            if x != u and x != v
+        )
+        for u in range(n)
+        for v in range(n)
+        if u != v
+    )
 
 
 def kset_counts_bruteforce(ps: PointSet) -> list[int]:

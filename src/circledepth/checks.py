@@ -153,12 +153,10 @@ def check_enclosure_count_bounds(ps: PointSet) -> CheckResult:
         raise ValueError("need at least four points")
     stats = triple_counts(ps)
     rows = []
-    k = 0
-    while k < (n - 3) / 2:
+    for k in range((n - 2) // 2):  # k < (n-3)/2
         bound = (k + 1) * (n - k - 2)
         rows.append((f"k={k} lower", stats.at(k), bound, ">="))
         rows.append((f"k={k} upper", stats.at(n - k - 3), bound, "<="))
-        k += 1
     return _result(
         "enclosure-count-bounds",
         "c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2",
@@ -166,7 +164,7 @@ def check_enclosure_count_bounds(ps: PointSet) -> CheckResult:
     )
 
 
-def check_region_count_sum(ps: PointSet, k: int | None = None) -> CheckResult:
+def check_region_count_sum(ps: PointSet) -> CheckResult:
     """sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2] for 1 <= k <= n-1.
 
     f_inf(i) is the number of unbounded order-i Voronoi regions, which equals
@@ -176,17 +174,11 @@ def check_region_count_sum(ps: PointSet, k: int | None = None) -> CheckResult:
     n = len(ps)
     stats = triple_counts(ps)
     ks = kset_counts(ps)
-    if k is not None:
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must be in [1, {n - 1}]")
-        k_values = [k]
-    else:
-        k_values = list(range(1, n))
     rows = []
-    for kk in k_values:
-        lhs = sum(ks.f_inf(i - 1) for i in range(1, kk + 1))
-        rhs = (kk - 1) * (2 * n - kk) - stats.at(kk - 2)
-        rows.append((f"k={kk}", lhs, rhs, "=="))
+    for k in range(1, n):
+        lhs = sum(ks.f_inf(i - 1) for i in range(1, k + 1))
+        rhs = (k - 1) * (2 * n - k) - stats.at(k - 2)
+        rows.append((f"k={k}", lhs, rhs, "=="))
     return _result(
         "region-count-sum",
         "sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2]",
@@ -194,20 +186,12 @@ def check_region_count_sum(ps: PointSet, k: int | None = None) -> CheckResult:
     )
 
 
-def check_cumulative_kset_bound(ps: PointSet, k: int | None = None) -> CheckResult:
+def check_cumulative_kset_bound(ps: PointSet) -> CheckResult:
     """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2."""
     ps.require_certified()
     n = len(ps)
     ks = kset_counts(ps)
-    if k is not None:
-        if not 1 <= k < n / 2:
-            raise ValueError(f"k must be in [1, n/2) = [1, {n / 2})")
-        k_values = [k]
-    else:
-        k_values = [kk for kk in range(1, n) if kk < n / 2]
-    rows = []
-    for kk in k_values:
-        rows.append((f"k={kk}", sum(ks.ksets[1 : kk + 1]), kk * n, "<="))
+    rows = [(f"k={k}", sum(ks.ksets[1 : k + 1]), k * n, "<=") for k in range(1, n) if k < n / 2]
     return _result(
         "cumulative-kset-bound",
         "sum_{i=1..k} ksets[i] <= k*n for k < n/2",
@@ -363,30 +347,34 @@ CHECKS = {
 }
 
 
+# Fewest points a check needs; the others apply at every size.
+_MIN_POINTS = {
+    "triple-pair-sum": 3,
+    "weight-census": 3,
+    "minimax-bound": 2,
+    "enclosure-count-bounds": 4,
+    "region-count-sum": 3,
+    "cumulative-kset-bound": 3,
+}
+
+
 def applicable_checks(ps: PointSet) -> list[str]:
     """Check names that make sense for this set's size and coloring."""
-    n = len(ps)
     # The red-blue census law needs red and blue points and no uncolored one.
     two_colored = {cp.color for cp in ps.points} == {Color.RED, Color.BLUE}
-    names = []
-    for name in CHECKS:
-        if name in ("triple-pair-sum", "weight-census", "region-count-sum") and n < 3:
-            continue
-        if name == "enclosure-count-bounds" and n < 4:
-            continue
-        if name == "cumulative-kset-bound" and n < 3:
-            continue
-        if name == "minimax-bound" and n < 2:
-            continue
-        if name == "bichromatic-census" and not two_colored:
-            continue
-        names.append(name)
-    return names
+    return [
+        name
+        for name in CHECKS
+        if len(ps) >= _MIN_POINTS.get(name, 0) and (name != "bichromatic-census" or two_colored)
+    ]
 
 
 def run_checks(ps: PointSet, names: list[str] | None = None, jobs: int = 1) -> list[CheckResult]:
-    # ``jobs`` serves oracle-match, the costliest check; results do not depend on it.
+    # ``jobs`` serves oracle-match, the costliest check; results do not depend
+    # on it.  An explicit empty selection is an error: it would pass on no evidence.
     ps.require_certified()
+    if names is not None and not names:
+        raise ValueError("no checks selected")
     selected = applicable_checks(ps) if names is None else list(names)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:

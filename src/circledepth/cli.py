@@ -3,15 +3,16 @@
 Subcommands: generate (writes point files from the generators), analyze
 (depth statistics as JSON), verify (identity/bound checks, exit 0 iff all
 pass) and render (SVG).  Exit codes: 0 success, 1 unreadable/unparseable
-input, 2 generator failure, 3 general-position violation, 4 check failure.
-Output bytes depend only on input bytes and flags; --jobs never changes
-them.
+input, bad options or a drawing beyond the float range, 2 generator
+failure, 3 general-position violation, 4 check failure.  Output bytes
+depend only on input bytes and flags; --jobs never changes them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .geom import validate_general_position
@@ -131,7 +132,7 @@ def cmd_render(args) -> int:
     pf, _ = _load_certified(args.input)
     what = args.what
     if what[0] == "points":
-        content = svg.render_points(pf.points)
+        draw = partial(svg.render_points, pf.points)
     elif what[0] == "profile":
         if len(what) != 3:
             print("error: --what profile needs two indices", file=sys.stderr)
@@ -145,11 +146,16 @@ def cmd_render(args) -> int:
         if not (0 <= p < n and 0 <= q < n) or p == q:
             print(f"error: invalid pair ({what[1]}, {what[2]})", file=sys.stderr)
             return EXIT_PARSE
-        content = svg.render_profile(pf.points, p, q)
+        draw = partial(svg.render_profile, pf.points, p, q)
     elif what[0] == "construction":
-        content = svg.render_construction(pf.points, pf.pairs)
+        draw = partial(svg.render_construction, pf.points, pf.pairs)
     else:
         print(f"error: unknown render target {what[0]!r}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        content = draw()
+    except OverflowError:
+        print(f"error: {args.input}: a coordinate exceeds the float range", file=sys.stderr)
         return EXIT_PARSE
     _write_output(content, args.output)
     return EXIT_OK

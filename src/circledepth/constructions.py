@@ -22,7 +22,6 @@ from .geom import (
     convex_hull,
     snap_to_rational,
     validate_general_position,
-    _int_coords,
     _orient_int,
 )
 from .depth import weight_sequence
@@ -93,27 +92,23 @@ class ConstructionOutput:
 def claim_failures(out: ConstructionOutput) -> list[str]:
     """Re-verify every claim; returns human-readable failure descriptions."""
     ps = out.points
-    ps.require_certified()
+    ints = ps.require_certified()
     n = len(ps)
     failures: list[str] = []
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
-    ints = _int_coords([cp.point for cp in ps.points])
 
     def weights(pair) -> tuple[int, ...]:
         pair = tuple(pair)
         if pair not in cache:
-            cache[pair] = weight_sequence(ps, pair[0], pair[1], ints).weights
+            cache[pair] = weight_sequence(ps, pair[0], pair[1]).weights
         return cache[pair]
 
     for claim in out.claims:
         kind, params = claim.kind, claim.params
         if kind == "halving-pair":
             p, q = params["pair"]
-            left = sum(
-                1
-                for x in range(n)
-                if x != p and x != q and _orient_int(ints[p], ints[q], ints[x]) > 0
-            )
+            others = (ints[x] for x in range(n) if x != p and x != q)
+            left = sum(_orient_int(ints[p], ints[q], x) > 0 for x in others)
             if 2 * left != n - 2:
                 failures.append(f"{claim.description}: sides {left}/{n - 2 - left}")
         elif kind == "weights-within":
@@ -127,7 +122,7 @@ def claim_failures(out: ConstructionOutput) -> list[str]:
         elif kind == "repeated-values":
             w = weights(params["pair"])
             for value in range(params["lo"], params["hi"] + 1):
-                mult = sum(1 for v in w if v == value)
+                mult = w.count(value)
                 if mult < params["times"]:
                     failures.append(f"{claim.description}: value {value} occurs {mult}x")
                     break

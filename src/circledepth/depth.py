@@ -19,6 +19,10 @@ and x is enclosed exactly for parameters on its own side of s_x: the side is
 otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
 
+Every kernel here decides its signs on integers: the set's common integer
+grid, which :func:`~circledepth.geom.validate_general_position` stores on
+the set when it certifies it and :meth:`PointSet.require_certified` returns.
+
 :func:`sweep_totals` folds every pair's sequence into the tables of an
 analysis without keeping a profile; the table functions below it
 (``triple_counts``, ``j_edge_counts`` and the rest) count the same tables
@@ -44,7 +48,6 @@ from .geom import (
     PointSet,
     Scalar,
     _bisector_order,
-    _int_coords,
     _orient_int,
 )
 
@@ -88,9 +91,6 @@ class BisectorProfile:
         # rot90(q - p); center(s) = midpoint + s * direction
         p, q = self.ends
         return (-(q.y - p.y), q.x - p.x)
-
-    def multiplicity(self, weight: int) -> int:
-        return sum(1 for w in self.weights if w == weight)
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,16 @@ class RepeatStats:
         return [k for k in range(1, len(self.b)) if self.b[k] > 0]
 
 
-def weight_sequence(ps: PointSet, p: int, q: int, ints=None) -> BisectorProfile:
+def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    ``ints`` is the set's common integer grid (``_int_coords(ps.coords())``),
-    which callers sweeping many pairs compute once.  Before the first event
-    every point whose side is s < s_x is enclosed, and each event adds or
-    removes its point.
+    The sweep sorts on the integer grid that certification stored on ``ps``
+    (:attr:`PointSet.grid`).  Before the first event every point whose side
+    is s < s_x is enclosed, and each event adds or removes its point.
     """
-    ps.require_certified()
+    ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    if ints is None:
-        ints = _int_coords(ps.coords())
     order = _bisector_order(ints, p, q, (x for x in range(len(ints)) if x != p and x != q))
     for a, b in zip(order, order[1:]):
         if a[0] == b[0]:
@@ -193,10 +190,9 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     encloses x iff |C - 2b x|^2 < |C - 2b p|^2 (never true for p and q).
     Shares no code with the sweep in :func:`weight_sequence`.
     """
-    ps.require_certified()
+    ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    ints = _int_coords(ps.coords())
     (px, py), (qx, qy) = ints[p], ints[q]
     bx, by = qx - px, qy - py
     dx, dy = -by, bx  # rot90(q - p); center(s) = (p + q) / 2 + s * d
@@ -277,13 +273,21 @@ def all_profiles(
 
 
 def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[BisectorProfile]:
-    ints = _int_coords(ps.coords())
-    return [weight_sequence(ps, p, q, ints) for p, q in pairs]
+    return [weight_sequence(ps, p, q) for p, q in pairs]
 
 
 def pair_depth(ps: PointSet, p: int, q: int) -> DepthSummary:
     profile = weight_sequence(ps, p, q)
     return DepthSummary((p, q), min(profile.weights), max(profile.weights))
+
+
+def _first_least(ps: PointSet, profiles: list[BisectorProfile] | None, cost) -> BisectorProfile:
+    # The first profile of least cost(weights), so a tie goes to the pair
+    # that comes first: the lexicographically smallest by default.
+    ps.require_certified()
+    if len(ps) < 2:
+        raise ValueError("need at least two points")
+    return min(all_profiles(ps) if profiles is None else profiles, key=lambda p: cost(p.weights))
 
 
 def maximin_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> tuple[tuple[int, int], int]:
@@ -292,17 +296,8 @@ def maximin_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) ->
     Ties break to the lexicographically smallest index pair so output is
     reproducible byte for byte.
     """
-    ps.require_certified()
-    if len(ps) < 2:
-        raise ValueError("need at least two points")
-    best_pair = None
-    best = -1
-    for profile in all_profiles(ps) if profiles is None else profiles:
-        value = min(profile.weights)
-        if value > best:
-            best = value
-            best_pair = profile.pair
-    return best_pair, best
+    best = _first_least(ps, profiles, lambda weights: -min(weights))
+    return best.pair, min(best.weights)
 
 
 def minimax_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> tuple[tuple[int, int], int]:
@@ -312,17 +307,8 @@ def minimax_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) ->
     returned as found; the bound floor((2n-3)/3) is the ``minimax-bound``
     check's to judge.
     """
-    ps.require_certified()
-    if len(ps) < 2:
-        raise ValueError("need at least two points")
-    best_pair = None
-    best = None
-    for profile in all_profiles(ps) if profiles is None else profiles:
-        value = max(profile.weights)
-        if best is None or value < best:
-            best = value
-            best_pair = profile.pair
-    return best_pair, best
+    best = _first_least(ps, profiles, max)
+    return best.pair, max(best.weights)
 
 
 def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
@@ -348,12 +334,11 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
     pairs of a set whose points are all red or blue these are the
     mixed-color triples.
     """
-    ps.require_certified()
+    ints = ps.require_certified()
     n = len(ps)
     if n < 3:
         raise ValueError("need at least three points")
     chosen = None if pairs is None else {(min(p, q), max(p, q)) for p, q in pairs}
-    ints = _int_coords(ps.coords())
     counts = [0] * (n - 2)
     for i, (ix, iy) in enumerate(ints):
         lifted = [(x - ix, y - iy, (x - ix) ** 2 + (y - iy) ** 2) for x, y in ints]
@@ -372,18 +357,13 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
 
 def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> EdgeStats:
     """j-edge counts over ``pairs`` (default every pair), by orientation tests."""
-    ps.require_certified()
+    ints = ps.require_certified()
     n = len(ps)
-    ints = _int_coords([cp.point for cp in ps.points])
     directed = [0] * max(n - 1, 0)
     undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
     for i, j in all_pairs(n) if pairs is None else pairs:
-        left = 0
-        for x in range(n):
-            if x in (i, j):
-                continue
-            if _orient_int(ints[i], ints[j], ints[x]) > 0:
-                left += 1
+        a, b = ints[i], ints[j]
+        left = sum(_orient_int(a, b, ints[x]) > 0 for x in range(n) if x != i and x != j)
         directed[left] += 1
         directed[n - 2 - left] += 1
         undirected[min(left, n - 2 - left)] += 1
@@ -402,10 +382,7 @@ def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
     n = len(ps)
     if edges is None:
         edges = j_edge_counts(ps)
-    ksets = [0] * n
-    for k in range(1, n):
-        ksets[k] = edges.directed_j[k - 1]
-    return KSetStats(tuple(ksets))
+    return KSetStats((0, *edges.directed_j)[:n])
 
 
 def segment_weight_census(
@@ -546,11 +523,10 @@ def _extremal(key, sign: int) -> tuple[tuple[int, int], int] | None:
 
 
 def _fold_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> _Fold:
-    ints = _int_coords(ps.coords())
     fold = _Fold(len(ps))
     red_blue = {Color.RED, Color.BLUE}
     for p, q in pairs:
-        weights = weight_sequence(ps, p, q, ints).weights
+        weights = weight_sequence(ps, p, q).weights
         fold.add((p, q), weights, {ps.color(p), ps.color(q)} == red_blue)
     return fold
 

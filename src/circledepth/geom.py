@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -68,14 +68,18 @@ class ColoredPoint:
 class PointSet:
     """An indexed list of colored points, optionally certified in general position.
 
-    ``gp_certified`` is only set by :func:`validate_general_position`; all the
-    depth machinery refuses uncertified input because a single collinear
-    triple or cocircular quadruple breaks the strict-sign reasoning it relies
-    on.  Indices are stable: operations name points by position in ``points``.
+    ``grid`` is the common integer grid (coordinates scaled by one lcm of
+    their denominators) on which every exact kernel decides signs, read
+    through :meth:`require_certified`.  Only :func:`validate_general_position`
+    sets it, on a set in general position, and a violation clears it: one
+    collinear triple or cocircular quadruple breaks the strict-sign reasoning
+    of the depth machinery.  The grid is a snapshot taken by certification,
+    so a set whose ``points`` change must be certified again.  Indices are
+    stable: operations name points by position in ``points``.
     """
 
     points: list[ColoredPoint] = field(default_factory=list)
-    gp_certified: bool = False
+    grid: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
 
     @staticmethod
     def from_coords(coords: Iterable[tuple], colors: Iterable[Color] | None = None) -> "PointSet":
@@ -97,18 +101,20 @@ class PointSet:
     def color(self, i: int) -> Color:
         return self.points[i].color
 
-    def coords(self) -> list[Point]:
-        return [cp.point for cp in self.points]
-
     def indices_of(self, color: Color) -> list[int]:
         return [i for i, cp in enumerate(self.points) if cp.color is color]
 
-    def require_certified(self) -> None:
-        if not self.gp_certified:
+    @property
+    def gp_certified(self) -> bool:
+        return self.grid is not None
+
+    def require_certified(self) -> tuple[tuple[int, int], ...]:
+        if self.grid is None:
             raise NotCertifiedError(
                 "point set is not certified in general position; "
                 "run validate_general_position first"
             )
+        return self.grid
 
 
 def _int_coords(points: Sequence[Point]) -> list[tuple[int, int]]:
@@ -266,11 +272,11 @@ class Violation:
 def validate_general_position(ps: PointSet) -> list[Violation]:
     """List duplicates, collinear triples and cocircular quadruples.
 
-    Returns an empty list exactly when the set is in general position, in
-    which case ``ps.gp_certified`` is set.  Violations are data, not errors:
-    callers (e.g. the construction generators) repair the named tuples.
-    Quadruples containing a collinear triple are skipped; the triple itself
-    is already reported.
+    Returns an empty list exactly when the set is in general position, and
+    then stores the integer grid it decided on as ``ps.grid``; a violation
+    clears it.  Violations are data, not errors: callers (e.g. the
+    construction generators) repair the named tuples.  Quadruples containing
+    a collinear triple are skipped; the triple itself is already reported.
 
     Collinear triples come from an O(n^3) scan.  A quadruple i < j < k < m
     with no collinear triple is cocircular exactly when the circumcenters of
@@ -282,6 +288,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     """
     pts = _int_coords([cp.point for cp in ps.points])
     n = len(pts)
+    ps.grid = None
     violations: list[Violation] = []
     collinear_triples: set[tuple[int, int, int]] = set()
     for i in range(n):
@@ -291,7 +298,6 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     if violations:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.
-        ps.gp_certified = False
         return violations
     for i in range(n):
         for j in range(i + 1, n):
@@ -304,14 +310,12 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
             later = [x for x in range(j + 1, n) if (i, j, x) not in collinear_triples]
             order = _bisector_order(pts, i, j, later)
             tied: list[tuple[int, int]] = []
-            start = 0
-            for end in range(1, len(order) + 1):
-                if end == len(order) or order[end][0] != order[start][0]:
-                    tied.extend(combinations(sorted(e[3] for e in order[start:end]), 2))
-                    start = end
+            for _, group in groupby(order, key=itemgetter(0)):
+                tied.extend(combinations(sorted(e[3] for e in group), 2))
             for k, m in sorted(tied):
                 violations.append(Violation("cocircular", (i, j, k, m)))
-    ps.gp_certified = not violations
+    if not violations:
+        ps.grid = tuple(pts)
     return violations
 
 

@@ -12,12 +12,16 @@ on the mantissa: ``Fraction`` computes 10**exponent, so ``1e999999999``
 alone would cost unbounded time.
 
 Serialization is canonical (``str(Fraction)``, one space between fields), so
-serialize(parse(serialize(...))) is byte-identical.
+serialize(parse(serialize(...))) is byte-identical.  A parsed value may have
+more digits than ``str`` writes (``1e4300`` has 4301); it is written as a
+decimal token ``I.DeE`` within the parser's bounds instead, so every point
+file the parser accepts serializes and parses back to the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .geom import Color, ColoredPoint, Point, PointSet
@@ -90,10 +94,39 @@ def parse_point_file(text: str) -> PointFile:
     return PointFile(ps, pairs)
 
 
+def _format_scalar(value: Fraction) -> str:
+    """``str(value)``, or ``I.DeE`` for a value with more digits than ``str`` writes.
+
+    Only a decimal token parses to such a value (a ``num/den`` token has at
+    most MAX_EXPONENT digits a side, and so has its reduced form), so value =
+    digits * 10^e exactly.  E is e clamped to where I and D have at most
+    MAX_EXPONENT digits each and |E| <= MAX_EXPONENT: a range that the parsed
+    token shows is not empty.  A value no token parses to raises.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    with localcontext() as ctx:
+        ctx.prec = value.numerator.bit_length() + value.denominator.bit_length() + 1
+        ctx.traps[Inexact] = True  # a value with no decimal form
+        sign, digits, e = (Decimal(value.numerator) / value.denominator).normalize().as_tuple()
+    text = "".join(map(str, digits))
+    lo = max(e + len(text) - MAX_EXPONENT, -MAX_EXPONENT)
+    hi = min(e + MAX_EXPONENT, MAX_EXPONENT)
+    if lo > hi:
+        raise ValueError("coordinate has more digits than a point file holds")
+    exponent = min(max(e, lo), hi)
+    shift = exponent - e  # digits after the point
+    text = text + "0" * -shift if shift <= 0 else text.rjust(shift + 1, "0")
+    mantissa = f"{text[:-shift]}.{text[-shift:]}" if shift > 0 else text
+    return f"{'-' if sign else ''}{mantissa}e{exponent}"
+
+
 def serialize_point_file(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> str:
     lines = []
     for cp in ps.points:
-        token = f"{cp.point.x} {cp.point.y}"
+        token = f"{_format_scalar(cp.point.x)} {_format_scalar(cp.point.y)}"
         if cp.color is not Color.UNCOLORED:
             token += f" {cp.color.value}"
         lines.append(token)

@@ -41,6 +41,20 @@ def check_to_dict(check: CheckResult) -> dict:
     }
 
 
+def _header(ps: PointSet, digest: str) -> dict:
+    """The schema, tool and input fields that open every report."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "tool": {"name": "circledepth", "version": __version__},
+        "input": {
+            "digest": digest,
+            "points": len(ps),
+            "red": len(ps.indices_of(Color.RED)),
+            "blue": len(ps.indices_of(Color.BLUE)),
+        },
+    }
+
+
 def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     """Full depth analysis: extremal pairs and every count table.
 
@@ -51,18 +65,7 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     ps.require_certified()
     n = len(ps)
     totals = sweep_totals(ps, jobs=jobs)
-    reds = ps.indices_of(Color.RED)
-    blues = ps.indices_of(Color.BLUE)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "tool": {"name": "circledepth", "version": __version__},
-        "input": {
-            "digest": digest,
-            "points": n,
-            "red": len(reds),
-            "blue": len(blues),
-        },
-    }
+    report = _header(ps, digest)
     extremal: dict = {}
     for name, found in (
         ("maximin", totals.maximin),
@@ -87,20 +90,10 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
 
 
 def verification_report(ps: PointSet, digest: str, checks: list[CheckResult]) -> dict:
-    reds = ps.indices_of(Color.RED)
-    blues = ps.indices_of(Color.BLUE)
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": {"name": "circledepth", "version": __version__},
-        "input": {
-            "digest": digest,
-            "points": len(ps),
-            "red": len(reds),
-            "blue": len(blues),
-        },
-        "pass": all(check.passed for check in checks),
-        "checks": [check_to_dict(check) for check in checks],
-    }
+    report = _header(ps, digest)
+    report["pass"] = all(check.passed for check in checks)
+    report["checks"] = [check_to_dict(check) for check in checks]
+    return report
 
 
 def render_json(report: dict) -> str:

@@ -2,11 +2,14 @@
 
 Exact coordinates are rounded to three decimals for drawing only; element
 order and formatting are fixed so identical inputs give identical bytes.
-The viewBox is the bounding box of the drawn geometry plus a 5% margin.
+The viewBox is the bounding box of the drawn geometry, or of the unit square
+when nothing is drawn, plus a 5% margin.  Geometry beyond the float range (a
+legal point file may hold 1e4300) raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .geom import Color, Point, PointSet
@@ -47,11 +50,14 @@ class _Canvas:
         self.elements.append(("text", pos[0], pos[1], content, size_frac))
 
     def render(self) -> str:
-        min_x, max_x = min(self.xs), max(self.xs)
-        min_y, max_y = min(self.ys), max(self.ys)
+        xs, ys = self.xs or [0.0, 1.0], self.ys or [0.0, 1.0]
+        min_x, max_x = min(xs), max(xs)
+        min_y, max_y = min(ys), max(ys)
         span = max(max_x - min_x, max_y - min_y, 1e-9)
         margin = 0.05 * span
         vb = (min_x - margin, min_y - margin, (max_x - min_x) + 2 * margin, (max_y - min_y) + 2 * margin)
+        if not all(map(math.isfinite, vb)):
+            raise OverflowError("drawing extends beyond the float range")
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(vb[0])} {_fmt(vb[1])} '

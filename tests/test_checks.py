@@ -81,8 +81,8 @@ def test_region_count_sum_pentagon_anchor():
     ps = random_convex(5, seed=11)
     assert triple_counts(ps).c[0] == 3
     assert kset_counts(ps).ksets[1] == 5
-    result = check_region_count_sum(ps, k=2)
-    inst = result.instances[0]
+    result = check_region_count_sum(ps)
+    inst = {inst.label: inst for inst in result.instances}["k=2"]
     # f_inf(0) + f_inf(1) = 0 + 5 and (k-1)(2n-k) - c_0 = 8 - 3.
     assert (inst.lhs, inst.rhs) == (5, 5) and result.passed
 
@@ -90,8 +90,6 @@ def test_region_count_sum_pentagon_anchor():
 def test_region_count_sum_all_k():
     for ps in random_corpus(5, range(4, 9), seed0=90):
         assert check_region_count_sum(ps).passed
-    with pytest.raises(ValueError):
-        check_region_count_sum(random_convex(5, 1), k=9)
 
 
 def test_cumulative_kset_bound():
@@ -102,9 +100,8 @@ def test_cumulative_kset_bound():
     assert by_label["k=2"].lhs == 12 and by_label["k=2"].rhs == 12
     assert result.passed
     ps = random_general_position(10, seed=77, coord_range=10**6)
-    assert check_cumulative_kset_bound(ps, k=3).instances[0].rhs == 30
-    with pytest.raises(ValueError):
-        check_cumulative_kset_bound(ps, k=5)
+    by_label = {inst.label: inst for inst in check_cumulative_kset_bound(ps).instances}
+    assert by_label["k=3"].rhs == 30 and "k=5" not in by_label
 
 
 def test_bichromatic_census_bounds():
@@ -249,6 +246,9 @@ def test_run_checks_selection_and_order(quad):
     assert [r.name for r in results] == ["triple-pair-sum", "minimax-bound"]
     with pytest.raises(ValueError):
         run_checks(quad, ["no-such-check"])
+    # An explicit empty selection would pass on no evidence.
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_checks(quad, [])
 
 
 def test_applicable_checks(quad, triangle):

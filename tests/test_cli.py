@@ -259,6 +259,38 @@ def test_render_construction(tmp_path, capsys):
     assert content.count("<line") == 3  # one per designated pair
 
 
+@pytest.mark.parametrize("what", ["points", "construction"])
+def test_render_empty_file_draws_the_unit_box(tmp_path, capsys, what):
+    src = tmp_path / "empty.txt"
+    src.write_text("")
+    code, stdout, err = run_cli(["render", str(src), "--what", what], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.050 -0.050 1.100 1.100">\n'
+        "</svg>\n"
+    )
+
+
+@pytest.mark.parametrize("what", [["points"], ["profile", "0", "1"], ["construction"]])
+def test_render_beyond_the_float_range_is_an_error(tmp_path, capsys, what):
+    # 1e4300 is a legal coordinate (analyze and verify take it), but no
+    # float holds it, so it cannot be drawn.
+    src = tmp_path / "huge.txt"
+    src.write_text("0 0\n1e4300 1\n5 7\n")
+    code, stdout, err = run_cli(["render", str(src), "--what", *what], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {src}: a coordinate exceeds the float range\n"
+
+
+@pytest.mark.parametrize("selection", ["", ","])
+def test_verify_empty_check_selection_is_an_error(capsys, selection):
+    code, stdout, err = run_cli(
+        ["verify", str(DATA / "random8.txt"), "--checks", selection], capsys
+    )
+    assert (code, stdout, err) == (1, "", "error: no checks selected\n")
+
+
 def test_render_svg_deterministic(capsys):
     _, first, _ = run_cli(["render", str(DATA / "halving3.txt"), "--what", "construction"], capsys)
     _, second, _ = run_cli(["render", str(DATA / "halving3.txt"), "--what", "construction"], capsys)

@@ -32,7 +32,6 @@ from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_brutef
 from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position
 from circledepth.depth import sweep_totals
-from circledepth.geom import _int_coords
 
 from conftest import InProcessPool, make_set, random_corpus, red_blue_maximin
 
@@ -85,7 +84,6 @@ def test_profile_builds_events_on_first_read(quad):
     assert [(e.index, e.covers_positive) for e in profile.events] == [(1, False), (3, True)]
     assert profile.midpoint == Point.of(Fraction(9, 2), Fraction(9, 2))
     assert profile.direction == (-9, 9)
-    assert weight_sequence(quad, 0, 2, _int_coords(quad.coords())) == profile
 
 
 def test_two_point_set():
@@ -318,6 +316,40 @@ def test_sweep_totals_match_independent_references(ps):
         assert totals.bichromatic_maximin is None
     if n <= 9:
         assert list(kset_counts(ps, totals.edges).ksets) == kset_counts_bruteforce(ps)
+
+
+@given(
+    certified_sets(),
+    st.fractions(-1000, 1000, max_denominator=997),
+    st.fractions(-1000, 1000, max_denominator=997),
+    st.fractions(Fraction(1, 997), 1000, max_denominator=997),
+)
+@settings(max_examples=15, deadline=None)
+def test_sweep_totals_invariant_under_translation_and_scaling(ps, dx, dy, scale):
+    # Both keep every orientation and in-circle sign, so the moved set
+    # certifies again, on a grid of its own, with every table unchanged.
+    moved = make_set(
+        [((p.x + dx) * scale, (p.y + dy) * scale) for p in (cp.point for cp in ps.points)],
+        [cp.color for cp in ps.points],
+    )
+    assert sweep_totals(moved) == sweep_totals(ps)
+
+
+@given(certified_sets(), st.data())
+@settings(max_examples=15, deadline=None)
+def test_outputs_are_covariant_under_a_permutation(ps, data):
+    n = len(ps)
+    order = data.draw(st.permutations(range(n)))
+    permuted = make_set([tuple(ps.point(i)) for i in order], [ps.color(i) for i in order])
+    # Pair (a, b) of the permuted set is pair (order[a], order[b]) of ps.
+    for a, b in combinations(range(n), 2):
+        expected = weight_sequence(ps, order[a], order[b]).weights
+        assert weight_sequence(permuted, a, b).weights == expected
+    totals, again = sweep_totals(ps), sweep_totals(permuted)
+    tables = lambda t: (t.triples, t.census, t.edges, t.repeats)
+    values = lambda t: [v and v[1] for v in (t.maximin, t.minimax, t.bichromatic_maximin)]
+    assert tables(again) == tables(totals)
+    assert values(again) == values(totals)
 
 
 def fraction_oracle(ps, p, q):

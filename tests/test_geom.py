@@ -2,11 +2,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circledepth import (
     Color,
     DegenerateInputError,
+    NotCertifiedError,
     Point,
     PointSet,
     circumcenter,
@@ -17,6 +18,7 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
+from circledepth.geom import Violation
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
@@ -115,6 +117,23 @@ def test_validate_duplicate_points():
     ps = PointSet.from_coords([(0, 0), (0, 0), (1, 5)])
     violations = validate_general_position(ps)
     assert [(v.kind, v.indices) for v in violations] == [("duplicate", (0, 1))]
+
+
+def test_certification_stores_the_integer_grid():
+    # One lcm (6) of every denominator scales the set onto integers.
+    ps = make_set([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
+    assert ps.gp_certified and ps.require_certified() == ((3, 0), (0, 2), (6, 6))
+    with pytest.raises(AttributeError):
+        ps.gp_certified = False  # derived from the grid, never set
+
+
+def test_recertifying_after_appending_a_duplicate_clears_the_grid():
+    ps = make_set([(0, 0), (4, 0), (0, 4)])
+    ps.points.append(ps.points[1])
+    assert validate_general_position(ps) == [Violation("duplicate", (1, 3))]
+    assert ps.grid is None and not ps.gp_certified
+    with pytest.raises(NotCertifiedError):
+        ps.require_certified()
 
 
 def _scan_general_position(ps: PointSet) -> bool:
@@ -236,6 +255,45 @@ def test_point_file_accepts_exponents_at_the_bound():
     pf = parse_point_file("1e4300 1E-4300\n2.5e00004300 0\n")
     assert pf.points.point(0) == Point(Fraction(10**4300), Fraction(1, 10**4300))
     assert pf.points.point(1).x == Fraction(5, 2) * 10**4300
+
+
+# Decimal tokens, with exponents and 4300-digit mantissas at the parser's
+# bounds among them, and fraction tokens.
+_BOUND_TOKENS = [
+    "1e4300",
+    "-1E-4300",
+    "1" + "0" * 4299 + "e4300",
+    "0." + "0" * 4299 + "1e-4300",
+    "9" * 4300 + "." + "9" * 4300 + "e-4300",
+    "-" + "7" * 4300 + "." + "3" * 4300 + "e+4300",
+]
+_digits = st.text("0123456789", min_size=1, max_size=12)
+_decimal_tokens = st.builds(
+    lambda sign, whole, frac, exp: f"{sign}{whole}{frac and '.' + frac}e{exp}",
+    st.sampled_from(["", "-", "+"]),
+    _digits,
+    st.text("0123456789", max_size=12),
+    st.one_of(st.sampled_from([-4300, -4299, 0, 4299, 4300]), st.integers(-4300, 4300)),
+)
+_fraction_tokens = st.builds(
+    lambda sign, num, den: f"{sign}{num}/{den}",
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**30),
+    st.integers(1, 10**30),
+)
+_tokens = st.one_of(_decimal_tokens, _fraction_tokens, _digits, st.sampled_from(_BOUND_TOKENS))
+
+
+@given(x=_tokens, y=_tokens)
+@example(x=_BOUND_TOKENS[2], y=_BOUND_TOKENS[3])
+@example(x=_BOUND_TOKENS[4], y=_BOUND_TOKENS[5])
+@settings(max_examples=80, deadline=None)
+def test_point_file_serialize_parses_back(x, y):
+    pf = parse_point_file(f"{x} {y}\n")
+    text = serialize_point_file(pf.points)
+    again = parse_point_file(text)
+    assert again.points.points == pf.points.points
+    assert serialize_point_file(again.points) == text
 
 
 def test_colored_indices():
