@@ -15,6 +15,7 @@ from math import comb
 
 from .geom import Color, PointSet
 from .depth import (
+    WeightCensus,
     _map_chunks,
     all_profiles,
     bichromatic_pairs,
@@ -82,54 +83,60 @@ def check_triple_pair_sum(ps: PointSet) -> CheckResult:
     )
 
 
-def check_weight_census(ps: PointSet) -> CheckResult:
-    """The exact segment-census law, plus the classical pair-sum as information.
+def _census_rows(
+    ps: PointSet, pairs: list[tuple[int, int]] | None, m: int
+) -> tuple[WeightCensus, list[tuple[str, int, int, str]]]:
+    """The census over the bisectors of ``pairs`` and the rows of its law.
 
     Counting (event, adjacent segment) incidences proves, for every weight w,
 
-        2 * hist[w] == 3 * (c[w] + c[w-1]) + directed_j[w],
+        2 * hist[w] == m * (c[w] + c[w-1]) + directed_j[w],
 
-    since each circle's center is an event on three bisectors with adjacent
-    segment weights {m, m+1} (m its enclosed count), each bounded segment has
-    two endpoint events and each unbounded segment one, and the unbounded
-    segments of weight w biject with directed w-edges.  The textbook pair-sum
-    inc[k] + inc[n-k-3] == 6(k+1)(n-k-2) holds for the circle-segment
-    incidence count inc[k] = 3 * c[k] (a circle enclosing k points ends a
-    weight-k segment on each of its three bisectors), not for the distinct
-    census: hist[k] + hist[n-k-3] misses it in both directions (first at
-    n = 4, 13 vs 12), so the census pair sum is reported here as data only.
+    when every counted circle's center is an event on m counted bisectors,
+    with adjacent segment weights {k, k+1} (k its enclosed count): each
+    bounded segment has two endpoint events and each unbounded segment one,
+    and the unbounded segments of weight w biject with directed w-edges.
+    The classical pair sum inc[k] + inc[n-k-3] vs 2m(k+1)(n-k-2) holds for
+    the circle-segment incidence count inc[k] = m * c[k], not for the
+    distinct census, so the census pair sums follow as info rows.  The law
+    needs a triple, so it has no rows on fewer than three points.
+    """
+    n = len(ps)
+    census = segment_weight_census(ps, all_profiles(ps, pairs=pairs))
+    rows: list[tuple[str, int, int, str]] = []
+    if n >= 3:
+        stats = triple_counts(ps, pairs)
+        directed = j_edge_counts(ps, pairs).directed_j
+        for w in range(0, n - 1):
+            law = m * (stats.at(w) + stats.at(w - 1)) + directed[w]
+            rows.append((f"w={w}", 2 * census.at(w), law, "=="))
+    for k in range(0, n - 2):
+        pair_sum = census.at(k) + census.at(n - k - 3)
+        rows.append((f"pair-sum k={k}", pair_sum, 2 * m * (k + 1) * (n - k - 2), "info"))
+    return census, rows
+
+
+def check_weight_census(ps: PointSet) -> CheckResult:
+    """The exact segment-census law over every bisector, plus the classical
+    pair sum as information (see :func:`_census_rows`).
+
+    Each circle's center is an event on its three bisectors, so m = 3:
+    2 * hist[w] == 3 * (c[w] + c[w-1]) + directed_j[w].  The textbook pair
+    sum inc[k] + inc[n-k-3] == 6(k+1)(n-k-2) holds for inc[k] = 3 * c[k] (a
+    circle enclosing k points ends a weight-k segment on each of its three
+    bisectors), not for the distinct census: hist[k] + hist[n-k-3] misses it
+    in both directions (first at n = 4, 13 vs 12).
     """
     ps.require_certified()
     n = len(ps)
-    census = segment_weight_census(ps, all_profiles(ps))
-    stats = triple_counts(ps)
-    edges = j_edge_counts(ps)
-    rows: list[tuple[str, int, int, str]] = [
-        ("total", sum(census.hist), comb(n, 2) * (n - 1), "==")
-    ]
-    for w in range(0, n - 1):
-        rows.append(
-            (
-                f"w={w}",
-                2 * census.at(w),
-                3 * (stats.at(w) + stats.at(w - 1)) + edges.directed_j[w],
-                "==",
-            )
-        )
-    for k in range(0, n - 2):
-        rows.append(
-            (
-                f"pair-sum k={k}",
-                census.at(k) + census.at(n - k - 3),
-                6 * (k + 1) * (n - k - 2),
-                "info",
-            )
-        )
+    if n < 3:
+        raise ValueError("need at least three points")
+    census, rows = _census_rows(ps, None, 3)
     return _result(
         "weight-census",
         "2*hist[w] == 3*(c[w] + c[w-1]) + directed_j[w] for all w; "
         "pair sums vs 6(k+1)(n-k-2) reported as info",
-        rows,
+        [("total", sum(census.hist), comb(n, 2) * (n - 1), "=="), *rows],
     )
 
 
@@ -202,9 +209,9 @@ def check_cumulative_kset_bound(ps: PointSet) -> CheckResult:
 def check_bichromatic_census(ps: PointSet) -> CheckResult:
     """The exact red-blue census law, with the classical bound as information.
 
-    The incidence argument of :func:`check_weight_census` specializes: a
-    mixed-color circle's center is an event on exactly two red-blue
-    bisectors (a single-color circle on none), so with c' the mixed-triple
+    The law of :func:`_census_rows` over the red-blue pairs: a mixed-color
+    circle's center is an event on exactly two red-blue bisectors (a
+    single-color circle on none), so m = 2 and, with c' the mixed-triple
     enclosure counts and directed_j' the red-blue directed edge counts,
 
         2 * hist[w] == 2 * (c'[w] + c'[w-1]) + directed_j'[w]
@@ -214,48 +221,22 @@ def check_bichromatic_census(ps: PointSet) -> CheckResult:
     circle-segment incidence count inc'[k] = 2 * c'[k] (since c' <= c), not
     for the distinct census: hist[k] + hist[N-k-3] exceeds it on small
     random inputs (first at N = 4, 9 > 8), because a segment may owe both its
-    endpoint events to circles of matching count.  The census pair sum is
-    reported as data only.
+    endpoint events to circles of matching count.
 
     The law needs every point red or blue, as in the theorem: a circle
     through a red, a blue and an uncolored point lies on only one red-blue
-    bisector.  Each table is the plain one over the red-blue pairs.
+    bisector.
     """
     ps.require_certified()
     red_blue = bichromatic_pairs(ps)
     if ps.indices_of(Color.UNCOLORED):
         raise ValueError("bichromatic-census needs every point red or blue")
-    n = len(ps)
-    census = segment_weight_census(ps, all_profiles(ps, pairs=red_blue))
-    rows: list[tuple[str, int, int, str]] = []
-    if n >= 3:
-        mixed = triple_counts(ps, red_blue)
-        directed = j_edge_counts(ps, red_blue).directed_j
-        for w in range(0, n - 1):
-            rows.append(
-                (
-                    f"w={w}",
-                    2 * census.at(w),
-                    2 * (mixed.at(w) + mixed.at(w - 1)) + directed[w],
-                    "==",
-                )
-            )
-    for k in range(0, n - 2):
-        rows.append(
-            (
-                f"pair-sum k={k}",
-                census.at(k) + census.at(n - k - 3),
-                4 * (k + 1) * (n - k - 2),
-                "info",
-            )
-        )
-    if not rows:
-        rows.append(("vacuous", 0, 0, "=="))
+    _, rows = _census_rows(ps, red_blue, 2)
     return _result(
         "bichromatic-census",
         "2*hist[w] == 2*(c'[w] + c'[w-1]) + directed_j'[w] over red-blue bisectors; "
         "pair sums vs 4(k+1)(N-k-2) reported as info",
-        rows,
+        rows or [("vacuous", 0, 0, "==")],
     )
 
 

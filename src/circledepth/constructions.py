@@ -280,12 +280,14 @@ def two_colored_convex(n: int) -> ConstructionOutput:
     )
 
 
-def _seven_region_block(g: int, levels: int, rng: Rng) -> tuple[list[tuple[int, int]], list, list]:
+def _seven_region_block(
+    g: int, levels: int, rng: Rng
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Recursive seven-region block, centered on its own triangle.
 
-    Returns (coords, designated_pairs, claims) with pair indices and claim
-    params local to the block.  Index layout: p=0, q=1, r=2, then the six
-    outer clusters (U_p, U_q, U_r, W_pq, W_qr, W_rp), then the central
+    Returns (coords, designated_pairs) with pair indices local to the block.
+    Index layout: p=0, q=1, r=2, then the six outer clusters (U_p, U_q, U_r,
+    W_pq, W_qr, W_rp), 6g+1 points with the triangle, then the central
     content (innermost: a tight cluster; otherwise the next level's block).
 
     Cluster sizes are g-1 for each edge cluster, (g+1, g, g) for the vertex
@@ -298,7 +300,7 @@ def _seven_region_block(g: int, levels: int, rng: Rng) -> tuple[list[tuple[int, 
     """
     scale = 10**6
     if levels > 1:
-        inner_coords, inner_pairs, inner_claims = _seven_region_block(g, levels - 1, rng)
+        inner_coords, inner_pairs = _seven_region_block(g, levels - 1, rng)
         extent = max(max(abs(x), abs(y)) for x, y in inner_coords)
         scale = 1000 * extent
     far = 200 * scale
@@ -345,37 +347,18 @@ def _seven_region_block(g: int, levels: int, rng: Rng) -> tuple[list[tuple[int, 
         )
 
     pairs = [(0, 1), (0, 2), (1, 2)]
-    claims: list[Claim] = []
     if levels == 1:
         cluster((cx, cy), g - 1)
-        if 2 * g - 3 >= g:
-            for a, b in pairs:
-                claims.append(
-                    Claim(
-                        "repeated-values",
-                        {"pair": (a, b), "lo": g, "hi": 2 * g - 3, "times": 4},
-                        f"innermost triangle pair ({a}, {b}): every weight in "
-                        f"[{g}, {2 * g - 3}] repeats >= 4 times",
-                    )
-                )
     else:
         offset = len(coords)
         for x, y in inner_coords:
             coords.append((x + cx, y + cy))
         for a, b in inner_pairs:
             pairs.append((a + offset, b + offset))
-        for claim in inner_claims:
-            params = dict(claim.params)
-            a, b = params["pair"]
-            params["pair"] = (a + offset, b + offset)
-            description = claim.description.replace(
-                f"({a}, {b})", f"({a + offset}, {b + offset})"
-            )
-            claims.append(Claim(claim.kind, params, description))
         # Halving pairs: each outer vertex with its inner counterpart.
         for v in range(3):
             pairs.append((v, v + offset))
-    return coords, pairs, claims
+    return coords, pairs
 
 
 def recursive_seven_region(group_size: int, levels: int) -> ConstructionOutput:
@@ -397,12 +380,22 @@ def recursive_seven_region(group_size: int, levels: int) -> ConstructionOutput:
         raise ValueError("levels must be at least 1")
     for attempt in range(64):
         rng = Rng(501_000 + 7919 * g + 104729 * levels + attempt)
-        coords, pairs, claims = _seven_region_block(g, levels, rng)
+        coords, pairs = _seven_region_block(g, levels, rng)
         ps = PointSet.from_coords(coords)
         if validate_general_position(ps):
             continue
         n = len(ps)
-        claims = list(claims)
+        # Each level above the innermost adds its triangle and six clusters.
+        inner = (levels - 1) * (6 * g + 1)
+        claims = [
+            Claim(
+                "repeated-values",
+                {"pair": (a + inner, b + inner), "lo": g, "hi": 2 * g - 3, "times": 4},
+                f"innermost triangle pair ({a + inner}, {b + inner}): every weight in "
+                f"[{g}, {2 * g - 3}] repeats >= 4 times",
+            )
+            for a, b in ((0, 1), (0, 2), (1, 2))
+        ]
         claims.append(
             Claim(
                 "endpoint-weights",

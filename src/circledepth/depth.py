@@ -161,12 +161,21 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
 
     The sweep sorts on the integer grid that certification stored on ``ps``
     (:attr:`PointSet.grid`).  Before the first event every point whose side
-    is s < s_x is enclosed, and each event adds or removes its point.
+    is s < s_x is enclosed, and each event adds or removes its point.  This
+    is where the sweep asserts that a certified set does not degenerate: a
+    point collinear with p and q, or two tied events, raise
+    :class:`DegenerateInputError` naming the points.
     """
     ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    order = _bisector_order(ints, p, q, (x for x in range(len(ints)) if x != p and x != q))
+    order, collinear = _bisector_order(
+        ints, p, q, (x for x in range(len(ints)) if x != p and x != q)
+    )
+    if collinear:
+        raise DegenerateInputError(
+            "collinear triple encountered on a certified set", (p, q, collinear[0])
+        )
     for a, b in zip(order, order[1:]):
         if a[0] == b[0]:
             raise DegenerateInputError(

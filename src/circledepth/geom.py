@@ -170,9 +170,10 @@ BisectorParam = tuple[int, int, int, int, bool]
 
 def _bisector_order(
     ints: Sequence[tuple[int, int]], p: int, q: int, others: Iterable[int]
-) -> list[BisectorParam]:
+) -> tuple[list[BisectorParam], list[int]]:
     """The points ``others`` in increasing order of their circumcenter with
-    (p, q) along the pair's bisector, exactly and without fractions.
+    (p, q) along the pair's bisector, exactly and without fractions, and
+    apart from them the points collinear with p and q.
 
     On the frame of :mod:`circledepth.depth` (midpoint of pq, direction
     rot90(q - p)) the circumcenter of (p, q, x) sits at
@@ -184,8 +185,9 @@ def _bisector_order(
     1/(den_a * den_b) > 2^-2B, so key = floor(num * 2^2B / den) is strictly
     increasing in s and equal exactly when s is: equal keys are points
     cocircular with p and q.  The sort is stable, so tied points keep the
-    order of ``others``.  Raises :class:`DegenerateInputError` for an x
-    collinear with p and q, where no circumcenter exists.
+    order of ``others``.  A zero cross is an x collinear with p and q, where
+    no circumcenter exists: such points are returned as the second list, in
+    the order of ``others``, and have no param.
     """
     px, py = ints[p]
     qx, qy = ints[q]
@@ -196,14 +198,14 @@ def _bisector_order(
     crosses = []
     for x in others:
         xx, xy = ints[x]
-        cross = ux * (xy - py) - uy * (xx - px)
-        if cross == 0:
-            raise DegenerateInputError(
-                "collinear triple encountered on a certified set", (p, q, x)
-            )
-        crosses.append(cross)
+        crosses.append(ux * (xy - py) - uy * (xx - px))
+    collinear = []
+    if 0 in crosses:  # never on a certified set, so the filter costs nothing there
+        collinear = [x for x, cross in zip(others, crosses) if not cross]
+        others = [x for x, cross in zip(others, crosses) if cross]
+        crosses = [cross for cross in crosses if cross]
     if not crosses:
-        return []
+        return [], collinear
     shift = 2 * max(map(abs, crosses)).bit_length()
     params = []
     for x, cross in zip(others, crosses):
@@ -214,7 +216,7 @@ def _bisector_order(
         else:
             params.append(((-num << shift) // -cross, -num, -cross, x, False))
     params.sort(key=itemgetter(0))
-    return params
+    return params, collinear
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -278,42 +280,36 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     construction generators) repair the named tuples.  Quadruples containing
     a collinear triple are skipped; the triple itself is already reported.
 
-    Collinear triples come from an O(n^3) scan.  A quadruple i < j < k < m
-    with no collinear triple is cocircular exactly when the circumcenters of
-    (i, j, k) and (i, j, m) coincide, i.e. when k and m tie in the order of
-    :func:`_bisector_order` on the bisector of (i, j); four points on one
-    circle never include three on a line.  So one exact sort per pair finds
-    them all in O(n^3 log n).  ``brute.general_position_violations`` is the
-    exhaustive O(n^4) reference, with the same output.
+    After the duplicates, one exact sort per pair i < j decides the rest in
+    O(n^3 log n): :func:`_bisector_order` over the later points x > j
+    returns those collinear with (i, j) apart, and a quadruple
+    i < j < k < m with no collinear triple is cocircular exactly when the
+    circumcenters of (i, j, k) and (i, j, m) coincide, i.e. when k and m tie
+    in that order.  Four points on one circle never include three on a line,
+    so leaving the collinear points out of the ties loses no quadruple.
+    ``brute.general_position_violations`` is the exhaustive O(n^4)
+    reference, with the same output.
     """
     pts = _int_coords([cp.point for cp in ps.points])
     n = len(pts)
     ps.grid = None
-    violations: list[Violation] = []
-    collinear_triples: set[tuple[int, int, int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                violations.append(Violation("duplicate", (i, j)))
-    if violations:
+    duplicates = [
+        Violation("duplicate", (i, j)) for i, j in combinations(range(n), 2) if pts[i] == pts[j]
+    ]
+    if duplicates:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.
-        return violations
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if _orient_int(pts[i], pts[j], pts[k]) == 0:
-                    violations.append(Violation("collinear", (i, j, k)))
-                    collinear_triples.add((i, j, k))
-    for i in range(n):
-        for j in range(i + 1, n):
-            later = [x for x in range(j + 1, n) if (i, j, x) not in collinear_triples]
-            order = _bisector_order(pts, i, j, later)
-            tied: list[tuple[int, int]] = []
-            for _, group in groupby(order, key=itemgetter(0)):
-                tied.extend(combinations(sorted(e[3] for e in group), 2))
-            for k, m in sorted(tied):
-                violations.append(Violation("cocircular", (i, j, k, m)))
+        return duplicates
+    collinear: list[Violation] = []
+    cocircular: list[Violation] = []
+    for i, j in combinations(range(n), 2):
+        order, on_line = _bisector_order(pts, i, j, range(j + 1, n))
+        collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
+        tied: list[tuple[int, int]] = []
+        for _, group in groupby(order, key=itemgetter(0)):
+            tied.extend(combinations(sorted(e[3] for e in group), 2))
+        cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in sorted(tied))
+    violations = collinear + cocircular
     if not violations:
         ps.grid = tuple(pts)
     return violations

@@ -1,16 +1,20 @@
 """Static SVG renderings of point sets, bisector profiles and constructions.
 
-Exact coordinates are rounded to three decimals for drawing only; element
-order and formatting are fixed so identical inputs give identical bytes.
-The viewBox is the bounding box of the drawn geometry, or of the unit square
-when nothing is drawn, plus a 5% margin.  Geometry beyond the float range (a
-legal point file may hold 1e4300) raises ``OverflowError``.
+Exact coordinates are rounded for drawing only, to three decimals or to a
+thousandth of the drawing's span when that is finer; element order and
+formatting are fixed so identical inputs give identical bytes.  The viewBox
+is the bounding box of the drawn geometry (point centers, line ends and
+label anchors), or of the unit square when nothing is drawn, plus a 5%
+margin; a drawing of one spot gets a margin as if it spanned one unit.
+Geometry beyond the float range (a legal point file may hold 1e4300) raises
+``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .geom import Color, Point, PointSet
 from .depth import weight_sequence
@@ -18,9 +22,9 @@ from .depth import weight_sequence
 _FILL = {Color.RED: "#c62828", Color.BLUE: "#1565c0", Color.UNCOLORED: "#333333"}
 
 
-def _fmt(value: float) -> str:
-    text = f"{value:.3f}"
-    return "0.000" if text == "-0.000" else text
+def _fmt(value: float, digits: int) -> str:
+    text = f"{value:.{digits}f}"
+    return text[1:] if text.startswith("-") and not text.strip("-0.") else text
 
 
 class _Canvas:
@@ -41,8 +45,7 @@ class _Canvas:
         )
 
     def circle(self, center, radius_frac: float, fill: str) -> None:
-        self._track(center[0] - 1, center[1] - 1)
-        self._track(center[0] + 1, center[1] + 1)
+        self._track(*center)
         self.elements.append(("circle", center[0], center[1], radius_frac, fill))
 
     def text(self, pos, content: str, size_frac: float = 0.025) -> None:
@@ -53,32 +56,33 @@ class _Canvas:
         xs, ys = self.xs or [0.0, 1.0], self.ys or [0.0, 1.0]
         min_x, max_x = min(xs), max(xs)
         min_y, max_y = min(ys), max(ys)
-        span = max(max_x - min_x, max_y - min_y, 1e-9)
+        span = max(max_x - min_x, max_y - min_y) or 1.0
         margin = 0.05 * span
         vb = (min_x - margin, min_y - margin, (max_x - min_x) + 2 * margin, (max_y - min_y) + 2 * margin)
         if not all(map(math.isfinite, vb)):
             raise OverflowError("drawing extends beyond the float range")
+        fmt = partial(_fmt, digits=3 + max(0, -math.floor(math.log10(span))))
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(vb[0])} {_fmt(vb[1])} '
-            f'{_fmt(vb[2])} {_fmt(vb[3])}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} '
+            f'{fmt(vb[2])} {fmt(vb[3])}">',
         ]
         for element in self.elements:
             if element[0] == "line":
                 _, x1, y1, x2, y2, stroke, wf = element
                 out.append(
-                    f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                    f'stroke="{stroke}" stroke-width="{_fmt(wf * span)}" />'
+                    f'  <line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+                    f'stroke="{stroke}" stroke-width="{fmt(wf * span)}" />'
                 )
             elif element[0] == "circle":
                 _, cx, cy, rf, fill = element
                 out.append(
-                    f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(rf * span)}" fill="{fill}" />'
+                    f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(rf * span)}" fill="{fill}" />'
                 )
             else:
                 _, x, y, content, sf = element
                 out.append(
-                    f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(sf * span)}" '
+                    f'  <text x="{fmt(x)}" y="{fmt(y)}" font-size="{fmt(sf * span)}" '
                     f'font-family="monospace" fill="#000000">{content}</text>'
                 )
         out.append("</svg>")

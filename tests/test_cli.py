@@ -205,6 +205,16 @@ def test_verify_check_selection(capsys):
     )
 
 
+def test_verify_census_checks_on_two_points(tmp_path, capsys):
+    # The weight-census law needs a triple; the red-blue one holds vacuously.
+    src = tmp_path / "two.txt"
+    src.write_text("0 0 R\n3 1 B\n")
+    code, stdout, err = run_cli(["verify", str(src), "--checks", "weight-census"], capsys)
+    assert (code, stdout, err) == (1, "", "error: need at least three points\n")
+    code, stdout, _ = run_cli(["verify", str(src), "--checks", "bichromatic-census"], capsys)
+    assert code == 0 and json.loads(stdout)["pass"] is True
+
+
 def test_verify_partly_colored_set_skips_bichromatic_census(tmp_path, capsys):
     # A red-blue-uncolored circle lies on one red-blue bisector, not two, so
     # the red-blue census law does not apply unless every point is colored.
@@ -270,6 +280,31 @@ def test_render_empty_file_draws_the_unit_box(tmp_path, capsys, what):
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.050 -0.050 1.100 1.100">\n'
         "</svg>\n"
     )
+
+
+def test_render_small_scale_set_keeps_points_apart(tmp_path, capsys):
+    src = tmp_path / "small.txt"
+    src.write_text("0 0\n0.0001 0\n0 0.0001\n")
+    code, stdout, err = run_cli(["render", str(src)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-0.0000050 -0.0001050 0.0001100 0.0001100">\n'
+        '  <circle cx="0.0000000" cy="0.0000000" r="0.0000008" fill="#333333" />\n'
+        '  <circle cx="0.0001000" cy="0.0000000" r="0.0000008" fill="#333333" />\n'
+        '  <circle cx="0.0000000" cy="-0.0001000" r="0.0000008" fill="#333333" />\n'
+        "</svg>\n"
+    )
+
+
+def test_render_single_point_gets_a_box(tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("5 7\n")
+    code, stdout, _ = run_cli(["render", str(src)], capsys)
+    assert code == 0
+    assert 'viewBox="4.950 -7.050 0.100 0.100"' in stdout
+    assert '<circle cx="5.000" cy="-7.000" r="0.008"' in stdout
 
 
 @pytest.mark.parametrize("what", [["points"], ["profile", "0", "1"], ["construction"]])

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from circledepth import (
     BisectorProfile,
     Color,
+    DegenerateInputError,
     NotCertifiedError,
     Point,
     PointSet,
@@ -40,6 +41,22 @@ def test_requires_certification():
     ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
     with pytest.raises(NotCertifiedError):
         weight_sequence(ps, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "coords, pair, indices",
+    [
+        ([(0, 0), (1, 0), (2, 0), (0, 5)], (0, 1), (0, 1, 2)),  # collinear triple
+        ([(0, 0), (4, 0), (0, 4), (4, 4), (2, 9)], (0, 1), (0, 1, 2, 3)),  # square: a tie
+    ],
+)
+def test_weight_sequence_rejects_a_degenerate_grid(coords, pair, indices):
+    # A grid that certification would never store: the sweep still refuses it.
+    ps = PointSet.from_coords(coords)
+    ps.grid = tuple(coords)
+    with pytest.raises(DegenerateInputError) as err:
+        weight_sequence(ps, *pair)
+    assert err.value.indices == indices
 
 
 def test_triangle_weights(triangle):

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
-from circledepth.geom import Violation
+from circledepth.geom import Violation, _bisector_order
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
@@ -186,6 +187,35 @@ def test_validate_matches_independent_scan(coords):
     violations = validate_general_position(ps)
     assert violations == general_position_violations(PointSet.from_coords(coords))
     assert (violations == []) == _scan_general_position(ps)
+
+
+def test_bisector_order_reports_collinear_points_apart():
+    ints = [(0, 0), (2, 0), (4, 0), (1, 1), (-3, 0), (1, -1), (1, 5)]
+    params, collinear = _bisector_order(ints, 0, 1, [6, 2, 3, 4, 5])
+    assert collinear == [2, 4]  # in the order given, and never an error
+    # The rest sort as they do without the collinear points: 3 and 5 tie
+    # (the square 0, 3, 1, 5) in the order given, before 6, whose circle's
+    # center lies further along the bisector.
+    assert [e[3] for e in params] == [3, 5, 6] and params[0][0] == params[1][0]
+    assert params == _bisector_order(ints, 0, 1, [6, 3, 5])[0]
+    assert _bisector_order(ints, 0, 1, [4, 2]) == ([], [4, 2])
+    assert _bisector_order(ints, 0, 1, []) == ([], [])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_pair_with_collinear_point_and_cocircular_quadruple(seed):
+    # Pair (0, 1) has a collinear third point (2) and a cocircular quadruple
+    # (0, 1, 3, 4, a square); seeded extra points add more of both.
+    rng = random.Random(seed)
+    core = [(0, 0), (4, 0), (8, 0), (0, 4), (4, 4)]
+    extra = [(rng.randint(-4, 8), rng.randint(-4, 8)) for _ in range(rng.randint(1, 5))]
+    coords = core + [xy for xy in dict.fromkeys(extra) if xy not in core]
+    violations = validate_general_position(PointSet.from_coords(coords))
+    assert violations == general_position_violations(PointSet.from_coords(coords))
+    assert Violation("collinear", (0, 1, 2)) in violations
+    assert Violation("cocircular", (0, 1, 3, 4)) in violations
+    kinds = [v.kind for v in violations]
+    assert kinds == sorted(kinds, key=["collinear", "cocircular"].index)
 
 
 def test_snap_examples():
