@@ -74,34 +74,34 @@ def _load_certified(path: str):
     return pf, input_digest(data)
 
 
+# Generator per `generate` kind, in the parser's order.  Each entry looks its
+# generator up in this module when called, so rebinding the name here (as
+# perfbench's tracer does) takes effect.
+GENERATORS = {
+    "random": lambda args: ConstructionOutput(
+        random_general_position(
+            args.n, args.seed, args.range if args.range is not None else max(4 * args.n * args.n, 10**6)
+        )
+    ),
+    "convex": lambda args: ConstructionOutput(random_convex(args.n, args.seed)),
+    "two-colored-convex": lambda args: two_colored_convex(args.n),
+    "seven-region": lambda args: recursive_seven_region(args.group_size, args.levels),
+    "halving": lambda args: halving_line_construction(args.n),
+}
+
+
 def cmd_generate(args) -> int:
     try:
-        pairs: list[tuple[int, int]] = []
-        claims = []
-        if args.kind == "random":
-            coord_range = args.range if args.range is not None else max(4 * args.n * args.n, 10**6)
-            ps = random_general_position(args.n, args.seed, coord_range)
-        elif args.kind == "convex":
-            ps = random_convex(args.n, args.seed)
-        else:
-            if args.kind == "two-colored-convex":
-                out = two_colored_convex(args.n)
-            elif args.kind == "seven-region":
-                out = recursive_seven_region(args.group_size, args.levels)
-            elif args.kind == "halving":
-                out = halving_line_construction(args.n)
-            else:
-                raise ConstructionError(f"unknown kind {args.kind!r}")
-            ps, pairs, claims = out.points, out.designated_pairs, out.claims
+        out = GENERATORS[args.kind](args)
     except (ConstructionError, ValueError) as exc:
         print(f"error: generator failed: {exc}", file=sys.stderr)
         return EXIT_GENERATOR
-    _write_output(serialize_point_file(ps, pairs), args.output)
+    _write_output(serialize_point_file(out.points, out.designated_pairs), args.output)
     if args.output not in (None, "-"):
-        print(f"wrote {len(ps)} points to {args.output}")
-    for a, b in pairs:
+        print(f"wrote {len(out.points)} points to {args.output}")
+    for a, b in out.designated_pairs:
         print(f"designated pair: ({a}, {b})")
-    for claim in claims:
+    for claim in out.claims:
         print(f"claim verified: {claim.description}")
     return EXIT_OK
 
@@ -170,10 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a point set and write a point file")
-    gen.add_argument(
-        "kind",
-        choices=["random", "convex", "two-colored-convex", "seven-region", "halving"],
-    )
+    gen.add_argument("kind", choices=list(GENERATORS))
     gen.add_argument("--n", type=int, default=8, help="size parameter (see README)")
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--range", type=int, default=None, help="coordinate range for random")

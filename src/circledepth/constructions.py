@@ -1,23 +1,28 @@
 """Point-set generators: random instances and three extremal constructions.
 
-Every generator returns a general-position certified set; construction
-generators also attach machine-checkable claims and verify them with the
-depth engine before returning.  A generator never hands back an unverified
-set: layouts are realized approximately (floats where the ideal angles are
-irrational), snapped to rationals, then rebuilt or perturbed
-deterministically until both the general-position check and every claim
-pass, within a bounded attempt budget.
+Every generator is one search, ``_first_verified``, over a fixed and finite
+list of candidate sets built lazily in a fixed order: it certifies each
+candidate's general position, then re-verifies the candidate's claims with
+the depth engine, and returns the first that passes both.  Candidates are
+realized approximately (floats where the ideal angles are irrational) and
+snapped to integers or rationals; only the list says how a generator varies
+its layout.  The budgets are 200 samples for the two random generators,
+7 slant patterns x 2 magnitudes x 8 jitter seeds for two_colored_convex, and
+64 jitter seeds or spacings for recursive_seven_region and
+halving_line_construction.  A generator never hands back an unverified set:
+when its list runs out it raises ConstructionError naming the generator, the
+number of candidates tried, and the last candidate's first failure with a
+count of the others.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .geom import (
     Color,
-    ColoredPoint,
-    Point,
     PointSet,
     convex_hull,
     snap_to_rational,
@@ -138,6 +143,27 @@ def claim_failures(out: ConstructionOutput) -> list[str]:
     return failures
 
 
+def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> ConstructionOutput:
+    """The first candidate in general position whose claims all verify.
+
+    ``what`` names the generator in the ConstructionError raised when no
+    candidate passes; the error keeps only the last candidate's first
+    failure and counts the rest, so its length does not grow with the set.
+    """
+    tried, failures = 0, []
+    for out in candidates:
+        tried += 1
+        failures = validate_general_position(out.points) or claim_failures(out)
+        if not failures:
+            return out
+    if not tried:
+        raise ConstructionError(f"{what}: no candidate to try")
+    raise ConstructionError(
+        f"{what}: none of {tried} candidates verified; "
+        f"the last failed with {failures[0]} ({len(failures)} in all)"
+    )
+
+
 def random_general_position(n: int, seed: int, coord_range: int) -> PointSet:
     """n integer points in [0, range]^2, resampled until general position.
 
@@ -149,21 +175,20 @@ def random_general_position(n: int, seed: int, coord_range: int) -> PointSet:
     if coord_range < 4 * n * n:
         raise ValueError(f"range must be at least 4*n^2 = {4 * n * n}")
     rng = Rng(seed)
-    for _ in range(200):
-        seen: set[tuple[int, int]] = set()
-        coords: list[tuple[int, int]] = []
-        while len(coords) < n:
-            pt = (rng.below(coord_range + 1), rng.below(coord_range + 1))
-            if pt not in seen:
-                seen.add(pt)
-                coords.append(pt)
-        ps = PointSet.from_coords(coords)
-        if not validate_general_position(ps):
-            return ps
-    raise ConstructionError(
-        f"random_general_position: no general-position sample for n={n}, "
-        f"range={coord_range}; the range is too small"
-    )
+
+    def samples():
+        for _ in range(200):
+            seen: set[tuple[int, int]] = set()
+            coords: list[tuple[int, int]] = []
+            while len(coords) < n:
+                pt = (rng.below(coord_range + 1), rng.below(coord_range + 1))
+                if pt not in seen:
+                    seen.add(pt)
+                    coords.append(pt)
+            yield ConstructionOutput(PointSet.from_coords(coords))
+
+    what = f"random_general_position(n={n}, range={coord_range})"
+    return _first_verified(what, samples()).points
 
 
 def random_convex(n: int, seed: int) -> PointSet:
@@ -177,45 +202,37 @@ def random_convex(n: int, seed: int) -> PointSet:
         raise ValueError("n must be at least 3")
     rng = Rng(seed)
     radius = 10**8
-    for _ in range(200):
-        coords = []
-        for i in range(n):
-            theta = 2 * math.pi * (i + 0.1 + 0.8 * rng.below(10**6) / 10**6) / n
-            r = radius + rng.below(2000)
-            coords.append((round(r * math.cos(theta)), round(r * math.sin(theta))))
-        ps = PointSet.from_coords(coords)
-        if validate_general_position(ps):
-            continue
-        if len(convex_hull([cp.point for cp in ps.points])) == n:
-            return ps
-    raise ConstructionError(f"random_convex: failed to realize n={n}")
+    claims = [Claim("convex-position", {}, "all points on the hull")]
+
+    def layouts():
+        for _ in range(200):
+            coords = []
+            for i in range(n):
+                theta = 2 * math.pi * (i + 0.1 + 0.8 * rng.below(10**6) / 10**6) / n
+                r = radius + rng.below(2000)
+                coords.append((round(r * math.cos(theta)), round(r * math.sin(theta))))
+            yield ConstructionOutput(PointSet.from_coords(coords), claims=claims)
+
+    return _first_verified(f"random_convex(n={n}, seed={seed})", layouts()).points
 
 
 def _two_colored_layout(
-    n: int, slants: tuple[int, int, int, int], magnitude: int, seed: int
-) -> PointSet | None:
-    """One candidate layout for two_colored_convex; None if degenerate."""
+    n: int, sizes: list[int], slants: tuple[int, int, int, int], magnitude: int, seed: int
+) -> list[tuple[int, int]]:
+    """Coordinates of one candidate layout for two_colored_convex."""
     radius = 10**12
     arc = 0.001
     jitter = 100
     rng = Rng(77001 + 131 * n + seed)
-    sizes = [(n + 1) // 2, (n + 1) // 2, n // 2, n // 2]
-    colors = [Color.RED, Color.BLUE, Color.RED, Color.BLUE]
-    coords, cols = [], []
-    for ci, (size, col) in enumerate(zip(sizes, colors)):
+    coords = []
+    for ci, size in enumerate(sizes):
         base = math.pi / 4 + ci * math.pi / 2
         for k in range(size):
             theta = base + (k - (size - 1) / 2) / max(size, 1) * arc
             r = radius + magnitude * slants[ci] * (k - (size - 1) / 2)
             r += rng.below(2 * jitter + 1) - jitter
             coords.append((round(r * math.cos(theta)), round(r * math.sin(theta))))
-            cols.append(col)
-    ps = PointSet.from_coords(coords, cols)
-    if validate_general_position(ps):
-        return None
-    if len(convex_hull([cp.point for cp in ps.points])) != len(ps):
-        return None
-    return ps
+    return coords
 
 
 # Radial slant-sign patterns per cluster, tried in order.  Which pattern puts
@@ -241,54 +258,46 @@ def two_colored_convex(n: int) -> ConstructionOutput:
     circle at 45, 135, 225 and 315 degrees, colored R, B, R, B around the
     circle.  The attached claim: every red-blue pair admits a circle through
     it enclosing at most floor(n/2) points.  Cluster radial slants control
-    the order of bisector events; the generator scans a fixed pattern list
-    and returns the first layout that verifies, so output is deterministic
-    in n.
+    the order of bisector events; the candidates run over the fixed pattern
+    list, then magnitudes 10^6 and 10^5, then jitter seeds 0..7, and the
+    first layout that verifies is returned, so output is deterministic in n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     bound = n // 2
-    for pattern in _TWO_COLOR_PATTERNS:
-        for magnitude in (10**6, 10**5):
-            for seed in range(8):
-                ps = _two_colored_layout(n, pattern, magnitude, seed)
-                if ps is None:
-                    continue
-                reds = ps.indices_of(Color.RED)
-                blues = ps.indices_of(Color.BLUE)
-                out = ConstructionOutput(
-                    ps,
-                    designated_pairs=[
-                        (min(r, b), max(r, b)) for r in reds for b in blues
-                    ],
-                    claims=[Claim("convex-position", {}, "all 2n points on the hull")]
-                    + [
-                        Claim(
-                            "pair-min-below",
-                            {"pair": (min(r, b), max(r, b)), "bound": bound},
-                            f"red-blue pair ({min(r, b)}, {max(r, b)}) has a circle "
-                            f"enclosing <= {bound} points",
-                        )
-                        for r in reds
-                        for b in blues
-                    ],
-                )
-                if not claim_failures(out):
-                    return out
-    raise ConstructionError(
-        f"two_colored_convex: no layout variant verified for n={n}"
+    sizes = [(n + 1) // 2, (n + 1) // 2, n // 2, n // 2]
+    cols = [col for size, col in zip(sizes, (Color.RED, Color.BLUE) * 2) for _ in range(size)]
+    reds = [i for i, col in enumerate(cols) if col is Color.RED]
+    blues = [i for i, col in enumerate(cols) if col is Color.BLUE]
+    pairs = [(min(r, b), max(r, b)) for r in reds for b in blues]
+    claims = [Claim("convex-position", {}, "all 2n points on the hull")] + [
+        Claim(
+            "pair-min-below",
+            {"pair": (p, q), "bound": bound},
+            f"red-blue pair ({p}, {q}) has a circle enclosing <= {bound} points",
+        )
+        for p, q in pairs
+    ]
+    candidates = (
+        ConstructionOutput(
+            PointSet.from_coords(_two_colored_layout(n, sizes, pattern, magnitude, seed), cols),
+            pairs,
+            claims,
+        )
+        for pattern in _TWO_COLOR_PATTERNS
+        for magnitude in (10**6, 10**5)
+        for seed in range(8)
     )
+    return _first_verified(f"two_colored_convex(n={n})", candidates)
 
 
-def _seven_region_block(
-    g: int, levels: int, rng: Rng
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Recursive seven-region block, centered on its own triangle.
+def _seven_region_block(g: int, levels: int, rng: Rng) -> list[tuple[int, int]]:
+    """Coordinates of the nested seven-region blocks, centered on the outer triangle.
 
-    Returns (coords, designated_pairs) with pair indices local to the block.
-    Index layout: p=0, q=1, r=2, then the six outer clusters (U_p, U_q, U_r,
-    W_pq, W_qr, W_rp), 6g+1 points with the triangle, then the central
-    content (innermost: a tight cluster; otherwise the next level's block).
+    Built from the innermost level out.  Index layout of each level: p=0,
+    q=1, r=2, then the six outer clusters (U_p, U_q, U_r, W_pq, W_qr, W_rp),
+    6g+1 points with the triangle, then the central content (innermost: a
+    tight cluster; otherwise the next level's block, scaled down 1000x).
 
     Cluster sizes are g-1 for each edge cluster, (g+1, g, g) for the vertex
     clusters and g-1 for the innermost central cluster.  This near-equal
@@ -298,67 +307,57 @@ def _seven_region_block(
     four monotone legs and repeats at least four times.  With edge clusters
     of exactly g points the interval endpoints are only reached three times.
     """
-    scale = 10**6
-    if levels > 1:
-        inner_coords, inner_pairs = _seven_region_block(g, levels - 1, rng)
-        extent = max(max(abs(x), abs(y)) for x, y in inner_coords)
-        scale = 1000 * extent
-    far = 200 * scale
-    crad = max(scale // 500, 4)
+    coords: list[tuple[int, int]] = []
+    for _ in range(levels):
+        scale = 1000 * max(max(abs(x), abs(y)) for x, y in coords) if coords else 10**6
+        far = 200 * scale
+        crad = max(scale // 500, 4)
 
-    def jit() -> int:
-        return rng.int_in(-crad, crad)
+        def jit() -> int:
+            return rng.int_in(-crad, crad)
 
-    # Vertex jitter kills the exact symmetries a clean layout would carry up
-    # the recursion: p, q mirror the inner p', q' (two mirror pairs about one
-    # axis are always concyclic) and r, r', r'' would be collinear on it.
-    p = (-scale + jit(), jit())
-    q = (scale + jit(), jit())
-    r = (jit(), round(scale * math.sqrt(3)) + jit())
-    cx, cy = 0, round(scale / math.sqrt(3))
+        # Vertex jitter kills the exact symmetries a clean layout would carry
+        # up the nesting: p, q mirror the inner p', q' (two mirror pairs about
+        # one axis are always concyclic) and r, r', r'' would be collinear on it.
+        p = (-scale + jit(), jit())
+        q = (scale + jit(), jit())
+        r = (jit(), round(scale * math.sqrt(3)) + jit())
+        cx, cy = 0, round(scale / math.sqrt(3))
 
-    coords = [p, q, r]
+        block = [p, q, r]
 
-    def cluster(center: tuple[float, float], size: int) -> None:
-        for _ in range(size):
-            coords.append(
-                (round(center[0]) + rng.int_in(-crad, crad), round(center[1]) + rng.int_in(-crad, crad))
+        def cluster(center: tuple[float, float], size: int) -> None:
+            for _ in range(size):
+                block.append((round(center[0]) + jit(), round(center[1]) + jit()))
+
+        # Vertex clusters lie far beyond each vertex, outside the circumcircle
+        # by a wide margin, so the triangle's circumcircle encloses only the
+        # central region's points.
+        for v, size in ((p, g + 1), (q, g), (r, g)):
+            dx, dy = v[0] - cx, v[1] - cy
+            norm = math.hypot(dx, dy)
+            cluster((v[0] + far * dx / norm, v[1] + far * dy / norm), size)
+        # Edge clusters sit just beyond their edge, still outside the
+        # circumcircle but inside the circle on the edge as diameter: that is
+        # what places their bisector events between the central cluster's and
+        # the far vertex's, the order the claimed weight list needs.  (Pushing
+        # them 100x out like the vertex clusters would put their events first
+        # and flatten the dip.)
+        base = (0.0, -0.9 * scale)
+        for rot in range(3):
+            ang = rot * 2 * math.pi / 3
+            vx, vy = base[0] - cx, base[1] - cy
+            cluster(
+                (vx * math.cos(ang) - vy * math.sin(ang) + cx, vx * math.sin(ang) + vy * math.cos(ang) + cy),
+                g - 1,
             )
 
-    # Vertex clusters lie far beyond each vertex, outside the circumcircle by
-    # a wide margin, so the triangle's circumcircle encloses only the central
-    # region's points.
-    for v, size in ((p, g + 1), (q, g), (r, g)):
-        dx, dy = v[0] - cx, v[1] - cy
-        norm = math.hypot(dx, dy)
-        cluster((v[0] + far * dx / norm, v[1] + far * dy / norm), size)
-    # Edge clusters sit just beyond their edge, still outside the circumcircle
-    # but inside the circle on the edge as diameter: that is what places their
-    # bisector events between the central cluster's and the far vertex's, the
-    # order the claimed weight list needs.  (Pushing them 100x out like the
-    # vertex clusters would put their events first and flatten the dip.)
-    base = (0.0, -0.9 * scale)
-    for rot in range(3):
-        ang = rot * 2 * math.pi / 3
-        vx, vy = base[0] - cx, base[1] - cy
-        cluster(
-            (vx * math.cos(ang) - vy * math.sin(ang) + cx, vx * math.sin(ang) + vy * math.cos(ang) + cy),
-            g - 1,
-        )
-
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    if levels == 1:
-        cluster((cx, cy), g - 1)
-    else:
-        offset = len(coords)
-        for x, y in inner_coords:
-            coords.append((x + cx, y + cy))
-        for a, b in inner_pairs:
-            pairs.append((a + offset, b + offset))
-        # Halving pairs: each outer vertex with its inner counterpart.
-        for v in range(3):
-            pairs.append((v, v + offset))
-    return coords, pairs
+        if coords:
+            block.extend((x + cx, y + cy) for x, y in coords)
+        else:
+            cluster((cx, cy), g - 1)
+        coords = block
+    return coords
 
 
 def recursive_seven_region(group_size: int, levels: int) -> ConstructionOutput:
@@ -371,44 +370,50 @@ def recursive_seven_region(group_size: int, levels: int) -> ConstructionOutput:
     pairs: every level's triangle pairs, plus vertex-to-inner-vertex pairs
     across consecutive levels.  Claims: level-one (p, q) endpoint weights
     {3g, n-3g-2}, and for the innermost triangle pairs every weight value in
-    [g, 2g-3] repeated at least four times.
+    [g, 2g-3] repeated at least four times.  Each level multiplies the
+    coordinates by about 10^5, so from about 29 levels they leave the float
+    range and the generator raises ConstructionError before certifying.
     """
     g = group_size
     if g < 3:
         raise ValueError("group_size must be at least 3")
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    for attempt in range(64):
-        rng = Rng(501_000 + 7919 * g + 104729 * levels + attempt)
-        coords, pairs = _seven_region_block(g, levels, rng)
-        ps = PointSet.from_coords(coords)
-        if validate_general_position(ps):
-            continue
-        n = len(ps)
-        # Each level above the innermost adds its triangle and six clusters.
-        inner = (levels - 1) * (6 * g + 1)
-        claims = [
-            Claim(
-                "repeated-values",
-                {"pair": (a + inner, b + inner), "lo": g, "hi": 2 * g - 3, "times": 4},
-                f"innermost triangle pair ({a + inner}, {b + inner}): every weight in "
-                f"[{g}, {2 * g - 3}] repeats >= 4 times",
-            )
-            for a, b in ((0, 1), (0, 2), (1, 2))
-        ]
-        claims.append(
-            Claim(
-                "endpoint-weights",
-                {"pair": (0, 1), "a": 3 * g, "b": n - 3 * g - 2},
-                f"level-1 pair (0, 1) unbounded weights are {{{3 * g}, {n - 3 * g - 2}}}",
-            )
+    # Each level above the innermost adds its triangle and six clusters.
+    step = 6 * g + 1
+    inner = (levels - 1) * step
+    n = inner + 7 * g
+    pairs = [(b + x, b + y) for b in range(0, inner + 1, step) for x, y in ((0, 1), (0, 2), (1, 2))]
+    # Halving pairs: each outer vertex with its inner counterpart, deepest first.
+    pairs += [(b + v, b + v + step) for b in range(inner - step, -1, -step) for v in range(3)]
+    claims = [
+        Claim(
+            "repeated-values",
+            {"pair": (a + inner, b + inner), "lo": g, "hi": 2 * g - 3, "times": 4},
+            f"innermost triangle pair ({a + inner}, {b + inner}): every weight in "
+            f"[{g}, {2 * g - 3}] repeats >= 4 times",
         )
-        out = ConstructionOutput(ps, designated_pairs=pairs, claims=claims)
-        if not claim_failures(out):
-            return out
-    raise ConstructionError(
-        f"recursive_seven_region: no verified instance for g={g}, levels={levels}"
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    ]
+    claims.append(
+        Claim(
+            "endpoint-weights",
+            {"pair": (0, 1), "a": 3 * g, "b": n - 3 * g - 2},
+            f"level-1 pair (0, 1) unbounded weights are {{{3 * g}, {n - 3 * g - 2}}}",
+        )
     )
+    what = f"recursive_seven_region(g={g}, levels={levels})"
+
+    def candidates():
+        for attempt in range(64):
+            rng = Rng(501_000 + 7919 * g + 104729 * levels + attempt)
+            try:
+                coords = _seven_region_block(g, levels, rng)
+            except OverflowError:
+                raise ConstructionError(f"{what}: coordinates exceed the float range") from None
+            yield ConstructionOutput(PointSet.from_coords(coords), pairs, claims)
+
+    return _first_verified(what, candidates())
 
 
 def _circle3(a, b, c):
@@ -421,7 +426,7 @@ def _circle3(a, b, c):
     return (ux, uy), (a[0] - ux) ** 2 + (a[1] - uy) ** 2
 
 
-def _halving_layout(n: int, eps: float) -> tuple[list[tuple[float, float]], list[tuple[int, int]]]:
+def _halving_layout(n: int, eps: float) -> list[tuple[float, float]]:
     """Float realization of the rotating-lines halving construction.
 
     Lines l_1..l_n through the midpoint of p1 q1, equally rotated so l_n is
@@ -475,13 +480,7 @@ def _halving_layout(n: int, eps: float) -> tuple[list[tuple[float, float]], list
             raise ConstructionError(f"halving: p_{i} not above the base line")
         p[i] = (t_p * u[0], t_p * u[1])
 
-    coords: list[tuple[float, float]] = []
-    pairs: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        pairs.append((len(coords), len(coords) + 1))
-        coords.append(p[i])
-        coords.append(q[i])
-    return coords, pairs
+    return [pt for i in range(1, n + 1) for pt in (p[i], q[i])]
 
 
 def halving_line_construction(n: int) -> ConstructionOutput:
@@ -490,46 +489,38 @@ def halving_line_construction(n: int) -> ConstructionOutput:
     Attached claims, verified exactly after snapping: each designated pair
     splits the remaining 2n-2 points evenly, its unbounded weights are both
     n-1, and every weight along its bisector lies in {n-2, n-1, n}.
-    Successive attempts perturb the initial spacing parameter; the raw
-    layout contains one exactly-cocircular quadruple by construction, which
-    snapping almost always (and perturbed retries surely) break.
+    The candidates run over 64 initial spacing parameters, skipping any with
+    no float layout; the raw layout contains one exactly-cocircular
+    quadruple by construction, which snapping almost always (and perturbed
+    spacings surely) break.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    last = "no attempt"
-    for attempt in range(64):
-        eps = (1 + 0.003719 * attempt) / (n * n)
-        try:
-            coords, pairs = _halving_layout(n, eps)
-        except ConstructionError as exc:
-            last = str(exc)
-            continue
-        ps = snap_to_rational(coords, 10**12)
-        if validate_general_position(ps):
-            last = "general-position violations after snapping"
-            continue
-        claims = []
-        for a, b in pairs:
-            claims.append(
-                Claim("halving-pair", {"pair": (a, b)}, f"pair ({a}, {b}) is a halving pair")
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    claims = []
+    for a, b in pairs:
+        claims.append(Claim("halving-pair", {"pair": (a, b)}, f"pair ({a}, {b}) is a halving pair"))
+        claims.append(
+            Claim(
+                "endpoint-weights",
+                {"pair": (a, b), "a": n - 1, "b": n - 1},
+                f"pair ({a}, {b}) unbounded weights are both {n - 1}",
             )
-            claims.append(
-                Claim(
-                    "endpoint-weights",
-                    {"pair": (a, b), "a": n - 1, "b": n - 1},
-                    f"pair ({a}, {b}) unbounded weights are both {n - 1}",
-                )
+        )
+        claims.append(
+            Claim(
+                "weights-within",
+                {"pair": (a, b), "lo": n - 2, "hi": n},
+                f"pair ({a}, {b}) weights lie in [{n - 2}, {n}]",
             )
-            claims.append(
-                Claim(
-                    "weights-within",
-                    {"pair": (a, b), "lo": n - 2, "hi": n},
-                    f"pair ({a}, {b}) weights lie in [{n - 2}, {n}]",
-                )
-            )
-        out = ConstructionOutput(ps, designated_pairs=pairs, claims=claims)
-        failures = claim_failures(out)
-        if not failures:
-            return out
-        last = "; ".join(failures)
-    raise ConstructionError(f"halving_line_construction(n={n}): {last}")
+        )
+
+    def candidates():
+        for attempt in range(64):
+            try:
+                coords = _halving_layout(n, (1 + 0.003719 * attempt) / (n * n))
+            except ConstructionError:
+                continue  # no float layout at this spacing; the next one may have one
+            yield ConstructionOutput(snap_to_rational(coords, 10**12), pairs, claims)
+
+    return _first_verified(f"halving_line_construction(n={n})", candidates())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from circledepth import constructions
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 
@@ -49,6 +51,27 @@ def test_generate_failure_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["generate", "random", "--n", "10", "--range", "50", "-o", str(tmp_path / "x")], capsys)
     assert code == 2
     assert "generator failed" in err
+
+
+@pytest.mark.parametrize("levels", ["29", "2000"])
+def test_generate_seven_region_beyond_float_range_fails_cleanly(capsys, levels):
+    code, stdout, err = run_cli(["generate", "seven-region", "--group-size", "3", "--levels", levels], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: generator failed: recursive_seven_region(g=3, levels={levels}): "
+        "coordinates exceed the float range\n"
+    )
+
+
+def test_generate_exhausted_search_fails_cleanly(monkeypatch, capsys):
+    # Every candidate layout puts the four points on one line.
+    monkeypatch.setattr(constructions, "_two_colored_layout", lambda n, *rest: [(i, 0) for i in range(2 * n)])
+    code, stdout, err = run_cli(["generate", "two-colored-convex", "--n", "2"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: generator failed: two_colored_convex(n=2): none of 112 candidates verified; "
+        "the last failed with collinear(0, 1, 2) (4 in all)\n"
+    )
 
 
 def test_analyze_matches_golden(capsys):
@@ -337,6 +360,62 @@ def test_generate_is_reproducible_against_committed_file(tmp_path, capsys):
     code, _, _ = run_cli(["generate", "random", "--n", "8", "--seed", "5", "-o", str(out)], capsys)
     assert code == 0
     assert out.read_text() == (DATA / "random8.txt").read_text()
+
+
+# sha256 of the point file and of the "claim verified" lines (each ending in a
+# newline) that `generate` writes; convex has no claims, so its second digest
+# is that of the empty string.
+GENERATED = {
+    ("two-colored-convex", "--n", "3"): (
+        "9794c10674da8970f972f1e143e5dc970c056bc6ed289358e3b454dc82d8133c",
+        "f00ea654b4f2a4f783ac658c51946f6a8863590c5b5d7b23a94412c2d51d327b",
+    ),
+    ("two-colored-convex", "--n", "5"): (
+        "12896793c1c0a912cf838ea0c91a5127e946a3f8d42e906691d5aa2ed205ddee",
+        "8ad6e5752ce81cbd97c58b44b0763c0d150600d93c6fc3a56de9299c5ff3ef7c",
+    ),
+    ("two-colored-convex", "--n", "7"): (
+        "ce2bcfff5a8b45f271bc1d4d07b383601fa49e58e4bf9e91bde83d21ecb6397d",
+        "d28c5ecb9b8d95c423c3772cbe7e69b099580730762c554d89c17cc64a956151",
+    ),
+    ("halving", "--n", "3"): (
+        "d90ecdbef0f39cb978ec58453921f2d0bddb5cfeb7953bb8fe4b76be945ba7f1",
+        "35e903ea57c272eab63dad1ba7a08c3e6a2448e30f72ceb9d865fd6ca68f067b",
+    ),
+    ("halving", "--n", "5"): (
+        "35f6cb1d5bf8a855e26f709759febfde5a50443d429187f5f82b020e08a19b17",
+        "cff0fb53bef40775ce0c0e6fdd7b581ae79950ee5bb03fc0a7b7e20cc5a775e0",
+    ),
+    ("seven-region", "--group-size", "3", "--levels", "1"): (
+        "47c38f922fc00e13547aee3cca1be72ec7e5eb63f48fb36d8b658a8113887574",
+        "533fb754adfa7fe1d333cd9e1fe41e0b969d9838034bfa2736e82f3bca616e8f",
+    ),
+    ("seven-region", "--group-size", "4", "--levels", "2"): (
+        "5492fce405aa453f2ebeb3a9b33653c649eee037e787a7751b008d2138f38ddf",
+        "3411d5182caec27ffe97fce76db223b6f0fd6e562b7b924e61ed393f4ec29bc2",
+    ),
+    # Three levels: the cross-level halving pairs are listed deepest first.
+    ("seven-region", "--group-size", "3", "--levels", "3"): (
+        "7d9a0d09a8a445e11a815822ee6583e2d34c8b2bc4fe91de33bd5f2a7078f591",
+        "3d5ce89fa67778225bd5e54617f1948fad09b4db289b2cb194255b39733077e5",
+    ),
+    ("convex", "--n", "9", "--seed", "4"): (
+        "5a19d77290b36607d7c5395f9697b3cdf54cdef49e5e930392ff04a92b949699",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GENERATED), ids=" ".join)
+def test_generate_bytes_are_pinned(argv, tmp_path, capsys):
+    out = tmp_path / "points.txt"
+    code, stdout, _ = run_cli(["generate", *argv, "-o", str(out)], capsys)
+    assert code == 0
+    claims = "".join(
+        line + "\n" for line in stdout.splitlines() if line.startswith("claim verified: ")
+    )
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), claims.encode()))
+    assert digests == GENERATED[argv]
 
 
 def test_console_entry_point():

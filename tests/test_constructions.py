@@ -2,14 +2,18 @@ import pytest
 
 from circledepth import (
     Color,
+    PointSet,
     convex_hull,
     maximin_pair,
     repeated_weight_stats,
     weight_sequence,
 )
 from circledepth.constructions import (
+    Claim,
     ConstructionError,
+    ConstructionOutput,
     Rng,
+    _first_verified,
     claim_failures,
     halving_line_construction,
     random_convex,
@@ -179,11 +183,44 @@ def test_halving_construction_deterministic():
 
 def test_claim_failures_detects_violations():
     out = halving_line_construction(3)
-    from circledepth.constructions import Claim
-
     out.claims.append(
         Claim("weights-within", {"pair": (0, 1), "lo": 5, "hi": 5, }, "bogus claim")
     )
     assert claim_failures(out)
     out.claims[-1] = Claim("no-such-kind", {}, "unknown")
     assert claim_failures(out)
+
+
+def test_search_reports_failed_certification():
+    # 40 points on one line: C(40, 3) collinear triples, one of them named.
+    line = [ConstructionOutput(PointSet.from_coords([(i, 2 * i) for i in range(40)])) for _ in range(3)]
+    with pytest.raises(ConstructionError) as info:
+        _first_verified("line(n=40)", line)
+    assert str(info.value) == (
+        "line(n=40): none of 3 candidates verified; "
+        "the last failed with collinear(0, 1, 2) (9880 in all)"
+    )
+
+
+def test_search_reports_failed_claim():
+    claims = [
+        Claim("weights-within", {"pair": (a, b), "lo": 99, "hi": 99}, f"bogus ({a}, {b})")
+        for a in range(12)
+        for b in range(a + 1, 12)
+    ]
+    candidates = [
+        ConstructionOutput(random_general_position(12, s, 10**6), claims=claims)
+        for s in (1, 2)
+    ]
+    with pytest.raises(ConstructionError) as info:
+        _first_verified("bogus(n=12)", candidates)
+    message = str(info.value)
+    assert message.startswith("bogus(n=12): none of 2 candidates verified; the last failed with bogus (0, 1): range [")
+    assert message.endswith("] (66 in all)")
+    assert len(message) < 120
+
+
+def test_search_reports_empty_candidate_list():
+    with pytest.raises(ConstructionError, match=r"^empty\(n=0\): no candidate to try$"):
+        _first_verified("empty(n=0)", iter(()))
+
