@@ -15,7 +15,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .geom import validate_general_position
+from .geom import DegenerateInputError, validate_general_position
 from .pointfile import PointFileError, parse_point_file, serialize_point_file
 from .checks import CHECKS, run_checks
 from .constructions import (
@@ -48,8 +48,8 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_certified(path: str):
-    """Parse and certify a point file; raises SystemExit with the right code."""
+def _load(path: str):
+    """Parse a point file; raises SystemExit with the right code."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -60,7 +60,12 @@ def _load_certified(path: str):
     except (UnicodeDecodeError, PointFileError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    violations = validate_general_position(pf.points)
+    return pf, input_digest(data)
+
+
+def _certify(ps) -> None:
+    """Certify ``ps``; on violations list them and raise SystemExit(3)."""
+    violations = validate_general_position(ps)
     if violations:
         for v in violations[:VIOLATIONS_SHOWN]:
             print(f"general-position violation: {v}", file=sys.stderr)
@@ -71,7 +76,6 @@ def _load_certified(path: str):
                 file=sys.stderr,
             )
         raise SystemExit(EXIT_DEGENERATE)
-    return pf, input_digest(data)
 
 
 # Generator per `generate` kind, in the parser's order.  Each entry looks its
@@ -107,14 +111,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pf, digest = _load_certified(args.input)
-    report = analysis_report(pf.points, digest, jobs=args.jobs)
+    # The sweep certifies the set as it folds; only a set it finds
+    # degenerate pays for the certifier, which lists every violation.
+    pf, digest = _load(args.input)
+    try:
+        report = analysis_report(pf.points, digest, jobs=args.jobs)
+    except DegenerateInputError:
+        _certify(pf.points)
+        raise
     _write_output(render_json(report), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    pf, digest = _load_certified(args.input)
+    pf, digest = _load(args.input)
+    _certify(pf.points)
     names = None  # run_checks picks the checks that apply to the set
     if args.checks != "all":
         names = [name.strip() for name in args.checks.split(",") if name.strip()]
@@ -129,7 +140,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    pf, _ = _load_certified(args.input)
+    pf, _ = _load(args.input)
+    _certify(pf.points)
     what = args.what
     if what[0] == "points":
         draw = partial(svg.render_points, pf.points)

@@ -1,10 +1,12 @@
 """Point-set generators: random instances and three extremal constructions.
 
 Every generator is one search, ``_first_verified``, over a fixed and finite
-list of candidate sets built lazily in a fixed order: it certifies each
-candidate's general position, then re-verifies the candidate's claims with
-the depth engine, and returns the first that passes both.  Candidates are
-realized approximately (floats where the ideal angles are irrational) and
+list of candidate sets built lazily in a fixed order.  It checks each
+candidate's claims on the candidate's lent integer grid, up to the first
+failure (a degenerate pair fails too); only a candidate whose claims hold is
+certified in general position and then has every claim re-verified with the
+depth engine, and the first that passes all three is returned.  Candidates
+are realized approximately (floats where the ideal angles are irrational) and
 snapped to integers or rationals; only the list says how a generator varies
 its layout.  The budgets are 200 samples for the two random generators,
 7 slant patterns x 2 magnitudes x 8 jitter seeds for two_colored_convex, and
@@ -18,15 +20,17 @@ count of the others.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .geom import (
     Color,
+    DegenerateInputError,
     PointSet,
     convex_hull,
     snap_to_rational,
     validate_general_position,
+    _lent_grid,
     _orient_int,
 )
 from .depth import weight_sequence
@@ -96,10 +100,14 @@ class ConstructionOutput:
 
 def claim_failures(out: ConstructionOutput) -> list[str]:
     """Re-verify every claim; returns human-readable failure descriptions."""
+    return list(_failing_claims(out))
+
+
+def _failing_claims(out: ConstructionOutput) -> Iterator[str]:
+    """The failure descriptions of ``out``'s claims, lazily, in claim order."""
     ps = out.points
     ints = ps.require_certified()
     n = len(ps)
-    failures: list[str] = []
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def weights(pair) -> tuple[int, ...]:
@@ -115,49 +123,68 @@ def claim_failures(out: ConstructionOutput) -> list[str]:
             others = (ints[x] for x in range(n) if x != p and x != q)
             left = sum(_orient_int(ints[p], ints[q], x) > 0 for x in others)
             if 2 * left != n - 2:
-                failures.append(f"{claim.description}: sides {left}/{n - 2 - left}")
+                yield f"{claim.description}: sides {left}/{n - 2 - left}"
         elif kind == "weights-within":
             w = weights(params["pair"])
             if not all(params["lo"] <= v <= params["hi"] for v in w):
-                failures.append(f"{claim.description}: range [{min(w)}, {max(w)}]")
+                yield f"{claim.description}: range [{min(w)}, {max(w)}]"
         elif kind == "endpoint-weights":
             w = weights(params["pair"])
             if {w[0], w[-1]} != {params["a"], params["b"]}:
-                failures.append(f"{claim.description}: ends {{{w[0]}, {w[-1]}}}")
+                yield f"{claim.description}: ends {{{w[0]}, {w[-1]}}}"
         elif kind == "repeated-values":
             w = weights(params["pair"])
             for value in range(params["lo"], params["hi"] + 1):
                 mult = w.count(value)
                 if mult < params["times"]:
-                    failures.append(f"{claim.description}: value {value} occurs {mult}x")
+                    yield f"{claim.description}: value {value} occurs {mult}x"
                     break
         elif kind == "pair-min-below":
             w = weights(params["pair"])
             if min(w) > params["bound"]:
-                failures.append(f"{claim.description}: min weight {min(w)}")
+                yield f"{claim.description}: min weight {min(w)}"
         elif kind == "convex-position":
             if len(convex_hull([cp.point for cp in ps.points])) != n:
-                failures.append(f"{claim.description}: hull misses points")
+                yield f"{claim.description}: hull misses points"
         else:
-            failures.append(f"unknown claim kind {kind!r}")
-    return failures
+            yield f"unknown claim kind {kind!r}"
+
+
+def _claims_hold(out: ConstructionOutput) -> bool:
+    """Whether every claim holds on the candidate's lent grid.
+
+    Stops at the first failure.  A duplicate point or a degenerate swept
+    pair counts as one: the set could not be certified.
+    """
+    try:
+        with _lent_grid(out.points):
+            return next(_failing_claims(out), None) is None
+    except DegenerateInputError:
+        return False
 
 
 def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> ConstructionOutput:
     """The first candidate in general position whose claims all verify.
 
-    ``what`` names the generator in the ConstructionError raised when no
-    candidate passes; the error keeps only the last candidate's first
-    failure and counts the rest, so its length does not grow with the set.
+    Each candidate's claims are checked first, on its lent grid and up to
+    the first failure, so a rejected candidate costs only the sweeps that
+    failure needed.  Only a candidate that passes is certified and then has every claim
+    re-verified on the certified set, so what is returned has passed the
+    same checks as if every candidate had been certified.  ``what`` names the
+    generator in the ConstructionError raised when no candidate passes; the
+    error reports the last candidate's first failure (certification's, or
+    else the claims') and counts the rest, so its length does not grow with
+    the set.
     """
-    tried, failures = 0, []
-    for out in candidates:
-        tried += 1
-        failures = validate_general_position(out.points) or claim_failures(out)
-        if not failures:
-            return out
-    if not tried:
+    tried, last = 0, None
+    for tried, last in enumerate(candidates, 1):
+        if not _claims_hold(last):
+            continue
+        if not (validate_general_position(last.points) or claim_failures(last)):
+            return last
+    if last is None:
         raise ConstructionError(f"{what}: no candidate to try")
+    failures = validate_general_position(last.points) or claim_failures(last)
     raise ConstructionError(
         f"{what}: none of {tried} candidates verified; "
         f"the last failed with {failures[0]} ({len(failures)} in all)"

@@ -20,8 +20,9 @@ otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
 
 Every kernel here decides its signs on integers: the set's common integer
-grid, which :func:`~circledepth.geom.validate_general_position` stores on
-the set when it certifies it and :meth:`PointSet.require_certified` returns.
+grid, which :func:`~circledepth.geom.validate_general_position` (or a clean
+:func:`sweep_totals`) stores on the set when it certifies it and
+:meth:`PointSet.require_certified` returns.
 
 :func:`sweep_totals` folds every pair's sequence into the tables of an
 analysis without keeping a profile; the table functions below it
@@ -34,7 +35,8 @@ over :func:`bichromatic_pairs`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
@@ -48,6 +50,7 @@ from .geom import (
     PointSet,
     Scalar,
     _bisector_order,
+    _lent_grid,
     _orient_int,
 )
 
@@ -159,12 +162,14 @@ class RepeatStats:
 def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    The sweep sorts on the integer grid that certification stored on ``ps``
-    (:attr:`PointSet.grid`).  Before the first event every point whose side
-    is s < s_x is enclosed, and each event adds or removes its point.  This
-    is where the sweep asserts that a certified set does not degenerate: a
-    point collinear with p and q, or two tied events, raise
-    :class:`DegenerateInputError` naming the points.
+    The sweep sorts on the integer grid stored on ``ps``
+    (:attr:`PointSet.grid`), by certification or lent for a sweep.  Before
+    the first event every point whose side is s < s_x is enclosed, and each
+    event adds or removes its point.  This is where the sweep asserts that
+    the set does not degenerate on the pair: a point collinear with p and q,
+    or two tied events, raise :class:`DegenerateInputError` naming the
+    points.  So a clean sweep of every pair over all other points, after a
+    duplicate check, certifies a set (see :func:`sweep_totals`).
     """
     ints = ps.require_certified()
     if p == q:
@@ -173,14 +178,10 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
         ints, p, q, (x for x in range(len(ints)) if x != p and x != q)
     )
     if collinear:
-        raise DegenerateInputError(
-            "collinear triple encountered on a certified set", (p, q, collinear[0])
-        )
+        raise DegenerateInputError("collinear triple on a swept pair", (p, q, collinear[0]))
     for a, b in zip(order, order[1:]):
         if a[0] == b[0]:
-            raise DegenerateInputError(
-                "cocircular quadruple encountered on a certified set", (p, q, a[3], b[3])
-            )
+            raise DegenerateInputError("cocircular quadruple on a swept pair", (p, q, a[3], b[3]))
     weight = sum(1 for e in order if not e[4])
     weights = [weight]
     for e in order:
@@ -255,7 +256,10 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
 
     ``jobs <= 1`` runs one chunk in this process.  Otherwise the pairs are
     cut into about four chunks per worker and mapped over a process pool of
-    at most ``jobs`` workers (see :func:`_workers`).
+    at most ``jobs`` workers (see :func:`_workers`).  The first chunk to
+    raise ends the map: the chunks no worker has taken yet are cancelled,
+    the running ones finish, and its error propagates, so a degenerate pair
+    stops a pool about as early as it stops one process.
     """
     workers = _workers(jobs, len(pairs))
     if workers == 1:
@@ -263,7 +267,14 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     size = -(-len(pairs) // (4 * workers))
     chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, chunks))
+        futures = [pool.submit(task, chunk) for chunk in chunks]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [future.result() for future in futures]
 
 
 def all_profiles(
@@ -546,10 +557,21 @@ def sweep_totals(ps: PointSet, jobs: int = 1) -> SweepTotals:
     O(n^3 log n) time and O(n) memory per worker: no profile is kept.  With
     ``jobs > 1`` workers fold chunks of pairs and their accumulators are
     merged, so the result is the same for any jobs value.
+
+    On a set not yet certified the fold certifies it: after a duplicate
+    check the set is lent its grid (:func:`~circledepth.geom._lent_grid`),
+    and every pair i < j is swept over all other points, so a collinear
+    triple is a zero cross on its smallest pair and a cocircular quadruple a
+    tie on its smallest pair.  The first degeneracy raises
+    :class:`DegenerateInputError` (from a worker too) and leaves the set
+    uncertified; :func:`~circledepth.geom.validate_general_position` lists
+    every violation.  A clean fold stores the grid on the set, the same grid
+    that function would store.
     """
-    ps.require_certified()
     n = len(ps)
     total = _Fold(n)
-    for part in _map_chunks(partial(_fold_chunk, ps), all_pairs(n), jobs):
-        total.merge(part)
+    with nullcontext(ps.grid) if ps.gp_certified else _lent_grid(ps) as grid:
+        for part in _map_chunks(partial(_fold_chunk, ps), all_pairs(n), jobs):
+            total.merge(part)
+    ps.grid = grid  # every pair swept clean: the set is in general position
     return total.totals()

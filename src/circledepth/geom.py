@@ -9,12 +9,13 @@ plain Python integers, which keeps the common all-integer case fast.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 
@@ -70,12 +71,14 @@ class PointSet:
 
     ``grid`` is the common integer grid (coordinates scaled by one lcm of
     their denominators) on which every exact kernel decides signs, read
-    through :meth:`require_certified`.  Only :func:`validate_general_position`
-    sets it, on a set in general position, and a violation clears it: one
-    collinear triple or cocircular quadruple breaks the strict-sign reasoning
-    of the depth machinery.  The grid is a snapshot taken by certification,
-    so a set whose ``points`` change must be certified again.  Indices are
-    stable: operations name points by position in ``points``.
+    through :meth:`require_certified`.  It is set only on a set in general
+    position, by :func:`validate_general_position` or by a sweep of every
+    pair that met no degeneracy (:func:`circledepth.depth.sweep_totals`), and
+    a violation clears it: one collinear triple or cocircular quadruple
+    breaks the strict-sign reasoning of the depth machinery.  The grid is a
+    snapshot taken by certification, so a set whose ``points`` change must
+    be certified again.  Indices are stable: operations name points by
+    position in ``points``.
     """
 
     points: list[ColoredPoint] = field(default_factory=list)
@@ -129,6 +132,45 @@ def _int_coords(points: Sequence[Point]) -> list[tuple[int, int]]:
         (p.x.numerator * (lcm // p.x.denominator), p.y.numerator * (lcm // p.y.denominator))
         for p in points
     ]
+
+
+def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Index pairs i < j with pts[i] == pts[j], in lexicographic order.
+
+    One stable sort groups equal points, so each group's indices increase.
+    """
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    pairs: list[tuple[int, int]] = []
+    for _, group in groupby(order, key=pts.__getitem__):
+        # A list, not the group iterator: combinations() would copy an
+        # iterator into a tuple it then shrinks, and CPython keeps up to 2000
+        # such tuples on its free list of 1-tuples after they are freed.
+        pairs.extend(combinations([*group], 2))
+    pairs.sort()
+    return pairs
+
+
+@contextmanager
+def _lent_grid(ps: PointSet) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Lend an uncertified ``ps`` its integer grid for the length of a sweep.
+
+    Raises :class:`DegenerateInputError` naming the first two coincident
+    points, if any; otherwise stores the grid as ``ps.grid`` and yields it.
+    The lend is safe because :func:`circledepth.depth.weight_sequence`
+    raises on every collinear point or tie of the pair it sweeps.  The grid
+    is cleared when the block exits, whether or not it raised, so a lend is
+    never left behind as a certification: only a caller that swept every
+    pair clean may store the yielded grid on the set.
+    """
+    pts = _int_coords([cp.point for cp in ps.points])
+    duplicates = _duplicate_pairs(pts)
+    if duplicates:
+        raise DegenerateInputError("duplicate points", duplicates[0])
+    ps.grid = tuple(pts)
+    try:
+        yield ps.grid
+    finally:
+        ps.grid = None
 
 
 def _sign(value: int) -> int:
@@ -194,7 +236,9 @@ def _bisector_order(
     ux, uy = qx - px, qy - py
     # Two passes, with no per-point tuple held between them: the first finds
     # the largest den (hence the shift), the second builds each point's key.
-    others = list(others)
+    # A display, not list(): it draws its list object from CPython's free
+    # list, so a sweep's traced memory does not depend on that list's state.
+    others = [*others]
     crosses = []
     for x in others:
         xx, xy = ints[x]
@@ -280,22 +324,23 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     construction generators) repair the named tuples.  Quadruples containing
     a collinear triple are skipped; the triple itself is already reported.
 
-    After the duplicates, one exact sort per pair i < j decides the rest in
-    O(n^3 log n): :func:`_bisector_order` over the later points x > j
-    returns those collinear with (i, j) apart, and a quadruple
-    i < j < k < m with no collinear triple is cocircular exactly when the
-    circumcenters of (i, j, k) and (i, j, m) coincide, i.e. when k and m tie
-    in that order.  Four points on one circle never include three on a line,
-    so leaving the collinear points out of the ties loses no quadruple.
+    The duplicates come from one sort of the points.  After them, one exact
+    sort per pair i < j decides the rest in O(n^3 log n):
+    :func:`_bisector_order` over the later points x > j returns those
+    collinear with (i, j) apart, and a quadruple i < j < k < m with no
+    collinear triple is cocircular exactly when the circumcenters of
+    (i, j, k) and (i, j, m) coincide, i.e. when k and m tie in that order.
+    Four points on one circle never include three on a line, so leaving the
+    collinear points out of the ties loses no quadruple.  The same argument
+    lets a sweep of every pair over all other points certify a set (see
+    :func:`_lent_grid`); this function stays the one that lists violations.
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
     pts = _int_coords([cp.point for cp in ps.points])
     n = len(pts)
     ps.grid = None
-    duplicates = [
-        Violation("duplicate", (i, j)) for i, j in combinations(range(n), 2) if pts[i] == pts[j]
-    ]
+    duplicates = [Violation("duplicate", pair) for pair in _duplicate_pairs(pts)]
     if duplicates:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.

@@ -59,10 +59,11 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     """Full depth analysis: extremal pairs and every count table.
 
     Everything comes from one fold over the pairs' weight sequences
-    (:func:`circledepth.depth.sweep_totals`); ``verify`` recounts the tables
+    (:func:`circledepth.depth.sweep_totals`), which certifies a set not yet
+    certified and raises :class:`~circledepth.geom.DegenerateInputError` on
+    one out of general position; ``verify`` recounts the tables
     independently.
     """
-    ps.require_certified()
     n = len(ps)
     totals = sweep_totals(ps, jobs=jobs)
     report = _header(ps, digest)

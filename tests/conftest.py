@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from circledepth import (
@@ -47,8 +49,17 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        # Runs the call now and hands back its outcome as a finished future.
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 def random_corpus(count: int, sizes, seed0: int = 1000, coord_range: int = 10**6):

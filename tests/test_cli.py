@@ -132,6 +132,31 @@ def test_general_position_violations_on_stderr_are_capped(tmp_path, capsys):
     assert len(lines) <= 21
     assert lines[0] == "general-position violation: collinear(0, 1, 2)"
     assert "6528 general-position violations in total" in lines[-1]
+    # Under --jobs 2 the sweep meets the first degenerate pair in a worker;
+    # the certifier then lists the same violations.
+    assert run_cli(["analyze", str(grid), "--jobs", "2"], capsys) == (3, "", err)
+
+
+DEGENERATE = {
+    "grid": "".join(f"{x} {y}\n" for x in range(4) for y in range(4)),
+    # Lattice points of x^2 + y^2 = 25 with two points off the circle.
+    "concyclic": "3 4\n4 -3\n-5 0\n0 5\n-3 -4\n4 3\n17 3\n-11 29\n0 -5\n",
+    "duplicate-pair": "0 0\n0 0\n",
+    "duplicates": "1/2 3\n7 1\n0.5 3\n9 -4\n7 1\n2 8\n",
+    "rationals": "1/2 0\n0 1/3\n1 2/3\n3/2 4/3\n-1/6 5\n2 1/7\n",
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_analyze_reports_the_violations_verify_reports(name, tmp_path, capsys):
+    # verify certifies before any work; analyze certifies in its sweep and
+    # names the violations only once the sweep has met one.
+    path = tmp_path / f"{name}.txt"
+    path.write_text(DEGENERATE[name])
+    code, _, expected = run_cli(["verify", str(path)], capsys)
+    assert code == 3 and expected.startswith("general-position violation: ")
+    for jobs in ("1", "2"):
+        assert run_cli(["analyze", str(path), "--jobs", jobs], capsys) == (3, "", expected)
 
 
 def test_analyze_parse_error_exit(tmp_path, capsys):
@@ -378,6 +403,15 @@ GENERATED = {
         "ce2bcfff5a8b45f271bc1d4d07b383601fa49e58e4bf9e91bde83d21ecb6397d",
         "d28c5ecb9b8d95c423c3772cbe7e69b099580730762c554d89c17cc64a956151",
     ),
+    # The benchmark's size, and the largest size that succeeds below 17.
+    ("two-colored-convex", "--n", "12"): (
+        "9099314a033e126128c9c710ef84426661f950e794b0d3c8e6af384d3f9847fd",
+        "616e766cfe25aa400838ccf105199601da80704231317137b9e894cd50f9aed1",
+    ),
+    ("two-colored-convex", "--n", "16"): (
+        "4eafa79f91b503eed328034e451642d6fc8327fa27a4923c6b9d815c17dddbe8",
+        "9d7fb3b2a2a23e8c41e45564302e427f5d48120dc99b39999647a88227b29fae",
+    ),
     ("halving", "--n", "3"): (
         "d90ecdbef0f39cb978ec58453921f2d0bddb5cfeb7953bb8fe4b76be945ba7f1",
         "35e903ea57c272eab63dad1ba7a08c3e6a2448e30f72ceb9d865fd6ca68f067b",
@@ -385,6 +419,10 @@ GENERATED = {
     ("halving", "--n", "5"): (
         "35f6cb1d5bf8a855e26f709759febfde5a50443d429187f5f82b020e08a19b17",
         "cff0fb53bef40775ce0c0e6fdd7b581ae79950ee5bb03fc0a7b7e20cc5a775e0",
+    ),
+    ("halving", "--n", "10"): (
+        "f44703d7720974e33c80b547162232134fbf2ad5719b838f3a12a95717a649d9",
+        "b76957fe0decb7ce22674d475f9345fb6c75da85e8ee0dcf9b36ed3b3a9bc15a",
     ),
     ("seven-region", "--group-size", "3", "--levels", "1"): (
         "47c38f922fc00e13547aee3cca1be72ec7e5eb63f48fb36d8b658a8113887574",

@@ -6,8 +6,10 @@ from circledepth import (
     convex_hull,
     maximin_pair,
     repeated_weight_stats,
+    validate_general_position,
     weight_sequence,
 )
+from circledepth import constructions
 from circledepth.constructions import (
     Claim,
     ConstructionError,
@@ -224,3 +226,41 @@ def test_search_reports_empty_candidate_list():
     with pytest.raises(ConstructionError, match=r"^empty\(n=0\): no candidate to try$"):
         _first_verified("empty(n=0)", iter(()))
 
+
+def test_search_certifies_only_a_candidate_whose_claims_hold(monkeypatch):
+    certified = []
+
+    def counting(ps):
+        certified.append(ps)
+        return validate_general_position(ps)
+
+    monkeypatch.setattr(constructions, "validate_general_position", counting)
+    always = Claim("weights-within", {"pair": (0, 1), "lo": 0, "hi": 99}, "pair (0, 1) anything")
+    # Pair (0, 1) sweeps clean, but 2, 3 and 4 lie on a line: only the
+    # certifier sees it.
+    off_the_pair = ConstructionOutput(
+        PointSet.from_coords([(0, 0), (10, 1), (3, 7), (5, 8), (7, 9)]), claims=[always]
+    )
+    # Point 2 lies on the line of pair (0, 1): its sweep raises, a failure.
+    on_the_pair = ConstructionOutput(
+        PointSet.from_coords([(0, 0), (1, 0), (2, 0), (5, 8), (7, 9)]), claims=[always]
+    )
+    clean = ConstructionOutput(
+        PointSet.from_coords([(0, 0), (10, 1), (3, 7), (5, 9), (8, 4)]), claims=[always]
+    )
+    assert _first_verified("mixed(n=5)", [on_the_pair, off_the_pair, clean]) is clean
+    assert certified == [off_the_pair.points, clean.points]
+    assert on_the_pair.points.grid is None and off_the_pair.points.grid is None
+    assert clean.points.gp_certified
+
+
+def test_two_colored_convex_certifies_one_layout(monkeypatch):
+    # Every rejected layout fails a claim before certification.
+    calls = []
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: calls.append(ps) or validate_general_position(ps),
+    )
+    out = two_colored_convex(12)
+    assert calls == [out.points] and out.points.gp_certified

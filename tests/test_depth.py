@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -297,6 +299,69 @@ def test_jobs_fan_out_is_bounded(monkeypatch, n, jobs, workers):
     assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial_profiles
     assert sweep_totals(ps, jobs=jobs) == serial_totals
     assert InProcessPool.created == ([] if workers is None else [workers, workers])
+
+
+def _second_chunk_fails(marks, chunks, chunk):
+    # Module level, so a worker process can unpickle it.
+    if chunk == chunks[0]:
+        time.sleep(0.8)
+    elif chunk == chunks[1]:
+        raise ValueError("second chunk fails")
+    else:
+        time.sleep(0.4)
+        (marks / f"{chunk[0]}").touch()
+    return chunk
+
+
+def test_first_failed_chunk_stops_the_pool(monkeypatch, tmp_path):
+    # Two workers and eight chunks.  The second fails at once while the
+    # first still runs; the chunks no worker has taken by then never run.
+    # Waiting for the results in chunk order would see the failure only
+    # after the first chunk, when five of the other six have been taken.
+    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pairs = depth.all_pairs(12)
+    chunks = [pairs[i : i + 9] for i in range(0, len(pairs), 9)]
+    task = partial(_second_chunk_fails, tmp_path, chunks)
+    with pytest.raises(ValueError, match="second chunk fails"):
+        depth._map_chunks(task, pairs, 2)
+    assert len(list(tmp_path.iterdir())) <= 4
+
+
+# Points snapped to a rational grid or to the lattice points of two circles:
+# collinear triples, cocircular quadruples and duplicates are all common, and
+# so are sets in general position.
+grid_coord = st.tuples(
+    st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
+    st.integers(-3, 3).map(lambda k: Fraction(k, 3)),
+)
+circle_coord = st.sampled_from(
+    [
+        (Fraction(x, 5), Fraction(y, 5))
+        for x in range(-8, 9)
+        for y in range(-8, 9)
+        if x * x + y * y in (25, 65)
+    ]
+)
+snapped_coord = st.one_of(grid_coord, circle_coord)
+snapped_sets = st.one_of(
+    st.lists(snapped_coord, max_size=8),
+    st.lists(snapped_coord, max_size=8, unique=True),
+    st.lists(circle_coord, min_size=4, max_size=7, unique=True),
+)
+
+
+@given(snapped_sets, st.lists(st.sampled_from(Color), min_size=8, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_sweep_totals_certifies_exactly_when_the_certifier_does(coords, colors):
+    certified = PointSet.from_coords(coords, colors[: len(coords)])
+    swept = PointSet.from_coords(coords, colors[: len(coords)])
+    if validate_general_position(certified):
+        with pytest.raises(DegenerateInputError):
+            sweep_totals(swept)
+        assert swept.grid is None
+    else:
+        assert sweep_totals(swept) == sweep_totals(certified)
+        assert swept.grid == certified.grid
 
 
 integer_coord = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))

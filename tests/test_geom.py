@@ -19,7 +19,7 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
-from circledepth.geom import Violation, _bisector_order
+from circledepth.geom import Violation, _bisector_order, _lent_grid
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
@@ -137,6 +137,27 @@ def test_recertifying_after_appending_a_duplicate_clears_the_grid():
         ps.require_certified()
 
 
+def test_two_coincident_points_are_a_duplicate():
+    # Two points: no third point for the sweep to meet, so the sort must catch it.
+    ps = PointSet.from_coords([(0, 0), (0, 0)])
+    assert validate_general_position(ps) == [Violation("duplicate", (0, 1))]
+    with pytest.raises(DegenerateInputError) as info:
+        with _lent_grid(ps):
+            pass
+    assert info.value.indices == (0, 1) and ps.grid is None
+
+
+def test_lent_grid_is_cleared_whether_or_not_the_block_raises():
+    ps = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
+    with _lent_grid(ps) as grid:
+        assert grid == ps.require_certified() == ((3, 0), (0, 2), (6, 6))
+    assert ps.grid is None
+    with pytest.raises(DegenerateInputError):
+        with _lent_grid(ps):
+            raise DegenerateInputError("met in the sweep")
+    assert ps.grid is None and not ps.gp_certified
+
+
 def _scan_general_position(ps: PointSet) -> bool:
     # Independent O(n^4) route via rational circumcenters and distances,
     # sharing nothing with the determinant predicates.
@@ -173,15 +194,18 @@ circle_point = st.sampled_from(
 
 
 any_point = st.tuples(st.integers(0, 30), st.integers(0, 30))
+# A 4x3 grid with a rational row, so most draws repeat points, some many times.
+crowded_point = st.tuples(st.integers(0, 3), st.sampled_from([0, Fraction(1, 2), 1]))
 
 
 @given(
     st.one_of(
         st.lists(any_point, min_size=1, max_size=7),
         st.lists(st.one_of(grid_point, circle_point), min_size=4, max_size=9, unique=True),
+        st.lists(crowded_point, max_size=12),
     )
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_validate_matches_independent_scan(coords):
     ps = PointSet.from_coords(coords)
     violations = validate_general_position(ps)
