@@ -19,10 +19,15 @@ and x is enclosed exactly for parameters on its own side of s_x: the side is
 otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
 
-Every kernel here decides its signs on integers: the set's common integer
-grid, which :func:`~circledepth.geom.validate_general_position` (or a clean
-:func:`sweep_totals`) stores on the set when it certifies it and
-:meth:`PointSet.require_certified` returns.
+Every kernel here decides its signs on integers that
+:func:`~circledepth.geom.validate_general_position` (or a clean
+:func:`sweep_totals`) stores on the set when it certifies it.  The sweep
+(:func:`weight_sequence`) reads each point on its own denominators,
+``PointSet.local``, so a rational set costs about what an integer one does;
+the O(n^4) references (:func:`oracle_weights`, :func:`triple_counts`,
+:func:`j_edge_counts`) read the common integer grid that
+:meth:`PointSet.require_certified` returns, and so share no arithmetic with
+the sweep.
 
 :func:`sweep_totals` folds every pair's sequence into the tables of an
 analysis without keeping a profile; the table functions below it
@@ -35,7 +40,6 @@ over :func:`bichromatic_pairs`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,8 +166,9 @@ class RepeatStats:
 def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    The sweep sorts on the integer grid stored on ``ps``
-    (:attr:`PointSet.grid`), by certification or lent for a sweep.  Before
+    The sweep sorts on the integers stored on ``ps`` by certification or
+    lent for a sweep: the local form (:attr:`PointSet.local`), or the grid
+    when every point is integral.  Before
     the first event every point whose side is s < s_x is enclosed, and each
     event adds or removes its point.  This is where the sweep asserts that
     the set does not degenerate on the pair: a point collinear with p and q,
@@ -175,7 +180,7 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     if p == q:
         raise ValueError("pair indices must differ")
     order, collinear = _bisector_order(
-        ints, p, q, (x for x in range(len(ints)) if x != p and x != q)
+        ints, p, q, (x for x in range(len(ints)) if x != p and x != q), ps.local
     )
     if collinear:
         raise DegenerateInputError("collinear triple on a swept pair", (p, q, collinear[0]))
@@ -264,6 +269,10 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     workers = _workers(jobs, len(pairs))
     if workers == 1:
         return [task(pairs)]
+    # Imported here, not at module load: a run with one worker never pays
+    # for the pool machinery's imports.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     size = -(-len(pairs) // (4 * workers))
     chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -565,13 +574,15 @@ def sweep_totals(ps: PointSet, jobs: int = 1) -> SweepTotals:
     tie on its smallest pair.  The first degeneracy raises
     :class:`DegenerateInputError` (from a worker too) and leaves the set
     uncertified; :func:`~circledepth.geom.validate_general_position` lists
-    every violation.  A clean fold stores the grid on the set, the same grid
-    that function would store.
+    every violation.  A clean fold stores the grid and the local form on the
+    set, the same ones that function would store.
     """
     n = len(ps)
     total = _Fold(n)
     with nullcontext(ps.grid) if ps.gp_certified else _lent_grid(ps) as grid:
+        local = ps.local
         for part in _map_chunks(partial(_fold_chunk, ps), all_pairs(n), jobs):
             total.merge(part)
-    ps.grid = grid  # every pair swept clean: the set is in general position
+    # Every pair swept clean: the set is in general position.
+    ps.grid, ps.local = grid, local
     return total.totals()

@@ -70,19 +70,30 @@ class PointSet:
     """An indexed list of colored points, optionally certified in general position.
 
     ``grid`` is the common integer grid (coordinates scaled by one lcm of
-    their denominators) on which every exact kernel decides signs, read
-    through :meth:`require_certified`.  It is set only on a set in general
-    position, by :func:`validate_general_position` or by a sweep of every
-    pair that met no degeneracy (:func:`circledepth.depth.sweep_totals`), and
-    a violation clears it: one collinear triple or cocircular quadruple
-    breaks the strict-sign reasoning of the depth machinery.  The grid is a
-    snapshot taken by certification, so a set whose ``points`` change must
-    be certified again.  Indices are stable: operations name points by
-    position in ``points``.
+    their denominators), read through :meth:`require_certified`.  The O(n^4)
+    references decide their signs on it: ``depth.oracle_weights``,
+    ``depth.triple_counts``, ``depth.j_edge_counts``, the claims of
+    ``constructions.claim_failures`` and everything in ``brute``.
+    ``local`` is each point on its own denominators, homogeneous integers
+    (X, Y, D) with D the lcm of the point's two reduced denominators; the
+    bisector sweep and the certifier (:func:`_bisector_order`) read it, so a
+    pair's events cost what the pair's points need, not what the whole set
+    needs.  It is None when every D is 1: the grid is then the points
+    themselves, and the sweep reads the grid.
+
+    Both are set only on a set in general position, by
+    :func:`validate_general_position` or by a sweep of every pair that met
+    no degeneracy (:func:`circledepth.depth.sweep_totals`), and a violation
+    clears both: one collinear triple or cocircular quadruple breaks the
+    strict-sign reasoning of the depth machinery.  They are a snapshot taken
+    by certification, so a set whose ``points`` change must be certified
+    again.  Indices are stable: operations name points by position in
+    ``points``.
     """
 
     points: list[ColoredPoint] = field(default_factory=list)
     grid: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
+    local: tuple[tuple[int, int, int], ...] | None = field(default=None, repr=False)
 
     @staticmethod
     def from_coords(coords: Iterable[tuple], colors: Iterable[Color] | None = None) -> "PointSet":
@@ -123,15 +134,24 @@ class PointSet:
 def _int_coords(points: Sequence[Point]) -> list[tuple[int, int]]:
     # Scale all coordinates onto a common integer grid.  Sign predicates are
     # invariant under a common positive scaling, so this is exact.
+    return _grid_and_local(points)[0]
+
+
+def _grid_and_local(
+    points: Sequence[Point],
+) -> tuple[list[tuple[int, int]], tuple[tuple[int, int, int], ...] | None]:
+    """The common integer grid of ``points`` and their local form (see
+    :class:`PointSet`), which is None when every point is integral."""
+    local = []
     lcm = 1
     for p in points:
-        lcm = math.lcm(lcm, p.x.denominator, p.y.denominator)
+        d = math.lcm(p.x.denominator, p.y.denominator)
+        lcm = math.lcm(lcm, d)
+        x, y = p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator)
+        local.append((x, y, d))
     if lcm == 1:
-        return [(p.x.numerator, p.y.numerator) for p in points]
-    return [
-        (p.x.numerator * (lcm // p.x.denominator), p.y.numerator * (lcm // p.y.denominator))
-        for p in points
-    ]
+        return [(x, y) for x, y, _ in local], None
+    return [(x * (lcm // d), y * (lcm // d)) for x, y, d in local], tuple(local)
 
 
 def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -155,22 +175,23 @@ def _lent_grid(ps: PointSet) -> Iterator[tuple[tuple[int, int], ...]]:
     """Lend an uncertified ``ps`` its integer grid for the length of a sweep.
 
     Raises :class:`DegenerateInputError` naming the first two coincident
-    points, if any; otherwise stores the grid as ``ps.grid`` and yields it.
-    The lend is safe because :func:`circledepth.depth.weight_sequence`
-    raises on every collinear point or tie of the pair it sweeps.  The grid
-    is cleared when the block exits, whether or not it raised, so a lend is
-    never left behind as a certification: only a caller that swept every
-    pair clean may store the yielded grid on the set.
+    points, if any; otherwise stores the grid as ``ps.grid`` and the local
+    form as ``ps.local``, and yields the grid.  The lend is safe because
+    :func:`circledepth.depth.weight_sequence` raises on every collinear
+    point or tie of the pair it sweeps.  Both are cleared when the block
+    exits, whether or not it raised, so a lend is never left behind as a
+    certification: only a caller that swept every pair clean may store them
+    on the set again.
     """
-    pts = _int_coords([cp.point for cp in ps.points])
+    pts, local = _grid_and_local([cp.point for cp in ps.points])
     duplicates = _duplicate_pairs(pts)
     if duplicates:
         raise DegenerateInputError("duplicate points", duplicates[0])
-    ps.grid = tuple(pts)
+    ps.grid, ps.local = tuple(pts), local
     try:
         yield ps.grid
     finally:
-        ps.grid = None
+        ps.grid = ps.local = None
 
 
 def _sign(value: int) -> int:
@@ -211,7 +232,11 @@ BisectorParam = tuple[int, int, int, int, bool]
 
 
 def _bisector_order(
-    ints: Sequence[tuple[int, int]], p: int, q: int, others: Iterable[int]
+    ints: Sequence[tuple[int, int]],
+    p: int,
+    q: int,
+    others: Iterable[int],
+    local: Sequence[tuple[int, int, int]] | None = None,
 ) -> tuple[list[BisectorParam], list[int]]:
     """The points ``others`` in increasing order of their circumcenter with
     (p, q) along the pair's bisector, exactly and without fractions, and
@@ -222,8 +247,18 @@ def _bisector_order(
 
         s_x = dot(x - p, x - q) / (2 * cross(q - p, x - p)),
 
-    which is invariant under the common scaling of the integer grid.  With
-    every den below 2^B, two distinct values num/den differ by at least
+    which is invariant under scaling p, q and x together.  The sweep
+    (``depth.weight_sequence``) and :func:`validate_general_position` pass
+    the set's local form (see :class:`PointSet`), so num / den = 2 s_x is
+    taken on the points' own denominators: p and q are scaled once onto
+    L = lcm(Dp, Dq), and for each x, a = L X - Dx p' and b = L X - Dx q'
+    are L Dx (x - p) and L Dx (x - q), so num = a . b and
+    den = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
+    ``local`` is None (every point integral, or a hand-built grid) they are
+    taken on the integer grid ``ints``.  The O(n^4) references never come
+    here; they read the grid.
+
+    With every den below 2^B, two distinct values num/den differ by at least
     1/(den_a * den_b) > 2^-2B, so key = floor(num * 2^2B / den) is strictly
     increasing in s and equal exactly when s is: equal keys are points
     cocircular with p and q.  The sort is stable, so tied points keep the
@@ -231,30 +266,40 @@ def _bisector_order(
     no circumcenter exists: such points are returned as the second list, in
     the order of ``others``, and have no param.
     """
-    px, py = ints[p]
-    qx, qy = ints[q]
-    ux, uy = qx - px, qy - py
-    # Two passes, with no per-point tuple held between them: the first finds
-    # the largest den (hence the shift), the second builds each point's key.
     # A display, not list(): it draws its list object from CPython's free
     # list, so a sweep's traced memory does not depend on that list's state.
     others = [*others]
-    crosses = []
-    for x in others:
-        xx, xy = ints[x]
-        crosses.append(ux * (xy - py) - uy * (xx - px))
+    crosses, nums = [], []
+    if local is None:
+        px, py = ints[p]
+        qx, qy = ints[q]
+        ux, uy = qx - px, qy - py
+        for x in others:
+            xx, xy = ints[x]
+            crosses.append(ux * (xy - py) - uy * (xx - px))
+            nums.append((xx - px) * (xx - qx) + (xy - py) * (xy - qy))
+    else:
+        (px, py, dp), (qx, qy, dq) = local[p], local[q]
+        scale = math.lcm(dp, dq)
+        px, py = px * (scale // dp), py * (scale // dp)
+        qx, qy = qx * (scale // dq), qy * (scale // dq)
+        ux, uy = qx - px, qy - py
+        for x in others:
+            # a = L Dx (x - p), and a - Dx (q' - p') = L Dx (x - q).
+            xx, xy, dx = local[x]
+            ax, ay = xx * scale - px * dx, xy * scale - py * dx
+            crosses.append(dx * (ux * ay - uy * ax))
+            nums.append(ax * (ax - ux * dx) + ay * (ay - uy * dx))
     collinear = []
     if 0 in crosses:  # never on a certified set, so the filter costs nothing there
+        kept = [i for i, cross in enumerate(crosses) if cross]
         collinear = [x for x, cross in zip(others, crosses) if not cross]
-        others = [x for x, cross in zip(others, crosses) if cross]
-        crosses = [cross for cross in crosses if cross]
+        others, crosses, nums = ([seq[i] for i in kept] for seq in (others, crosses, nums))
     if not crosses:
         return [], collinear
     shift = 2 * max(map(abs, crosses)).bit_length()
     params = []
-    for x, cross in zip(others, crosses):
-        xx, xy = ints[x]
-        num = (xx - px) * (xx - qx) + (xy - py) * (xy - qy)
+    for x, cross, num in zip(others, crosses, nums):
         if cross > 0:
             params.append(((num << shift) // cross, num, cross, x, True))
         else:
@@ -319,10 +364,11 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     """List duplicates, collinear triples and cocircular quadruples.
 
     Returns an empty list exactly when the set is in general position, and
-    then stores the integer grid it decided on as ``ps.grid``; a violation
-    clears it.  Violations are data, not errors: callers (e.g. the
-    construction generators) repair the named tuples.  Quadruples containing
-    a collinear triple are skipped; the triple itself is already reported.
+    then stores the integer grid as ``ps.grid`` and the local form it
+    decided on as ``ps.local``; a violation clears both.  Violations are
+    data, not errors: callers (e.g. the construction generators) repair the
+    named tuples.  Quadruples containing a collinear triple are skipped; the
+    triple itself is already reported.
 
     The duplicates come from one sort of the points.  After them, one exact
     sort per pair i < j decides the rest in O(n^3 log n):
@@ -337,9 +383,9 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
-    pts = _int_coords([cp.point for cp in ps.points])
+    pts, local = _grid_and_local([cp.point for cp in ps.points])
     n = len(pts)
-    ps.grid = None
+    ps.grid = ps.local = None
     duplicates = [Violation("duplicate", pair) for pair in _duplicate_pairs(pts)]
     if duplicates:
         # Coincident points make every predicate on them meaningless; report
@@ -348,7 +394,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     collinear: list[Violation] = []
     cocircular: list[Violation] = []
     for i, j in combinations(range(n), 2):
-        order, on_line = _bisector_order(pts, i, j, range(j + 1, n))
+        order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
         collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
         tied: list[tuple[int, int]] = []
         for _, group in groupby(order, key=itemgetter(0)):
@@ -356,7 +402,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
         cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in sorted(tied))
     violations = collinear + cocircular
     if not violations:
-        ps.grid = tuple(pts)
+        ps.grid, ps.local = tuple(pts), local
     return violations
 
 

@@ -371,10 +371,11 @@ def test_criterion_11_bichromatic_stated_bound(corpus_colored):
 
 
 def test_criterion_12_determinism(tmp_path, capsys):
-    corpus = ["random8.txt", "colored3.txt", "halving3.txt"]
+    corpus = ["random8.txt", "colored3.txt", "halving3.txt", "rational12.txt"]
     goldens = {
         "random8.txt": ["random8.analysis.json", "random8.verify.json"],
         "colored3.txt": ["colored3.analysis.json"],
+        "rational12.txt": ["rational12.analysis.json"],
     }
     for name in corpus:
         src = DATA / name

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 
 import pytest
@@ -223,7 +224,7 @@ def test_oracle_match_fan_out_is_bounded(monkeypatch, jobs, workers):
     # Eight CPUs available: the oracle's pool gets min(jobs, CPUs, chunks)
     # workers, jobs <= 1 makes none, and every pair is sampled once through
     # the name the checks module holds.
-    monkeypatch.setattr(depth, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(InProcessPool, "created", [])
     ps = random_general_position(9, seed=13, coord_range=10**6)

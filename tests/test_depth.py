@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 from fractions import Fraction
 from functools import partial
@@ -25,7 +26,6 @@ from circledepth import (
     pair_depth,
     repeated_weight_stats,
     segment_weight_census,
-    sqdist,
     triple_counts,
     validate_general_position,
     weight_sequence,
@@ -289,7 +289,7 @@ def test_parallel_profiles_match_serial():
 def test_jobs_fan_out_is_bounded(monkeypatch, n, jobs, workers):
     # Eight CPUs available: the pool gets min(jobs, CPUs, chunks) workers,
     # and jobs <= 1 makes none.
-    monkeypatch.setattr(depth, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(InProcessPool, "created", [])
     ps = random_general_position(n, seed=13, coord_range=10**6)
@@ -358,10 +358,10 @@ def test_sweep_totals_certifies_exactly_when_the_certifier_does(coords, colors):
     if validate_general_position(certified):
         with pytest.raises(DegenerateInputError):
             sweep_totals(swept)
-        assert swept.grid is None
+        assert swept.grid is None and swept.local is None
     else:
         assert sweep_totals(swept) == sweep_totals(certified)
-        assert swept.grid == certified.grid
+        assert swept.grid == certified.grid and swept.local == certified.local
 
 
 integer_coord = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -436,22 +436,30 @@ def test_outputs_are_covariant_under_a_permutation(ps, data):
 
 def fraction_oracle(ps, p, q):
     """The sampling oracle in Fraction arithmetic: circumcenters projected on
-    the bisector, one sample per segment, squared distances compared."""
+    the bisector, one sample per segment, each point decided by a linear form.
+
+    The circle about c through p encloses x iff |c - x|^2 < |c - p|^2, that
+    is 2c . (p - x) < |p|^2 - |x|^2.  With c = mid + s * d this is
+    s * slope < bound, whose two constants are taken once per point.
+    """
     pp, qp = ps.point(p), ps.point(q)
     mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
     dx, dy = -(qp.y - pp.y), qp.x - pp.x
     others = [ps.point(x) for x in range(len(ps)) if x not in (p, q)]
+    dd = dx * dx + dy * dy
     params = []
     for x in others:
         center = circumcenter(pp, qp, x)
-        params.append(((center.x - mid.x) * dx + (center.y - mid.y) * dy) / (dx * dx + dy * dy))
+        params.append(((center.x - mid.x) * dx + (center.y - mid.y) * dy) / dd)
     params.sort()
     samples = [params[0] - 1, *((a + b) / 2 for a, b in zip(params, params[1:])), params[-1] + 1]
-    counts = []
-    for s in samples:
-        center = Point(mid.x + s * dx, mid.y + s * dy)
-        counts.append(sum(sqdist(center, x) < sqdist(center, pp) for x in others))
-    return counts
+    p2 = pp.x * pp.x + pp.y * pp.y
+    forms = []
+    for x in others:
+        ex, ey = pp.x - x.x, pp.y - x.y
+        bound = p2 - x.x * x.x - x.y * x.y - 2 * (mid.x * ex + mid.y * ey)
+        forms.append((2 * (dx * ex + dy * ey), bound))
+    return [sum(s * slope < bound for slope, bound in forms) for s in samples]
 
 
 def in_circle_counts(ps, pairs=None):

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
-from circledepth.geom import Violation, _bisector_order, _lent_grid
+from circledepth.geom import Violation, _bisector_order, _grid_and_local, _lent_grid
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
@@ -126,6 +127,13 @@ def test_certification_stores_the_integer_grid():
     assert ps.gp_certified and ps.require_certified() == ((3, 0), (0, 2), (6, 6))
     with pytest.raises(AttributeError):
         ps.gp_certified = False  # derived from the grid, never set
+    # Beside it, each point on its own denominators (X, Y, D); on an integer
+    # set there is none.  A violation clears both.
+    assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1))
+    assert make_set([(0, 0), (4, 0), (0, 4)]).local is None
+    ps.points.append(ps.points[0])
+    assert validate_general_position(ps) == [Violation("duplicate", (0, 3))]
+    assert ps.grid is None and ps.local is None
 
 
 def test_recertifying_after_appending_a_duplicate_clears_the_grid():
@@ -151,11 +159,12 @@ def test_lent_grid_is_cleared_whether_or_not_the_block_raises():
     ps = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
     with _lent_grid(ps) as grid:
         assert grid == ps.require_certified() == ((3, 0), (0, 2), (6, 6))
-    assert ps.grid is None
+        assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1))
+    assert ps.grid is None and ps.local is None
     with pytest.raises(DegenerateInputError):
         with _lent_grid(ps):
             raise DegenerateInputError("met in the sweep")
-    assert ps.grid is None and not ps.gp_certified
+    assert ps.grid is None and ps.local is None and not ps.gp_certified
 
 
 def _scan_general_position(ps: PointSet) -> bool:
@@ -224,6 +233,61 @@ def test_bisector_order_reports_collinear_points_apart():
     assert params == _bisector_order(ints, 0, 1, [6, 3, 5])[0]
     assert _bisector_order(ints, 0, 1, [4, 2]) == ([], [4, 2])
     assert _bisector_order(ints, 0, 1, []) == ([], [])
+
+
+@st.composite
+def local_sets(draw):
+    """3-9 points whose coordinates have a distinct denominator each, some of
+    them integral, and with some points snapped onto a rational line or
+    circle, so collinear triples and cocircular quadruples arise on points
+    with unrelated denominators."""
+    n = draw(st.integers(3, 9))
+    dens = draw(st.lists(st.integers(2, 997), min_size=2 * n, max_size=2 * n, unique=True))
+    dens = [draw(st.sampled_from([1, den])) for den in dens]
+    nums = draw(st.lists(st.integers(-3000, 3000), min_size=2 * n, max_size=2 * n))
+    values = [Fraction(a, b) for a, b in zip(nums, dens)]
+    coords = list(zip(values[::2], values[1::2]))
+    ts = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 97))
+    snap = draw(st.sampled_from(["none", "line", "circle"]))
+    if snap == "line":
+        # Points a + t (b - a) on the line through the first two.
+        (ax, ay), (bx, by) = coords[:2]
+        for i in range(2, draw(st.integers(3, n))):
+            t = draw(ts)
+            coords[i] = (ax + t * (bx - ax), ay + t * (by - ay))
+    elif snap == "circle":
+        # Rational points c + r ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
+        (cx, cy), r = coords[0], draw(ts.filter(bool))
+        for i in range(1, draw(st.integers(min(5, n), n))):
+            t = draw(ts)
+            coords[i] = (cx + r * (1 - t * t) / (1 + t * t), cy + r * 2 * t / (1 + t * t))
+    return coords
+
+
+def _events_and_ties(order):
+    return (
+        [(x, left, Fraction(num, den)) for _, num, den, x, left in order],
+        [a[0] == b[0] for a, b in zip(order, order[1:])],
+    )
+
+
+@given(local_sets())
+# Pair (0, 1) has L = 1; point 2 gives the bisector's smallest den, so a
+# shift taken from it cannot tell points 3 and 4 apart, which the largest
+# den's shift does.
+@example([(0, 0), (1, 0), (5, 1), (0, 3), (Fraction(-1, 997), 3)])
+@settings(max_examples=150, deadline=None)
+def test_local_kernel_matches_the_global_grid(coords):
+    points = [P(x, y) for x, y in coords]
+    grid, local = _grid_and_local(points)
+    for p, q in permutations(range(len(points)), 2):
+        others = [x for x in range(len(points)) if x != p and x != q]
+        on_grid, collinear = _bisector_order(grid, p, q, others)
+        on_local, local_collinear = _bisector_order(grid, p, q, others, local)
+        assert _events_and_ties(on_local) == _events_and_ties(on_grid)
+        assert local_collinear == collinear
+    violations = validate_general_position(PointSet.from_coords(coords))
+    assert violations == general_position_violations(PointSet.from_coords(coords))
 
 
 @pytest.mark.parametrize("seed", range(12))
