@@ -41,12 +41,14 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
+from itertools import accumulate
 from math import gcd
 
 from .geom import (
+    BisectorOrder,
     BisectorParam,
     Color,
     DegenerateInputError,
@@ -54,6 +56,7 @@ from .geom import (
     PointSet,
     Scalar,
     _bisector_order,
+    _exact_keys,
     _lent_grid,
     _orient_int,
 )
@@ -70,17 +73,27 @@ class BisectorEvent:
 class BisectorProfile:
     """The weight sequence of one pair's bisector and the events cutting it.
 
-    ``params`` are the third points in increasing s, as the sweep sorted them
-    (see :data:`circledepth.geom.BisectorParam`).  The exact ``events`` and
-    the frame (``midpoint``, ``direction``) are built from them and from the
-    pair's points on first use, so a caller reading only ``weights`` never
-    builds a Fraction.
+    ``order`` is the sweep's sort of the third points by s (see
+    :class:`circledepth.geom.BisectorOrder`).  The integer ``params``, the
+    exact ``events`` and the frame (``midpoint``, ``direction``) are built
+    from it and from the pair's points on first read, so a caller reading
+    only ``weights`` builds no per-event tuple and no Fraction.
     """
 
     pair: tuple[int, int]
     ends: tuple[Point, Point]  # the points p and q
-    params: tuple[BisectorParam, ...]
+    order: BisectorOrder = field(hash=False)  # lists: compared, not hashed
     weights: tuple[int, ...]
+
+    @cached_property
+    def params(self) -> tuple[BisectorParam, ...]:
+        others, nums, crosses, rank, _ = self.order
+        keys = _exact_keys(nums, crosses) if rank else []
+        return tuple(
+            (keys[i], nums[i], crosses[i], others[i], True) if crosses[i] > 0
+            else (keys[i], -nums[i], -crosses[i], others[i], False)
+            for i in rank
+        )
 
     @cached_property
     def events(self) -> tuple[BisectorEvent, ...]:
@@ -168,31 +181,28 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
 
     The sweep sorts on the integers stored on ``ps`` by certification or
     lent for a sweep: the local form (:attr:`PointSet.local`), or the grid
-    when every point is integral.  Before
-    the first event every point whose side is s < s_x is enclosed, and each
-    event adds or removes its point.  This is where the sweep asserts that
-    the set does not degenerate on the pair: a point collinear with p and q,
-    or two tied events, raise :class:`DegenerateInputError` naming the
-    points.  So a clean sweep of every pair over all other points, after a
-    duplicate check, certifies a set (see :func:`sweep_totals`).
+    when every point is integral.  Before the first event every point whose
+    side is s < s_x is enclosed, and each event adds or removes its point:
+    the weights are a running sum of the sides in sorted order.  Here the
+    sweep asserts that the set does not degenerate on the pair: a point
+    collinear with p and q, or two tied events, raise
+    :class:`DegenerateInputError` naming the points.  So a clean sweep of
+    every pair over all other points, after a duplicate check, certifies a
+    set (see :func:`sweep_totals`).
     """
     ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
-    order, collinear = _bisector_order(
-        ints, p, q, (x for x in range(len(ints)) if x != p and x != q), ps.local
-    )
+    lo, hi = (p, q) if p < q else (q, p)
+    others = [*range(lo), *range(lo + 1, hi), *range(hi + 1, len(ints))]
+    order, collinear = _bisector_order(ints, p, q, others, ps.local)
     if collinear:
         raise DegenerateInputError("collinear triple on a swept pair", (p, q, collinear[0]))
-    for a, b in zip(order, order[1:]):
-        if a[0] == b[0]:
-            raise DegenerateInputError("cocircular quadruple on a swept pair", (p, q, a[3], b[3]))
-    weight = sum(1 for e in order if not e[4])
-    weights = [weight]
-    for e in order:
-        weight += 1 if e[4] else -1
-        weights.append(weight)
-    return BisectorProfile((p, q), (ps.point(p), ps.point(q)), tuple(order), tuple(weights))
+    if order.ties:
+        raise DegenerateInputError("cocircular quadruple on a swept pair", (p, q, *order.ties[0][:2]))
+    steps = [1 if order.crosses[i] > 0 else -1 for i in order.rank]
+    weights = accumulate(steps, initial=steps.count(-1))
+    return BisectorProfile((p, q), (ps.point(p), ps.point(q)), order, tuple(weights))
 
 
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:

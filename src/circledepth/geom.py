@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Scalar = Fraction
 
@@ -224,11 +224,32 @@ def _incircle_det_int(
     )
 
 
-# One third point x on the bisector of a pair (p, q): (key, num, den, x, left).
-# The circumcenter of (p, q, x) sits at parameter s = num / (2 * den) with
-# den > 0; ``key`` is an integer that orders the points of one bisector as s
-# does, ties included; ``left`` says whether x lies strictly left of p->q.
+# One third point x on the bisector of a pair (p, q), as a profile builds it
+# when read, never the sweep: (key, num, den, x, left), the circumcenter of
+# (p, q, x) at s = num / (2 * den) with den > 0, ``key`` from _exact_keys, and
+# ``left`` true when x lies strictly left of p->q.
 BisectorParam = tuple[int, int, int, int, bool]
+
+
+def _exact_keys(nums: list[int], crosses: list[int]) -> list[int]:
+    # With every |cross| below 2^B, distinct values num/cross differ by more than
+    # 2^-2B, so floor(num * 2^2B / cross) orders them as s does, ties included.
+    shift = 2 * max(map(abs, crosses)).bit_length()
+    return [(num << shift) // cross for num, cross in zip(nums, crosses)]
+
+
+class BisectorOrder(NamedTuple):
+    """One bisector's sort, from :func:`_bisector_order`: ``others`` are the
+    points with a circumcenter on it, in the order given, with their num and
+    signed cross (2 s = num / cross; cross > 0 for a point left of p->q);
+    ``rank`` lists positions into ``others`` in increasing s, and ``ties``
+    the groups of points with equal s, each in that order."""
+
+    others: list[int]
+    nums: list[int]
+    crosses: list[int]
+    rank: list[int]
+    ties: list[list[int]]
 
 
 def _bisector_order(
@@ -237,10 +258,10 @@ def _bisector_order(
     q: int,
     others: Iterable[int],
     local: Sequence[tuple[int, int, int]] | None = None,
-) -> tuple[list[BisectorParam], list[int]]:
+) -> tuple[BisectorOrder, list[int]]:
     """The points ``others`` in increasing order of their circumcenter with
-    (p, q) along the pair's bisector, exactly and without fractions, and
-    apart from them the points collinear with p and q.
+    (p, q) along the pair's bisector, exactly, and apart from them the
+    points collinear with p and q.
 
     On the frame of :mod:`circledepth.depth` (midpoint of pq, direction
     rot90(q - p)) the circumcenter of (p, q, x) sits at
@@ -249,22 +270,22 @@ def _bisector_order(
 
     which is invariant under scaling p, q and x together.  The sweep
     (``depth.weight_sequence``) and :func:`validate_general_position` pass
-    the set's local form (see :class:`PointSet`), so num / den = 2 s_x is
+    the set's local form (see :class:`PointSet`), so num / cross = 2 s_x is
     taken on the points' own denominators: p and q are scaled once onto
     L = lcm(Dp, Dq), and for each x, a = L X - Dx p' and b = L X - Dx q'
     are L Dx (x - p) and L Dx (x - q), so num = a . b and
-    den = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
+    cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
     ``local`` is None (every point integral, or a hand-built grid) they are
     taken on the integer grid ``ints``.  The O(n^4) references never come
     here; they read the grid.
 
-    With every den below 2^B, two distinct values num/den differ by at least
-    1/(den_a * den_b) > 2^-2B, so key = floor(num * 2^2B / den) is strictly
-    increasing in s and equal exactly when s is: equal keys are points
-    cocircular with p and q.  The sort is stable, so tied points keep the
-    order of ``others``.  A zero cross is an x collinear with p and q, where
-    no circumcenter exists: such points are returned as the second list, in
-    the order of ``others``, and have no param.
+    The key is the float num / cross, which Python rounds correctly, and
+    correct rounding is monotone: distinct floats order the points exactly
+    as s does, with no ties.  Only when two floats are equal (0.0 and -0.0
+    too) or a quotient overflows does the bisector sort on
+    :func:`_exact_keys`, which finds its ties; the sort is stable, so tied
+    points keep the order of ``others``.  A zero cross is an x collinear
+    with p and q, with no circumcenter: these are the second list.
     """
     # A display, not list(): it draws its list object from CPython's free
     # list, so a sweep's traced memory does not depend on that list's state.
@@ -276,8 +297,9 @@ def _bisector_order(
         ux, uy = qx - px, qy - py
         for x in others:
             xx, xy = ints[x]
-            crosses.append(ux * (xy - py) - uy * (xx - px))
-            nums.append((xx - px) * (xx - qx) + (xy - py) * (xy - qy))
+            ax, ay = xx - px, xy - py
+            crosses.append(ux * ay - uy * ax)
+            nums.append(ax * (ax - ux) + ay * (ay - uy))
     else:
         (px, py, dp), (qx, qy, dq) = local[p], local[q]
         scale = math.lcm(dp, dq)
@@ -295,17 +317,17 @@ def _bisector_order(
         kept = [i for i, cross in enumerate(crosses) if cross]
         collinear = [x for x, cross in zip(others, crosses) if not cross]
         others, crosses, nums = ([seq[i] for i in kept] for seq in (others, crosses, nums))
-    if not crosses:
-        return [], collinear
-    shift = 2 * max(map(abs, crosses)).bit_length()
-    params = []
-    for x, cross, num in zip(others, crosses, nums):
-        if cross > 0:
-            params.append(((num << shift) // cross, num, cross, x, True))
-        else:
-            params.append(((-num << shift) // -cross, -num, -cross, x, False))
-    params.sort(key=itemgetter(0))
-    return params, collinear
+    try:
+        keys = list(map(truediv, nums, crosses))
+        exact = len(set(keys)) < len(keys)
+    except OverflowError:
+        exact = True
+    if exact:
+        keys = _exact_keys(nums, crosses)
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    groups = ([others[i] for i in group] for _, group in groupby(rank, key=keys.__getitem__))
+    ties = [group for group in groups if len(group) > 1] if exact else []
+    return BisectorOrder(others, nums, crosses, rank, ties), collinear
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -396,10 +418,8 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     for i, j in combinations(range(n), 2):
         order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
         collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
-        tied: list[tuple[int, int]] = []
-        for _, group in groupby(order, key=itemgetter(0)):
-            tied.extend(combinations(sorted(e[3] for e in group), 2))
-        cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in sorted(tied))
+        tied = sorted(pair for group in order.ties for pair in combinations(sorted(group), 2))
+        cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)
     violations = collinear + cocircular
     if not violations:
         ps.grid, ps.local = tuple(pts), local

@@ -1,13 +1,12 @@
 """Static SVG renderings of point sets, bisector profiles and constructions.
 
-Exact coordinates are rounded for drawing only, to three decimals or to a
-thousandth of the drawing's span when that is finer; element order and
+Coordinates stay exact until the drawing is translated by the exact corner
+of its bounding box, then are rounded for drawing only, to three decimals
+or a thousandth of the drawing's span when that is finer; element order and
 formatting are fixed so identical inputs give identical bytes.  The viewBox
-is the bounding box of the drawn geometry (point centers, line ends and
-label anchors), or of the unit square when nothing is drawn, plus a 5%
-margin; a drawing of one spot gets a margin as if it spanned one unit.
-Geometry beyond the float range (a legal point file may hold 1e4300) raises
-``OverflowError``.
+is that box (point centers, line ends and label anchors), or the unit
+square when nothing is drawn, plus a 5% margin, as if a drawing of one spot
+spanned one unit.  A span beyond the float range raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ def _fmt(value: float, digits: int) -> str:
 
 class _Canvas:
     def __init__(self):
-        self.elements: list[str] = []
-        self.xs: list[float] = []
-        self.ys: list[float] = []
+        self.elements: list[tuple] = []
+        self.xs: list[Fraction] = []
+        self.ys: list[Fraction] = []
 
-    def _track(self, x: float, y: float) -> None:
+    def _track(self, x: Fraction, y: Fraction) -> None:
         self.xs.append(x)
         self.ys.append(y)
 
@@ -53,15 +52,16 @@ class _Canvas:
         self.elements.append(("text", pos[0], pos[1], content, size_frac))
 
     def render(self) -> str:
-        xs, ys = self.xs or [0.0, 1.0], self.ys or [0.0, 1.0]
-        min_x, max_x = min(xs), max(xs)
-        min_y, max_y = min(ys), max(ys)
-        span = max(max_x - min_x, max_y - min_y) or 1.0
+        xs, ys = self.xs or [0, 1], self.ys or [0, 1]
+        left, top = min(xs), min(ys)
+        width, height = float(max(xs) - left), float(max(ys) - top)
+        span = max(width, height) or 1.0
         margin = 0.05 * span
-        vb = (min_x - margin, min_y - margin, (max_x - min_x) + 2 * margin, (max_y - min_y) + 2 * margin)
+        vb = (-margin, -margin, width + 2 * margin, height + 2 * margin)
         if not all(map(math.isfinite, vb)):
             raise OverflowError("drawing extends beyond the float range")
         fmt = partial(_fmt, digits=3 + max(0, -math.floor(math.log10(span))))
+        fx, fy = (lambda v: fmt(float(v - left))), (lambda v: fmt(float(v - top)))
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} '
@@ -71,27 +71,27 @@ class _Canvas:
             if element[0] == "line":
                 _, x1, y1, x2, y2, stroke, wf = element
                 out.append(
-                    f'  <line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+                    f'  <line x1="{fx(x1)}" y1="{fy(y1)}" x2="{fx(x2)}" y2="{fy(y2)}" '
                     f'stroke="{stroke}" stroke-width="{fmt(wf * span)}" />'
                 )
             elif element[0] == "circle":
                 _, cx, cy, rf, fill = element
                 out.append(
-                    f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(rf * span)}" fill="{fill}" />'
+                    f'  <circle cx="{fx(cx)}" cy="{fy(cy)}" r="{fmt(rf * span)}" fill="{fill}" />'
                 )
             else:
                 _, x, y, content, sf = element
                 out.append(
-                    f'  <text x="{fmt(x)}" y="{fmt(y)}" font-size="{fmt(sf * span)}" '
+                    f'  <text x="{fx(x)}" y="{fy(y)}" font-size="{fmt(sf * span)}" '
                     f'font-family="monospace" fill="#000000">{content}</text>'
                 )
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
 
-def _xy(p: Point) -> tuple[float, float]:
+def _xy(p: Point) -> tuple[Fraction, Fraction]:
     # SVG y grows downward; flip so the picture matches the usual orientation.
-    return float(p.x), -float(p.y)
+    return p.x, -p.y
 
 
 def render_points(ps: PointSet) -> str:

@@ -62,6 +62,21 @@ class InProcessPool:
         pass
 
 
+# Sets on which the float keys of the bisector sort, num / cross, cannot
+# decide alone.  On pair (0, 1) of NEAR_COCIRCULAR, points 2 and 3 have
+# distinct s whose correctly rounded floats are equal, and whose floats
+# rounded twice, float(num) / float(cross), come out in the wrong order
+# (nums of 113 bits, crosses of 58).  On pair (0, 1) of BEYOND_FLOAT point 2
+# is nearly collinear with the pair, so its quotient is about -2e400.  Both
+# are in general position.  RIGHT_ANGLE_TIE is not: points 2 and 3 see pair
+# (0, 1) at a right angle, so both sit at s = 0, one with the float key 0.0
+# and the other with -0.0.
+_A, _M1, _M2 = 343796015, 299303201, 518408351  # M2^2 - 3 M1^2 = -2
+NEAR_COCIRCULAR = [(-_A, 0), (_A, 0), (_A * _M1, _A), (_A * _M2, 3 * _A)]
+BEYOND_FLOAT = [(0, 0), (10**200, 1), (2 * 10**200 + 1, 2), (5, 7)]
+RIGHT_ANGLE_TIE = [(0, 0), (4, 0), (2, 2), (2, -2), (1, 5)]
+
+
 def random_corpus(count: int, sizes, seed0: int = 1000, coord_range: int = 10**6):
     """Deterministic list of certified random sets cycling through sizes."""
     sizes = list(sizes)

@@ -338,10 +338,28 @@ def test_render_small_scale_set_keeps_points_apart(tmp_path, capsys):
     assert stdout == (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        'viewBox="-0.0000050 -0.0001050 0.0001100 0.0001100">\n'
+        'viewBox="-0.0000050 -0.0000050 0.0001100 0.0001100">\n'
+        '  <circle cx="0.0000000" cy="0.0001000" r="0.0000008" fill="#333333" />\n'
+        '  <circle cx="0.0001000" cy="0.0001000" r="0.0000008" fill="#333333" />\n'
         '  <circle cx="0.0000000" cy="0.0000000" r="0.0000008" fill="#333333" />\n'
-        '  <circle cx="0.0001000" cy="0.0000000" r="0.0000008" fill="#333333" />\n'
-        '  <circle cx="0.0000000" cy="-0.0001000" r="0.0000008" fill="#333333" />\n'
+        "</svg>\n"
+    )
+
+
+def test_render_keeps_apart_points_closer_than_float_resolution(tmp_path, capsys):
+    # At 1e6 a float steps by about 1e-10, so these three points share one
+    # float position; the drawing is translated by its exact corner first.
+    src = tmp_path / "far.txt"
+    src.write_text("1000000 0\n1000000.000000000001 0\n1000000 0.000000000001\n")
+    code, stdout, err = run_cli(["render", str(src)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-0.000000000000050 -0.000000000000050 0.000000000001100 0.000000000001100">\n'
+        '  <circle cx="0.000000000000000" cy="0.000000000001000" r="0.000000000000008" fill="#333333" />\n'
+        '  <circle cx="0.000000000001000" cy="0.000000000001000" r="0.000000000000008" fill="#333333" />\n'
+        '  <circle cx="0.000000000000000" cy="0.000000000000000" r="0.000000000000008" fill="#333333" />\n'
         "</svg>\n"
     )
 
@@ -351,8 +369,8 @@ def test_render_single_point_gets_a_box(tmp_path, capsys):
     src.write_text("5 7\n")
     code, stdout, _ = run_cli(["render", str(src)], capsys)
     assert code == 0
-    assert 'viewBox="4.950 -7.050 0.100 0.100"' in stdout
-    assert '<circle cx="5.000" cy="-7.000" r="0.008"' in stdout
+    assert 'viewBox="-0.050 -0.050 0.100 0.100"' in stdout
+    assert '<circle cx="0.000" cy="0.000" r="0.008"' in stdout
 
 
 @pytest.mark.parametrize("what", [["points"], ["profile", "0", "1"], ["construction"]])

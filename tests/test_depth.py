@@ -2,7 +2,8 @@ import concurrent.futures
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,10 +34,21 @@ from circledepth import (
 from circledepth import depth
 from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound
-from circledepth.constructions import random_convex, random_general_position
+from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 from circledepth.depth import sweep_totals
+from circledepth.geom import _incircle_det_int, _orient_int
+from circledepth.pointfile import parse_point_file
 
-from conftest import InProcessPool, make_set, random_corpus, red_blue_maximin
+from conftest import (
+    BEYOND_FLOAT,
+    NEAR_COCIRCULAR,
+    InProcessPool,
+    make_set,
+    random_corpus,
+    red_blue_maximin,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_requires_certification():
@@ -96,10 +108,17 @@ def test_profile_structure(quad):
 
 
 def test_profile_builds_events_on_first_read(quad):
-    # The fold reads only weights, so no Fraction is built until the events
-    # are read.  The frame is midpoint of pq and rot90(q - p).
+    # The fold reads only weights, so no per-event tuple and no Fraction is
+    # built until the params or the events are read: the profile holds the
+    # sweep's order as lists of ints.  The frame is midpoint of pq and
+    # rot90(q - p).
     profile = weight_sequence(quad, 0, 2)
-    assert "events" not in vars(profile)
+    assert "params" not in vars(profile) and "events" not in vars(profile)
+    order = profile.order
+    assert order.ties == [] and all(type(v) is list for v in order)
+    assert all(type(v) is int for v in (*order.others, *order.nums, *order.crosses, *order.rank))
+    assert [e[3:] for e in profile.params] == [(1, False), (3, True)]
+    assert "params" in vars(profile) and "events" not in vars(profile)
     assert [(e.index, e.covers_positive) for e in profile.events] == [(1, False), (3, True)]
     assert profile.midpoint == Point.of(Fraction(9, 2), Fraction(9, 2))
     assert profile.direction == (-9, 9)
@@ -185,6 +204,56 @@ def test_oracle_matches_sweep_on_random_sets():
         for p in range(n):
             for q in range(p + 1, n):
                 assert list(weight_sequence(ps, p, q).weights) == oracle_weights(ps, p, q)
+
+
+def _certify_event_order(ps: PointSet, p: int, q: int) -> None:
+    # On the common grid, by orientation and in-circle tests, which the
+    # sweep never calls: y is inside the circle through p, q and x exactly
+    # when det(p, q, x, y) has the sign of orient(p, q, x), and the circles
+    # centred at s enclose y for s > s_y when y is left of p->q and for
+    # s < s_y otherwise.  So s_x < s_y exactly when y is outside that circle
+    # and left, or inside and right: det * side(x) * side(y) < 0.
+    grid = ps.require_certified()
+    a, b = grid[p], grid[q]
+    events = weight_sequence(ps, p, q).events
+    side = {e.index: _orient_int(a, b, grid[e.index]) for e in events}
+    assert all(e.covers_positive == (side[e.index] > 0) for e in events)
+    for x, y in zip(events, events[1:]):
+        det = _incircle_det_int(a, b, grid[x.index], grid[y.index])
+        assert det * side[x.index] * side[y.index] < 0, (p, q, x.index, y.index)
+
+
+def test_event_order_is_certified_by_in_circle_tests():
+    corpus = [
+        *random_corpus(3, (8, 12), seed0=610),
+        random_convex(9, 4),
+        parse_point_file((DATA / "rational12.txt").read_text()).points,
+        two_colored_convex(5).points,
+        make_set(NEAR_COCIRCULAR),
+        make_set(BEYOND_FLOAT),
+    ]
+    for ps in corpus:
+        assert not validate_general_position(ps)
+        for p, q in permutations(range(len(ps)), 2):
+            _certify_event_order(ps, p, q)
+
+
+def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatch):
+    # The benchmark counts sweeps per pair by rebinding depth.weight_sequence,
+    # so the fold must call it by that global name, once for every pair,
+    # whether the set comes certified or the fold certifies it.
+    coords = [(cp.point.x, cp.point.y) for cp in random_general_position(9, 44, 1000).points]
+    swept = []
+
+    def counted(ps, p, q):
+        swept.append((p, q))
+        return weight_sequence(ps, p, q)
+
+    monkeypatch.setattr(depth, "weight_sequence", counted)
+    for ps in (PointSet.from_coords(coords), make_set(coords)):
+        swept.clear()
+        sweep_totals(ps, jobs=1)
+        assert sorted(swept) == depth.all_pairs(9)
 
 
 def test_profile_invariants_on_random_sets():

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +20,18 @@ from circledepth import (
     sqdist,
     validate_general_position,
 )
-from circledepth.geom import Violation, _bisector_order, _grid_and_local, _lent_grid
+from circledepth.constructions import two_colored_convex
+from circledepth.geom import (
+    Violation,
+    _bisector_order,
+    _exact_keys,
+    _grid_and_local,
+    _lent_grid,
+)
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
-from conftest import make_set
+from conftest import BEYOND_FLOAT, NEAR_COCIRCULAR, RIGHT_ANGLE_TIE, make_set
 
 P = Point.of
 
@@ -224,15 +231,16 @@ def test_validate_matches_independent_scan(coords):
 
 def test_bisector_order_reports_collinear_points_apart():
     ints = [(0, 0), (2, 0), (4, 0), (1, 1), (-3, 0), (1, -1), (1, 5)]
-    params, collinear = _bisector_order(ints, 0, 1, [6, 2, 3, 4, 5])
+    order, collinear = _bisector_order(ints, 0, 1, [6, 2, 3, 4, 5])
     assert collinear == [2, 4]  # in the order given, and never an error
     # The rest sort as they do without the collinear points: 3 and 5 tie
     # (the square 0, 3, 1, 5) in the order given, before 6, whose circle's
     # center lies further along the bisector.
-    assert [e[3] for e in params] == [3, 5, 6] and params[0][0] == params[1][0]
-    assert params == _bisector_order(ints, 0, 1, [6, 3, 5])[0]
-    assert _bisector_order(ints, 0, 1, [4, 2]) == ([], [4, 2])
-    assert _bisector_order(ints, 0, 1, []) == ([], [])
+    assert [order.others[i] for i in order.rank] == [3, 5, 6] and order.ties == [[3, 5]]
+    assert order == _bisector_order(ints, 0, 1, [6, 3, 5])[0]
+    for others in ([4, 2], []):
+        order, collinear = _bisector_order(ints, 0, 1, others)
+        assert (order.rank, order.ties, collinear) == ([], [], others)
 
 
 @st.composite
@@ -266,8 +274,9 @@ def local_sets(draw):
 
 def _events_and_ties(order):
     return (
-        [(x, left, Fraction(num, den)) for _, num, den, x, left in order],
-        [a[0] == b[0] for a, b in zip(order, order[1:])],
+        [(order.others[i], order.crosses[i] > 0, Fraction(order.nums[i], order.crosses[i]))
+         for i in order.rank],
+        order.ties,
     )
 
 
@@ -288,6 +297,55 @@ def test_local_kernel_matches_the_global_grid(coords):
         assert local_collinear == collinear
     violations = validate_general_position(PointSet.from_coords(coords))
     assert violations == general_position_violations(PointSet.from_coords(coords))
+
+
+def _fraction_order(points, p, q, others):
+    """The exact order of s on the bisector of (p, q), its ties and the
+    points collinear with p and q, from Fractions of the points themselves."""
+    a, b = points[p], points[q]
+    s, collinear = {}, []
+    for x in others:
+        c = points[x]
+        cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+        if cross:
+            s[x] = ((c.x - a.x) * (c.x - b.x) + (c.y - a.y) * (c.y - b.y)) / (2 * cross)
+        else:
+            collinear.append(x)
+    order = sorted(s, key=s.__getitem__)
+    groups = ([*group] for _, group in groupby(order, key=s.__getitem__))
+    return order, [g for g in groups if len(g) > 1], collinear
+
+
+_integer_sets = st.lists(
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=3, max_size=9
+)
+# Red/blue sets of the two-colored construction: points near 7e11.
+_red_blue_sets = st.sampled_from(range(2, 6)).map(
+    lambda n: [(cp.point.x, cp.point.y) for cp in two_colored_convex(n).points.points]
+)
+
+
+@given(st.one_of(_integer_sets, local_sets(), _red_blue_sets))
+@example(NEAR_COCIRCULAR)
+@example(BEYOND_FLOAT)
+@example(RIGHT_ANGLE_TIE)
+@settings(max_examples=120, deadline=None)
+def test_float_filtered_order_is_the_integer_key_order(coords):
+    # For every ordered pair, on the local form and on the grid, the kernel's
+    # order, ties and collinear points equal both the order of its integer
+    # keys and the order of s as Fractions.
+    points = [P(x, y) for x, y in coords]
+    grid, local = _grid_and_local(points)
+    for p, q in permutations(range(len(points)), 2):
+        others = [x for x in range(len(points)) if x != p and x != q]
+        expected = _fraction_order(points, p, q, others)
+        for form in {None, local}:
+            order, collinear = _bisector_order(grid, p, q, others, form)
+            if order.others:
+                keys = _exact_keys(order.nums, order.crosses)
+                assert order.rank == sorted(range(len(keys)), key=keys.__getitem__)
+            ranked = [order.others[i] for i in order.rank]
+            assert (ranked, order.ties, collinear) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))
