@@ -5,10 +5,11 @@ are only meant for small n.  They deliberately avoid the machinery they
 verify: k-sets come from explicit separating-line tests instead of j-edge
 tables, the bichromatic depth comes from the sampling oracle instead of
 the sweep, and general position is decided by an in-circle test on every
-quadruple instead of the bisector order.
-The O(n^4) references that ``verify`` runs at every size, the integer
-sampling oracle and in-circle count, are ``depth.oracle_weights`` and
-``depth.triple_counts``.
+quadruple instead of the bisector order.  :func:`triple_counts` counts
+every triple's enclosed points by one in-circle test each, in O(n^4), and
+cross-checks ``depth.triple_counts``, which counts by inversion in
+O(n^3 log n).  The O(n^4) reference that ``verify`` runs at every size, the integer
+sampling oracle, is ``depth.oracle_weights``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
-from .depth import bichromatic_pairs, oracle_weights
+from .depth import TripleStats, bichromatic_pairs, oracle_weights
 
 
 def general_position_violations(ps: PointSet) -> list[Violation]:
@@ -98,3 +99,38 @@ def bichromatic_maximin_bruteforce(ps: PointSet) -> tuple[tuple[int, int], int]:
             best = value
             best_pair = (p, q)
     return best_pair, best
+
+
+def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:
+    """Brute-force enclosure counts over the circumcircles of point triples.
+
+    Deliberately O(n^4), and independent of the sweep and of the sort by
+    inversion in ``depth.triple_counts``, which it cross-checks.  With
+    points lifted to (x, y, x^2 + y^2) relative to i, the plane through i, j, k has
+    normal N = (j - i) x (k - i), whose z part is the triple's orientation;
+    m is strictly inside iff N . (m - i) has the opposite sign (0 for m in
+    i, j, k): the in-circle determinant, expanded once per triple.
+    With ``pairs`` a triple counts only if it contains one of them, i.e. its
+    circle's center is an event on one of their bisectors; over the red-blue
+    pairs of a set whose points are all red or blue these are the
+    mixed-color triples.
+    """
+    ints = ps.require_certified()
+    n = len(ps)
+    if n < 3:
+        raise ValueError("need at least three points")
+    chosen = None if pairs is None else {(min(p, q), max(p, q)) for p, q in pairs}
+    counts = [0] * (n - 2)
+    for i, (ix, iy) in enumerate(ints):
+        lifted = [(x - ix, y - iy, (x - ix) ** 2 + (y - iy) ** 2) for x, y in ints]
+        for j in range(i + 1, n):
+            ax, ay, az = lifted[j]
+            for k in range(j + 1, n):
+                if chosen is not None and chosen.isdisjoint(((i, j), (i, k), (j, k))):
+                    continue
+                bx, by, bz = lifted[k]
+                nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+                if nz < 0:
+                    nx, ny, nz = -nx, -ny, -nz
+                counts[len([1 for x, y, z in lifted if nx * x + ny * y + nz * z < 0])] += 1
+    return TripleStats(tuple(counts))

@@ -24,10 +24,10 @@ Every kernel here decides its signs on integers that
 :func:`sweep_totals`) stores on the set when it certifies it.  The sweep
 (:func:`weight_sequence`) reads each point on its own denominators,
 ``PointSet.local``, so a rational set costs about what an integer one does;
-the O(n^4) references (:func:`oracle_weights`, :func:`triple_counts`,
-:func:`j_edge_counts`) read the common integer grid that
-:meth:`PointSet.require_certified` returns, and so share no arithmetic with
-the sweep.
+the references (:func:`oracle_weights`, O(n^4) over all pairs,
+:func:`triple_counts` and :func:`j_edge_counts`) read the common integer
+grid that :meth:`PointSet.require_certified` returns, and so share no
+arithmetic with the sweep.
 
 :func:`sweep_totals` folds every pair's sequence into the tables of an
 analysis without keeping a profile; the table functions below it
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
 from itertools import accumulate
-from math import gcd
+from operator import truediv
 
 from .geom import (
     BisectorOrder,
@@ -209,10 +209,12 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     """Independent re-derivation of the weight sequence by sampling circles.
 
     On the common integer grid: event parameters are the integer
-    circumcenters projected on the bisector, and one sample s = a/b per
-    segment (midpoints between events; min - 1 and max + 1 for the unbounded
-    two) is the center C / 2b, C = (p + q) * b + 2a * d, whose circle
-    encloses x iff |C - 2b x|^2 < |C - 2b p|^2 (never true for p and q).
+    circumcenters projected on the bisector, sorted by cross products.  Each
+    segment is sampled at the fraction s = a/b with the smallest denominator
+    strictly inside it (:func:`_simplest_between`), each unbounded end at an
+    integer, so a sample's integers stay small on a wide grid.  The center is
+    p + C / 2b with C = b(q - p) + 2a * d, and its circle encloses x iff
+    b |x - p|^2 < C . (x - p), the power of x (never true for p and q).
     Shares no code with the sweep in :func:`weight_sequence`.
     """
     ints = ps.require_certified()
@@ -235,21 +237,34 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     params.sort(key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
     if params:
         (lo_a, lo_b), (hi_a, hi_b) = params[0], params[-1]
-        samples = [(lo_a - lo_b, lo_b)]
-        samples += [(a * e + c * b, 2 * b * e) for (a, b), (c, e) in zip(params, params[1:])]
-        samples.append((hi_a + hi_b, hi_b))
+        samples = [(lo_a // lo_b - 1, 1)]
+        samples += [_simplest_between(a, b, c, e) for (a, b), (c, e) in zip(params, params[1:])]
+        samples.append((hi_a // hi_b + 1, 1))
     else:
         samples = [(0, 1)]
-    sx, sy = px + qx, py + qy
+    rel = [(x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints]
     counts = []
     for a, b in samples:
-        g = gcd(a, b)  # the center's integers stay as small as for s in lowest terms
-        a, b = a // g, b // g
-        cx, cy = sx * b + 2 * a * dx, sy * b + 2 * a * dy
-        t = 2 * b
-        r2 = (cx - t * px) ** 2 + (cy - t * py) ** 2
-        counts.append(len([1 for xx, xy in ints if (cx - t * xx) ** 2 + (cy - t * xy) ** 2 < r2]))
+        cx, cy = b * bx + 2 * a * dx, b * by + 2 * a * dy
+        counts.append(len([1 for x, y, r2 in rel if b * r2 < cx * x + cy * y]))
     return counts
+
+
+def _simplest_between(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(num, den) in lowest terms of the fraction with the smallest
+    denominator strictly between a/b < c/d (b > 0, d >= 0; d = 0 is +inf).
+
+    Stern-Brocot descent: an integer f + 1 strictly inside is the answer;
+    otherwise the answer is f + 1/y, f = floor(a/b), for the simplest y
+    between the reciprocals, and (num, den) = (P y + Q) / (R y + S).
+    """
+    pp, qq, rr, ss = 1, 0, 0, 1
+    while True:
+        f = a // b
+        if (f + 1) * d < c:
+            return pp * (f + 1) + qq, rr * (f + 1) + ss
+        pp, qq, rr, ss = pp * f + qq, pp, rr * f + ss, rr
+        a, b, c, d = d, c - f * d, b, a - f * b
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -360,14 +375,18 @@ def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
 
 
 def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:
-    """Brute-force enclosure counts over the circumcircles of point triples.
+    """Enclosure counts over the circumcircles of point triples, by inversion.
 
-    Deliberately O(n^4) and independent of the sweep: this table is the
-    reference the census checks compare against.  With points lifted to
-    (x, y, x^2 + y^2) relative to i, the lifted plane through i, j, k has
-    normal N = (j - i) x (k - i), whose z part is the triple's orientation;
-    m is strictly inside iff N . (m - i) has the opposite sign (0 for m in
-    i, j, k): the in-circle determinant, expanded once per triple.
+    O(n^3 log n) and independent of the sweep, with the O(n^4) cross-check
+    :func:`circledepth.brute.triple_counts`.  Relative to a pivot i, lift each
+    point to l = (x, y, x^2 + y^2); m is strictly inside circle(i, j, k) iff
+    det(l_j, l_k, l_m) and orient(i, j, k) have opposite signs.  Projected
+    along a = l_j onto the basis u = a x e_z, v = a x u = a_z (a_x, a_y, -1),
+    m has w = (l . u, l . v / a_z) with w.x = -orient(i, j, m) != 0, and m is
+    inside iff x_m (sigma_m - sigma_k) > 0 for sigma = w.y / w.x.  So one sort
+    of the sigma and a running count of x > 0 count every k > j.  The keys
+    are correctly rounded floats; two equal ones (0.0 and -0.0 too) or an
+    overflow sort that (i, j) on Fractions.
     With ``pairs`` a triple counts only if it contains one of them, i.e. its
     circle's center is an event on one of their bisectors; over the red-blue
     pairs of a set whose points are all red or blue these are the
@@ -381,16 +400,25 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
     counts = [0] * (n - 2)
     for i, (ix, iy) in enumerate(ints):
         lifted = [(x - ix, y - iy, (x - ix) ** 2 + (y - iy) ** 2) for x, y in ints]
-        for j in range(i + 1, n):
-            ax, ay, az = lifted[j]
-            for k in range(j + 1, n):
-                if chosen is not None and chosen.isdisjoint(((i, j), (i, k), (j, k))):
-                    continue
-                bx, by, bz = lifted[k]
-                nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-                if nz < 0:
-                    nx, ny, nz = -nx, -ny, -nz
-                counts[len([1 for x, y, z in lifted if nx * x + ny * y + nz * z < 0])] += 1
+        for j in range(i + 1, n - 1):
+            ax, ay, _ = lifted[j]
+            others = [*range(i), *range(i + 1, j), *range(j + 1, n)]
+            xs = [ay * lifted[m][0] - ax * lifted[m][1] for m in others]
+            ys = [ax * x + ay * y - z for x, y, z in (lifted[m] for m in others)]
+            try:
+                keys = list(map(truediv, ys, xs))
+                exact = len(set(keys)) < len(keys)
+            except OverflowError:
+                exact = True
+            if exact:
+                keys = list(map(Fraction, ys, xs))
+            right, left = sum(x > 0 for x in xs), 0  # x > 0 after k; x < 0 before k
+            for t in sorted(range(n - 2), key=keys.__getitem__):
+                k, positive = others[t], xs[t] > 0
+                right -= positive
+                if k > j and (chosen is None or not chosen.isdisjoint(((i, j), (i, k), (j, k)))):
+                    counts[right + left] += 1
+                left += not positive
     return TripleStats(tuple(counts))
 
 

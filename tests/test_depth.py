@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import time
 from fractions import Fraction
 from functools import partial
@@ -6,7 +7,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circledepth import (
     BisectorProfile,
@@ -31,11 +32,11 @@ from circledepth import (
     validate_general_position,
     weight_sequence,
 )
-from circledepth import depth
+from circledepth import brute, depth
 from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
-from circledepth.depth import sweep_totals
+from circledepth.depth import _simplest_between, sweep_totals
 from circledepth.geom import _incircle_det_int, _orient_int
 from circledepth.pointfile import parse_point_file
 
@@ -585,3 +586,81 @@ def test_lifted_triple_counts_match_in_circle(ps):
     if ps.indices_of(Color.RED):
         red_blue = bichromatic_pairs(ps)
         assert triple_counts(ps, red_blue).c == in_circle_counts(ps, red_blue)
+
+
+@st.composite
+def counted_sets(draw):
+    """A certified set and a list of pairs to count over: random up to 40
+    points, convex, red/blue with its red-blue pairs, or rational."""
+    kind = draw(st.sampled_from(["random", "convex", "red-blue", "rational"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        ps = random_general_position(draw(st.integers(3, 40)), seed, 10**6)
+    elif kind == "convex":
+        ps = random_convex(draw(st.integers(3, 24)), seed)
+    elif kind == "red-blue":
+        n = draw(st.integers(3, 20))
+        colors = draw(st.lists(st.sampled_from([Color.RED, Color.BLUE]), min_size=n, max_size=n))
+        assume(len(set(colors)) == 2)
+        points = random_general_position(n, seed, 10**6).points
+        ps = make_set([tuple(cp.point) for cp in points], colors)
+        return ps, bichromatic_pairs(ps)
+    else:
+        n = draw(st.integers(3, 12))
+        dens = draw(st.lists(st.integers(2, 997), min_size=2 * n, max_size=2 * n))
+        nums = draw(st.lists(st.integers(-10**4, 10**4), min_size=2 * n, max_size=2 * n))
+        values = [Fraction(a, b) for a, b in zip(nums, dens)]
+        coords = list(zip(values[::2], values[1::2]))
+        assume(len(set(coords)) == n)
+        ps = PointSet.from_coords(coords)
+        assume(not validate_general_position(ps))
+    pairs = draw(st.lists(st.sampled_from(depth.all_pairs(len(ps))), max_size=len(ps)))
+    return ps, pairs
+
+
+@given(counted_sets())
+# In this order of NEAR_COCIRCULAR, the sort for i, j = 1, 2 meets equal float
+# keys for points 0 and 3, which a stable sort puts in the wrong order; every
+# sort of BEYOND_FLOAT overflows the float quotient.
+@example((make_set([NEAR_COCIRCULAR[i] for i in (0, 2, 1, 3)]), [(0, 1)]))
+@example((make_set(NEAR_COCIRCULAR), [(2, 3)]))
+@example((make_set(BEYOND_FLOAT), [(1, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_triple_counts_by_inversion_match_the_brute_force_count(case):
+    ps, pairs = case
+    assert depth.triple_counts(ps) == brute.triple_counts(ps)
+    assert depth.triple_counts(ps, pairs) == brute.triple_counts(ps, pairs)
+
+
+def smaller_denominator_inside(lo, hi, den):
+    """Whether some fraction with denominator below ``den`` lies strictly in (lo, hi)."""
+    return any(math.floor(lo * d) + 1 < hi * d for d in range(1, den))
+
+
+@given(
+    st.fractions(-10**6, 10**6),
+    st.fractions(-10**6, 10**6),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+)
+@example(Fraction(1, 2), Fraction(7, 3), 1, 1)  # holds an integer
+@example(Fraction(0), Fraction(2, 7), 1, 1)  # (0, y)
+@example(Fraction(-7, 3), Fraction(-9, 4), 5, 2)  # negative bounds
+@example(Fraction(1, 2**100 + 1), Fraction(1, 2**100), 1, 3)  # 100-bit denominators
+@example(Fraction(2**100 - 1, 2**100 + 7), Fraction(2**100, 2**100 + 5), 1, 1)
+def test_simplest_between_is_inside_and_has_the_smallest_denominator(lo, hi, m, n):
+    assume(lo != hi)
+    lo, hi = min(lo, hi), max(lo, hi)
+    # The bounds as the oracle passes them: not in lowest terms.
+    num, den = _simplest_between(lo.numerator * m, lo.denominator * m, hi.numerator * n, hi.denominator * n)
+    assert den > 0 and math.gcd(num, den) == 1
+    assert lo < Fraction(num, den) < hi
+    if den <= 10**4:
+        assert not smaller_denominator_inside(lo, hi, den)
+    if den > 1:
+        # Every fraction strictly between the Farey neighbours l1/m1 < l2/m2
+        # of num/den (num = l1 + l2, den = m1 + m2) has a denominator of at
+        # least den; so none smaller lies in (lo, hi) iff both are outside it.
+        m1 = pow(num, -1, den)
+        l1 = (num * m1 - 1) // den
+        assert Fraction(l1, m1) <= lo and Fraction(num - l1, den - m1) >= hi
