@@ -289,10 +289,11 @@ def _oracle_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[list[int]]
 def check_oracle_match(ps: PointSet, jobs: int = 1) -> CheckResult:
     """Sweep weights equal sampled-circle oracle weights, elementwise, every pair.
 
-    ``jobs > 1`` spreads the oracle over a process pool; the report does not
-    depend on it.  The first few mismatching pairs follow as info rows: the
-    first differing segment, sweep weight against oracle weight (-1 for a
-    missing segment).
+    ``jobs > 1`` spreads the oracle over forked processes
+    (:func:`~circledepth.depth._map_chunks`); the report does not depend on
+    it.  The first few mismatching pairs follow as info rows: the first
+    differing segment, sweep weight against oracle weight (-1 for a missing
+    segment).
     """
     ps.require_certified()
     profiles = all_profiles(ps)

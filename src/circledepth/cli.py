@@ -194,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="depth statistics of a point file as JSON")
     ana.add_argument("input")
     ana.add_argument("--output", "-o", default=None)
-    ana.add_argument("--jobs", type=int, default=1, help="worker processes (output-invariant)")
+    ana.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes for the sweep: this one and forked children, one per CPU (output-invariant)",
+    )
     ana.set_defaults(func=cmd_analyze)
 
     ver = sub.add_parser("verify", help="run identity and bound checks, exit 0 iff all pass")
@@ -205,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check names, or 'all' (default); known: " + ", ".join(CHECKS),
     )
     ver.add_argument("--output", "-o", default=None)
-    ver.add_argument("--jobs", type=int, default=1, help="worker processes for oracle-match")
+    ver.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes for oracle-match: this one and forked children, one per CPU (output-invariant)",
+    )
     ver.set_defaults(func=cmd_verify)
 
     ren = sub.add_parser("render", help="render a point file to SVG")

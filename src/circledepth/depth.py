@@ -43,7 +43,7 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import truediv
 
@@ -209,10 +209,11 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     """Independent re-derivation of the weight sequence by sampling circles.
 
     On the common integer grid: event parameters are the integer
-    circumcenters projected on the bisector, sorted by cross products.  Each
-    segment is sampled at the fraction s = a/b with the smallest denominator
-    strictly inside it (:func:`_simplest_between`), each unbounded end at an
-    integer, so a sample's integers stay small on a wide grid.  The center is
+    circumcenters projected on the bisector, sorted exactly by
+    :func:`_quotient_order`.  Each segment is sampled at the fraction s = a/b
+    with the smallest denominator strictly inside it
+    (:func:`_simplest_between`), each unbounded end at an integer, so a
+    sample's integers stay small on a wide grid.  The center is
     p + C / 2b with C = b(q - p) + 2a * d, and its circle encloses x iff
     b |x - p|^2 < C . (x - p), the power of x (never true for p and q).
     Shares no code with the sweep in :func:`weight_sequence`.
@@ -224,7 +225,7 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     bx, by = qx - px, qy - py
     dx, dy = -by, bx  # rot90(q - p); center(s) = (p + q) / 2 + s * d
     dd = dx * dx + dy * dy
-    params = []  # (a, b) for s = a / b, b > 0
+    nums, dens = [], []  # s = num / den, den > 0
     for xx, xy in (xy for x, xy in enumerate(ints) if x != p and x != q):
         # Circumcenter of (p, q, x): p + (ux, uy) / den.
         cx, cy = xx - px, xy - py
@@ -233,8 +234,9 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
         ux, uy = cy * bb - by * cc, bx * cc - cx * bb
         # 2 * den * (center - midpoint) = 2u - den * (q - p), projected on d.
         a, b = (2 * ux - den * bx) * dx + (2 * uy - den * by) * dy, 2 * den * dd
-        params.append((a, b) if b > 0 else (-a, -b))
-    params.sort(key=cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+        nums.append(a if b > 0 else -a)
+        dens.append(abs(b))
+    params = [(nums[i], dens[i]) for i in _quotient_order(nums, dens)]
     if params:
         (lo_a, lo_b), (hi_a, hi_b) = params[0], params[-1]
         samples = [(lo_a // lo_b - 1, 1)]
@@ -248,6 +250,23 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
         cx, cy = b * bx + 2 * a * dx, b * by + 2 * a * dy
         counts.append(len([1 for x, y, r2 in rel if b * r2 < cx * x + cy * y]))
     return counts
+
+
+def _quotient_order(nums: list[int], dens: list[int]) -> list[int]:
+    """Positions of the quotients nums[i] / dens[i] in increasing order, exactly.
+
+    The keys are correctly rounded floats, which keep the order of distinct
+    quotients; two equal ones (0.0 and -0.0 too) or an overflow sort the
+    list on Fractions.  The references sort with this, never the sweep.
+    """
+    try:
+        keys = list(map(truediv, nums, dens))
+        exact = len(set(keys)) < len(keys)
+    except OverflowError:
+        exact = True
+    if exact:
+        keys = list(map(Fraction, nums, dens))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _simplest_between(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -272,8 +291,11 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` pairs: never more than the CPUs this
-    process may run on, nor than there are pairs, and one for ``jobs <= 1``."""
+    """Processes for ``tasks`` pairs, the caller included: never more than
+    the CPUs this process may run on, nor than there are pairs, and one for
+    ``jobs <= 1`` or where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -284,31 +306,21 @@ def _workers(jobs: int, tasks: int) -> int:
 def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     """``task`` over consecutive chunks of ``pairs``, results in pair order.
 
-    ``jobs <= 1`` runs one chunk in this process.  Otherwise the pairs are
-    cut into about four chunks per worker and mapped over a process pool of
-    at most ``jobs`` workers (see :func:`_workers`).  The first chunk to
-    raise ends the map: the chunks no worker has taken yet are cancelled,
-    the running ones finish, and its error propagates, so a degenerate pair
-    stops a pool about as early as it stops one process.
+    With one process (see :func:`_workers`) this is ``[task(pairs)]``.
+    Otherwise the pairs are cut into one contiguous share per process, and
+    :func:`circledepth.forkmap.map_shares` folds the first in this process
+    and each of the others in a child forked from it, every process pinned
+    to a CPU of its own.  An error in any of them ends the map, and no child
+    outlives it.
     """
     workers = _workers(jobs, len(pairs))
     if workers == 1:
         return [task(pairs)]
-    # Imported here, not at module load: a run with one worker never pays
-    # for the pool machinery's imports.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    # Imported here, not at module load: a serial run never pays for it.
+    from .forkmap import map_shares
 
-    size = -(-len(pairs) // (4 * workers))
-    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, chunk) for chunk in chunks]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [future.result() for future in futures]
+    cuts = [len(pairs) * i // workers for i in range(workers + 1)]
+    return map_shares(task, [pairs[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def all_profiles(
@@ -317,9 +329,9 @@ def all_profiles(
     """Profiles for ``pairs`` in their order, by default every unordered pair
     in lexicographic order.
 
-    ``jobs > 1`` fans the per-pair work out to a process pool; the result
-    order (and therefore every downstream aggregate) is identical for any
-    jobs value.
+    ``jobs > 1`` shares the pairs out to forked processes (:func:`_map_chunks`);
+    the result order (and therefore every downstream aggregate) is identical
+    for any jobs value.
     """
     pairs = all_pairs(len(ps)) if pairs is None else pairs
     chunks = _map_chunks(partial(_profile_chunk, ps), pairs, jobs)
@@ -384,9 +396,8 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
     along a = l_j onto the basis u = a x e_z, v = a x u = a_z (a_x, a_y, -1),
     m has w = (l . u, l . v / a_z) with w.x = -orient(i, j, m) != 0, and m is
     inside iff x_m (sigma_m - sigma_k) > 0 for sigma = w.y / w.x.  So one sort
-    of the sigma and a running count of x > 0 count every k > j.  The keys
-    are correctly rounded floats; two equal ones (0.0 and -0.0 too) or an
-    overflow sort that (i, j) on Fractions.
+    of the sigma (:func:`_quotient_order`) and a running count of x > 0 count
+    every k > j.
     With ``pairs`` a triple counts only if it contains one of them, i.e. its
     circle's center is an event on one of their bisectors; over the red-blue
     pairs of a set whose points are all red or blue these are the
@@ -405,15 +416,8 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
             others = [*range(i), *range(i + 1, j), *range(j + 1, n)]
             xs = [ay * lifted[m][0] - ax * lifted[m][1] for m in others]
             ys = [ax * x + ay * y - z for x, y, z in (lifted[m] for m in others)]
-            try:
-                keys = list(map(truediv, ys, xs))
-                exact = len(set(keys)) < len(keys)
-            except OverflowError:
-                exact = True
-            if exact:
-                keys = list(map(Fraction, ys, xs))
             right, left = sum(x > 0 for x in xs), 0  # x > 0 after k; x < 0 before k
-            for t in sorted(range(n - 2), key=keys.__getitem__):
+            for t in _quotient_order(ys, xs):
                 k, positive = others[t], xs[t] > 0
                 right -= positive
                 if k > j and (chosen is None or not chosen.isdisjoint(((i, j), (i, k), (j, k)))):

@@ -6,12 +6,15 @@ or a thousandth of the drawing's span when that is finer; element order and
 formatting are fixed so identical inputs give identical bytes.  The viewBox
 is that box (point centers, line ends and label anchors), or the unit
 square when nothing is drawn, plus a 5% margin, as if a drawing of one spot
-spanned one unit.  A span beyond the float range raises ``OverflowError``.
+spanned one unit.  A span below the normal float range is first scaled by
+an exact power of ten into (0.1, 1], so its points stay apart; a span
+beyond the float range raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -54,14 +57,16 @@ class _Canvas:
     def render(self) -> str:
         xs, ys = self.xs or [0, 1], self.ys or [0, 1]
         left, top = min(xs), min(ys)
-        width, height = float(max(xs) - left), float(max(ys) - top)
+        width, height = max(xs) - left, max(ys) - top
+        scale = _scale(Fraction(max(width, height)))
+        width, height = float(width * scale), float(height * scale)
         span = max(width, height) or 1.0
         margin = 0.05 * span
         vb = (-margin, -margin, width + 2 * margin, height + 2 * margin)
         if not all(map(math.isfinite, vb)):
             raise OverflowError("drawing extends beyond the float range")
         fmt = partial(_fmt, digits=3 + max(0, -math.floor(math.log10(span))))
-        fx, fy = (lambda v: fmt(float(v - left))), (lambda v: fmt(float(v - top)))
+        fx, fy = (lambda v: fmt(float((v - left) * scale))), (lambda v: fmt(float((v - top) * scale)))
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} '
@@ -87,6 +92,18 @@ class _Canvas:
                 )
         out.append("</svg>")
         return "\n".join(out) + "\n"
+
+
+def _scale(span: Fraction) -> int:
+    # A span below the normal float range would lose its points in the float
+    # conversion.  Times 10^k <= 1 / span < 10^(k+1) it lies in (0.1, 1].
+    if not span or float(span) >= sys.float_info.min:
+        return 1
+    inverse = span.denominator // span.numerator
+    k = (inverse.bit_length() - 1) * 30102 // 100000  # at most log10(inverse)
+    while 10 ** (k + 1) <= inverse:
+        k += 1
+    return 10**k
 
 
 def _xy(p: Point) -> tuple[Fraction, Fraction]:

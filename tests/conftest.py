@@ -1,4 +1,5 @@
-from concurrent.futures import Future
+import os
+import tempfile
 
 import pytest
 
@@ -6,6 +7,7 @@ from circledepth import (
     PointSet,
     all_profiles,
     bichromatic_pairs,
+    forkmap,
     maximin_pair,
     validate_general_position,
 )
@@ -35,31 +37,34 @@ def red_blue_maximin(ps: PointSet):
     return maximin_pair(ps, all_profiles(ps, pairs=bichromatic_pairs(ps)))
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+class InProcessChild(forkmap.Child):
+    """Stands in for a forked child: runs its share in this process at once
+    and leaves the pickled outcome in a file that reads like the pipe.
+    Records the CPUs each child would be pinned to."""
 
-    created: list[int] = []
+    cpus: list = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    def __init__(self, task, share, cpus):
+        self.cpus.append(cpus)
+        self.received, self.pid = bytearray(), None
+        with tempfile.TemporaryFile() as f:
+            f.write(forkmap.outcome(task, share))
+            f.seek(0)
+            self.fd = os.dup(f.fileno())
 
-    def __enter__(self):
-        return self
+    def _wait(self):
+        return 0
 
-    def __exit__(self, *exc):
-        return False
 
-    def submit(self, fn, *args):
-        # Runs the call now and hands back its outcome as a finished future.
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+@pytest.fixture
+def claim_cpus(monkeypatch):
+    """Makes the maps of jobs > 1 see CPUs 0 .. count-1; this process's real CPU
+    mask is put back after the test, since a map restores the claimed one."""
+    real = os.sched_getaffinity(0)
+    yield lambda count: monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count))
+    )
+    os.sched_setaffinity(0, real)
 
 
 # Sets on which the float keys of the bisector sort, num / cross, cannot

@@ -1,10 +1,10 @@
-import concurrent.futures
 import dataclasses
+import os
 
 import pytest
 
 from circledepth import Color, kset_counts, oracle_weights, triple_counts
-from circledepth import checks, depth
+from circledepth import checks, forkmap
 from circledepth.checks import (
     CHECKS,
     applicable_checks,
@@ -21,7 +21,7 @@ from circledepth.checks import (
 )
 from circledepth.constructions import random_convex, random_general_position
 
-from conftest import InProcessPool, make_set, random_corpus
+from conftest import InProcessChild, make_set, random_corpus
 
 
 def test_triple_pair_sum_on_random_sets():
@@ -220,13 +220,15 @@ def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
 
 
 @pytest.mark.parametrize("jobs, workers", [(1, None), (0, None), (3, 3), (100_000, 8)])
-def test_oracle_match_fan_out_is_bounded(monkeypatch, jobs, workers):
-    # Eight CPUs available: the oracle's pool gets min(jobs, CPUs, chunks)
-    # workers, jobs <= 1 makes none, and every pair is sampled once through
-    # the name the checks module holds.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(InProcessPool, "created", [])
+def test_oracle_match_fan_out_is_bounded(monkeypatch, claim_cpus, jobs, workers):
+    # Eight CPUs available: the oracle runs in min(jobs, CPUs, pairs)
+    # processes, this one and a child for each further CPU, jobs <= 1 forks
+    # none, and every pair is sampled once through the name the checks
+    # module holds.
+    monkeypatch.setattr(forkmap, "Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "cpus", [])
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    claim_cpus(8)
     ps = random_general_position(9, seed=13, coord_range=10**6)
     serial = run_checks(ps)
     calls = []
@@ -237,8 +239,17 @@ def test_oracle_match_fan_out_is_bounded(monkeypatch, jobs, workers):
 
     monkeypatch.setattr(checks, "oracle_weights", counted)
     assert run_checks(ps, jobs=jobs) == serial
-    assert calls == [(p, q) for p in range(9) for q in range(p + 1, 9)]
-    assert InProcessPool.created == ([] if workers is None else [workers])
+    assert sorted(calls) == [(p, q) for p in range(9) for q in range(p + 1, 9)]
+    assert len(InProcessChild.cpus) == (0 if workers is None else workers - 1)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_forked_checks_match_serial(claim_cpus, jobs):
+    claim_cpus(4)
+    ps = random_general_position(9, seed=13, coord_range=10**6)
+    assert run_checks(ps, jobs=jobs) == run_checks(ps)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_checks_selection_and_order(quad):

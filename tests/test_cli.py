@@ -364,6 +364,23 @@ def test_render_keeps_apart_points_closer_than_float_resolution(tmp_path, capsys
     )
 
 
+def test_render_keeps_apart_points_closer_than_the_smallest_float(tmp_path, capsys):
+    # A span of 1e-400 is 0.0 as a float; the drawing is scaled by 10^400
+    # before the float conversion.
+    src = tmp_path / "tiny.txt"
+    src.write_text("0 0\n1e-400 0\n0 1e-400\n")
+    code, stdout, err = run_cli(["render", str(src)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.050 -0.050 1.100 1.100">\n'
+        '  <circle cx="0.000" cy="1.000" r="0.008" fill="#333333" />\n'
+        '  <circle cx="1.000" cy="1.000" r="0.008" fill="#333333" />\n'
+        '  <circle cx="0.000" cy="0.000" r="0.008" fill="#333333" />\n'
+        "</svg>\n"
+    )
+
+
 def test_render_single_point_gets_a_box(tmp_path, capsys):
     src = tmp_path / "one.txt"
     src.write_text("5 7\n")

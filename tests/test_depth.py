@@ -1,5 +1,7 @@
-import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -32,7 +34,7 @@ from circledepth import (
     validate_general_position,
     weight_sequence,
 )
-from circledepth import brute, depth
+from circledepth import brute, depth, forkmap
 from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
@@ -43,7 +45,7 @@ from circledepth.pointfile import parse_point_file
 from conftest import (
     BEYOND_FLOAT,
     NEAR_COCIRCULAR,
-    InProcessPool,
+    InProcessChild,
     make_set,
     random_corpus,
     red_blue_maximin,
@@ -344,57 +346,147 @@ def test_bichromatic_census_quad():
     assert value == 0 and pair == (0, 1)
 
 
-def test_parallel_profiles_match_serial():
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_profiles_match_serial(claim_cpus):
+    # Four CPUs claimed, so --jobs 3 and 4 fork 2 and 3 real children even
+    # on a smaller host, where pinning to a CPU it lacks is skipped.
+    claim_cpus(4)
     ps = random_general_position(9, seed=13, coord_range=10**6)
     serial = [p.weights for p in all_profiles(ps, jobs=1)]
-    parallel = [p.weights for p in all_profiles(ps, jobs=2)]
-    assert serial == parallel
-    assert sweep_totals(ps, jobs=2) == sweep_totals(ps, jobs=1)
+    totals = sweep_totals(ps, jobs=1)
+    for jobs in (2, 3, 4):
+        assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial
+        assert sweep_totals(ps, jobs=jobs) == totals
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize(
     "n, jobs, workers",
     [(9, 100_000, 8), (9, 3, 3), (3, 100_000, 3), (9, 1, None), (9, 0, None)],
 )
-def test_jobs_fan_out_is_bounded(monkeypatch, n, jobs, workers):
-    # Eight CPUs available: the pool gets min(jobs, CPUs, chunks) workers,
-    # and jobs <= 1 makes none.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(InProcessPool, "created", [])
+def test_jobs_fan_out_is_bounded(monkeypatch, claim_cpus, n, jobs, workers):
+    # Eight CPUs available: a map runs in min(jobs, CPUs, pairs) processes,
+    # this one and a child pinned to each further CPU, and jobs <= 1 forks
+    # none.  This process is pinned to the first CPU, then gets its mask back.
+    monkeypatch.setattr(forkmap, "Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "cpus", [])
+    masks = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: masks.append(cpus))
+    claim_cpus(8)
     ps = random_general_position(n, seed=13, coord_range=10**6)
     serial_profiles = [p.weights for p in all_profiles(ps)]
     serial_totals = sweep_totals(ps)
-    assert InProcessPool.created == []
+    assert InProcessChild.cpus == [] and masks == []
     assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial_profiles
     assert sweep_totals(ps, jobs=jobs) == serial_totals
-    assert InProcessPool.created == ([] if workers is None else [workers, workers])
+    children = [] if workers is None else [{cpu} for cpu in range(1, workers)]
+    assert InProcessChild.cpus == children * 2
+    assert masks == ([] if workers is None else [{0}, set(range(8))] * 2)
 
 
-def _second_chunk_fails(marks, chunks, chunk):
-    # Module level, so a worker process can unpickle it.
-    if chunk == chunks[0]:
-        time.sleep(0.8)
-    elif chunk == chunks[1]:
-        raise ValueError("second chunk fails")
-    else:
-        time.sleep(0.4)
-        (marks / f"{chunk[0]}").touch()
+def test_maps_without_fork_or_cpu_affinity(monkeypatch):
+    # Without CPU affinity the map still fans out, pinning nothing; without
+    # os.fork it runs serially.
+    monkeypatch.setattr(forkmap, "Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "cpus", [])
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ps = random_general_position(9, seed=13, coord_range=10**6)
+    serial = sweep_totals(ps)
+    assert sweep_totals(ps, jobs=2) == serial
+    assert InProcessChild.cpus == [None]
+    monkeypatch.delattr(os, "fork")
+    assert depth._workers(8, 36) == 1
+    assert sweep_totals(ps, jobs=2) == serial
+    assert InProcessChild.cpus == [None]
+
+
+def _mark_block(marks, child_share, chunk):
+    if chunk == child_share:
+        raise ValueError("the child's share fails")
+    time.sleep(0.4)
+    (marks / f"{chunk[0]}").touch()
     return chunk
 
 
-def test_first_failed_chunk_stops_the_pool(monkeypatch, tmp_path):
-    # Two workers and eight chunks.  The second fails at once while the
-    # first still runs; the chunks no worker has taken by then never run.
-    # Waiting for the results in chunk order would see the failure only
-    # after the first chunk, when five of the other six have been taken.
-    monkeypatch.setattr(depth.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_first_failed_chunk_stops_the_pool(claim_cpus, tmp_path):
+    # Two processes: the child's share fails at once, while this process
+    # folds its share in four blocks of 0.4 s each.  The pipes are read
+    # between blocks, so the map stops after the first or second; reading
+    # them only after this process's share would run all four.
+    claim_cpus(2)
     pairs = depth.all_pairs(12)
-    chunks = [pairs[i : i + 9] for i in range(0, len(pairs), 9)]
-    task = partial(_second_chunk_fails, tmp_path, chunks)
-    with pytest.raises(ValueError, match="second chunk fails"):
+    task = partial(_mark_block, tmp_path, pairs[33:])
+    with pytest.raises(ValueError, match="the child's share fails"):
         depth._map_chunks(task, pairs, 2)
-    assert len(list(tmp_path.iterdir())) <= 4
+    assert len(list(tmp_path.iterdir())) <= 2
+    assert_no_child_left()
+
+
+def _fails_or_sleeps(caller, chunk):
+    if os.getpid() == caller:
+        raise ValueError("the caller's share fails")
+    time.sleep(60)
+
+
+def _exits_in_child(caller, chunk):
+    if os.getpid() != caller:
+        os._exit(7)
+    return chunk
+
+
+def test_no_child_outlives_a_map(claim_cpus):
+    claim_cpus(3)
+    pairs = depth.all_pairs(6)
+    assert depth._map_chunks(len, pairs, 3) == [2, 2, 1, 5, 5]
+    assert_no_child_left()
+    # A failure in this process's first block kills children that would
+    # sleep for a minute.
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's share fails"):
+        depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+    # A child that dies without writing is an error naming its exit code.
+    with pytest.raises(ChildProcessError, match="exit code 7"):
+        depth._map_chunks(partial(_exits_in_child, os.getpid()), pairs, 3)
+    assert_no_child_left()
+
+
+def test_children_flush_nothing_they_inherit():
+    # Output still buffered when a map forks is written once: a child
+    # leaves through os._exit, never through the caller's exit path.
+    script = (
+        "import sys; sys.stdout.write('buffered')\n"
+        "from circledepth.constructions import random_general_position\n"
+        "from circledepth.depth import sweep_totals\n"
+        "sweep_totals(random_general_position(9, 13, 10**6), jobs=2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(depth.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"buffered", b"")
+
+
+def _affinity(chunk):
+    return os.sched_getaffinity(0)
+
+
+def test_caller_affinity_is_restored():
+    # Each process runs pinned to a CPU of its own, and this one gets its
+    # mask back after the map.
+    before = os.sched_getaffinity(0)
+    pairs = depth.all_pairs(6)
+    masks = depth._map_chunks(_affinity, pairs, 2)
+    assert os.sched_getaffinity(0) == before
+    if depth._workers(2, len(pairs)) == 2:
+        first, second = sorted(before)[:2]
+        assert masks == [{first}] * 4 + [{second}]
 
 
 # Points snapped to a rational grid or to the lattice points of two circles:
@@ -569,7 +661,11 @@ def reference_sets(draw):
     return ps
 
 
+# Every pair of NEAR_COCIRCULAR sorts the oracle's params on equal floats,
+# and every pair of BEYOND_FLOAT overflows them: both take the Fraction sort.
 @given(reference_sets())
+@example(make_set(NEAR_COCIRCULAR))
+@example(make_set(BEYOND_FLOAT))
 @settings(max_examples=60, deadline=None)
 def test_integer_oracle_matches_sweep_and_fraction_oracle(ps):
     for p, q in combinations(range(len(ps)), 2):
