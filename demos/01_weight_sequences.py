@@ -9,9 +9,7 @@ against the independent sampling oracle.
 from circledepth import (
     PointSet,
     oracle_weights,
-    pair_depth,
-    maximin_pair,
-    minimax_pair,
+    sweep_totals,
     validate_general_position,
     weight_sequence,
 )
@@ -30,11 +28,12 @@ for pair in [(0, 2), (1, 3)]:
         print(f"  third point {event.index}: event at s = {event.s} ({side})")
     print(f"  weights along increasing s: {list(profile.weights)}")
     print(f"  oracle agrees: {oracle_weights(ps, *pair) == list(profile.weights)}")
-    depth = pair_depth(ps, *pair)
-    print(f"  depth summary: min {depth.min_weight}, max {depth.max_weight}\n")
+    print(f"  depth summary: min {min(profile.weights)}, max {max(profile.weights)}\n")
 
-pair, k = maximin_pair(ps)
+# One fold over every pair's weights gives the tables and the extremal pairs.
+totals = sweep_totals(ps)
+pair, k = totals.maximin
 print(f"maximin pair {pair}: every circle through it encloses >= {k} points")
-pair, K = minimax_pair(ps)
+pair, K = totals.minimax
 print(f"minimax pair {pair}: every circle through it encloses <= {K} points "
       f"(guaranteed <= floor((2n-3)/3) = {(2 * n - 3) // 3})")

@@ -4,13 +4,7 @@ Each generator verifies its claims exactly before returning, so everything
 printed here has already been checked against the depth engine.
 """
 
-from circledepth import (
-    all_profiles,
-    bichromatic_pairs,
-    maximin_pair,
-    repeated_weight_stats,
-    weight_sequence,
-)
+from circledepth import sweep_totals, weight_sequence
 from circledepth.constructions import (
     halving_line_construction,
     recursive_seven_region,
@@ -19,9 +13,8 @@ from circledepth.constructions import (
 
 n = 5
 out = two_colored_convex(n)
-# The red-blue maximin is the plain maximin over the red-blue pairs' profiles.
-red_blue = all_profiles(out.points, pairs=bichromatic_pairs(out.points))
-pair, depth = maximin_pair(out.points, red_blue)
+# The red-blue maximin is the maximin of the fold, filtered to red-blue pairs.
+pair, depth = sweep_totals(out.points).bichromatic_maximin
 print(f"two_colored_convex({n}): {2 * n} convex points, colors alternating by cluster")
 print(f"  bichromatic maximin = {depth} (every red-blue pair has a circle "
       f"enclosing <= {n // 2} points)\n")
@@ -31,7 +24,7 @@ w = weight_sequence(out.points, 0, 1).weights
 print(f"recursive_seven_region(7, 1): n = {len(out.points)}")
 print(f"  weight list of the central pair (0, 1): {list(w)}")
 print(f"  multiplicities of 7..11: {[list(w).count(v) for v in range(7, 12)]} (all >= 4)")
-orders = repeated_weight_stats(out.points).nonzero_orders()
+orders = sweep_totals(out.points).repeats.nonzero_orders()
 print(f"  some bisector repeats a weight >= 4 times for {len(orders)} Voronoi orders\n")
 
 n = 4

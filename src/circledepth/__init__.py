@@ -28,22 +28,18 @@ from .geom import (
 from .depth import (
     BisectorEvent,
     BisectorProfile,
-    DepthSummary,
     EdgeStats,
     KSetStats,
     RepeatStats,
+    SweepTotals,
     TripleStats,
     WeightCensus,
     all_profiles,
     bichromatic_pairs,
     j_edge_counts,
     kset_counts,
-    maximin_pair,
-    minimax_pair,
     oracle_weights,
-    pair_depth,
-    repeated_weight_stats,
-    segment_weight_census,
+    sweep_totals,
     triple_counts,
     weight_sequence,
 )

@@ -3,9 +3,9 @@
 Everything here enumerates rather than counts cleverly, so these functions
 are only meant for small n.  They deliberately avoid the machinery they
 verify: k-sets come from explicit separating-line tests instead of j-edge
-tables, the bichromatic depth comes from the sampling oracle instead of
-the sweep, and general position is decided by an in-circle test on every
-quadruple instead of the bisector order.  :func:`triple_counts` counts
+tables, the weight tables and extremal pairs come from the sampling oracle
+instead of the sweep, and general position is decided by an in-circle test
+on every quadruple instead of the bisector order.  :func:`triple_counts` counts
 every triple's enclosed points by one in-circle test each, in O(n^4), and
 cross-checks ``depth.triple_counts``, which counts by inversion in
 O(n^3 log n).  The O(n^4) reference that ``verify`` runs at every size, the integer
@@ -15,9 +15,10 @@ sampling oracle, is ``depth.oracle_weights``.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
-from .depth import TripleStats, bichromatic_pairs, oracle_weights
+from .depth import RepeatStats, TripleStats, WeightCensus, oracle_weights
 
 
 def general_position_violations(ps: PointSet) -> list[Violation]:
@@ -88,17 +89,42 @@ def kset_counts_bruteforce(ps: PointSet) -> list[int]:
     return counts
 
 
-def bichromatic_maximin_bruteforce(ps: PointSet) -> tuple[tuple[int, int], int]:
-    """Maximin over red-blue pairs computed from sampled circles only."""
+class WeightTables(NamedTuple):
+    census: WeightCensus
+    repeats: RepeatStats
+    maximin: tuple[tuple[int, int], int] | None
+    minimax: tuple[tuple[int, int], int] | None
+
+
+def weight_tables(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> WeightTables:
+    """The census, repeats and extremal pairs over ``pairs`` (default every
+    pair), counted from sampled circles.
+
+    Deliberately O(n^4): one ``oracle_weights`` per pair and plain loops, so
+    it shares nothing with the sweep or with the fold of
+    ``depth.sweep_totals``, which it cross-checks.  An extremal tie goes to
+    the lexicographically smallest pair; over the red-blue pairs the maximin
+    is the bichromatic maximin.
+    """
     ps.require_certified()
-    best_pair = None
-    best = -1
-    for p, q in bichromatic_pairs(ps):
-        value = min(oracle_weights(ps, p, q))
-        if value > best:
-            best = value
-            best_pair = (p, q)
-    return best_pair, best
+    n = len(ps)
+    hist = [0] * max(n - 1, 0)
+    b, max_collinear = [0] * n, [0] * n
+    maximin = minimax = None
+    for p, q in sorted(combinations(range(n), 2) if pairs is None else pairs):
+        weights = oracle_weights(ps, p, q)
+        for w in weights:
+            hist[w] += 1
+        for w in set(weights):
+            mult = weights.count(w)
+            b[w + 1] += mult >= 4
+            max_collinear[w + 1] = max(max_collinear[w + 1], mult)
+        if maximin is None or min(weights) > maximin[1]:
+            maximin = ((p, q), min(weights))
+        if minimax is None or max(weights) < minimax[1]:
+            minimax = ((p, q), max(weights))
+    census = WeightCensus(tuple(hist))
+    return WeightTables(census, RepeatStats(tuple(b), tuple(max_collinear)), maximin, minimax)
 
 
 def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:

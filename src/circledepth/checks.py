@@ -21,9 +21,8 @@ from .depth import (
     bichromatic_pairs,
     j_edge_counts,
     kset_counts,
-    minimax_pair,
     oracle_weights,
-    segment_weight_census,
+    sweep_totals,
     triple_counts,
 )
 
@@ -102,7 +101,7 @@ def _census_rows(
     needs a triple, so it has no rows on fewer than three points.
     """
     n = len(ps)
-    census = segment_weight_census(ps, all_profiles(ps, pairs=pairs))
+    census = sweep_totals(ps, pairs=pairs).census
     rows: list[tuple[str, int, int, str]] = []
     if n >= 3:
         stats = triple_counts(ps, pairs)
@@ -144,7 +143,9 @@ def check_minimax_bound(ps: PointSet) -> CheckResult:
     """Some pair's circles all enclose at most floor((2n-3)/3) points."""
     ps.require_certified()
     n = len(ps)
-    _, value = minimax_pair(ps)
+    if n < 2:
+        raise ValueError("need at least two points")
+    _, value = sweep_totals(ps).minimax
     return _result(
         "minimax-bound",
         "min over pairs of max enclosed count <= floor((2n-3)/3)",

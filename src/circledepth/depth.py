@@ -29,12 +29,14 @@ the references (:func:`oracle_weights`, O(n^4) over all pairs,
 grid that :meth:`PointSet.require_certified` returns, and so share no
 arithmetic with the sweep.
 
-:func:`sweep_totals` folds every pair's sequence into the tables of an
-analysis without keeping a profile; the table functions below it
-(``triple_counts``, ``j_edge_counts`` and the rest) count the same tables
-independently, as references and for the checks.  They take the pairs they
-range over, so the red-blue tables of a colored set are the same functions
-over :func:`bichromatic_pairs`.
+:func:`sweep_totals` is the one place where weight sequences become tables:
+it folds the swept pairs' sequences into the census, the repeats, the
+end-weight j-edges and the extremal pairs without keeping a profile.
+:func:`triple_counts` and :func:`j_edge_counts` count from orientation and
+in-circle signs instead, never from a sweep, so the checks can set one side
+against the other.  All three take the pairs they range over, so the
+red-blue tables of a colored set are the same functions over
+:func:`bichromatic_pairs`.
 """
 
 from __future__ import annotations
@@ -111,13 +113,6 @@ class BisectorProfile:
         # rot90(q - p); center(s) = midpoint + s * direction
         p, q = self.ends
         return (-(q.y - p.y), q.x - p.x)
-
-
-@dataclass(frozen=True)
-class DepthSummary:
-    pair: tuple[int, int]
-    min_weight: int
-    max_weight: int
 
 
 @dataclass(frozen=True)
@@ -342,41 +337,6 @@ def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[BisectorP
     return [weight_sequence(ps, p, q) for p, q in pairs]
 
 
-def pair_depth(ps: PointSet, p: int, q: int) -> DepthSummary:
-    profile = weight_sequence(ps, p, q)
-    return DepthSummary((p, q), min(profile.weights), max(profile.weights))
-
-
-def _first_least(ps: PointSet, profiles: list[BisectorProfile] | None, cost) -> BisectorProfile:
-    # The first profile of least cost(weights), so a tie goes to the pair
-    # that comes first: the lexicographically smallest by default.
-    ps.require_certified()
-    if len(ps) < 2:
-        raise ValueError("need at least two points")
-    return min(all_profiles(ps) if profiles is None else profiles, key=lambda p: cost(p.weights))
-
-
-def maximin_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> tuple[tuple[int, int], int]:
-    """Pair maximizing the minimum weight on its bisector.
-
-    Ties break to the lexicographically smallest index pair so output is
-    reproducible byte for byte.
-    """
-    best = _first_least(ps, profiles, lambda weights: -min(weights))
-    return best.pair, min(best.weights)
-
-
-def minimax_pair(ps: PointSet, profiles: list[BisectorProfile] | None = None) -> tuple[tuple[int, int], int]:
-    """Pair minimizing the maximum weight on its bisector.
-
-    Ties break to the lexicographically smallest index pair.  The value is
-    returned as found; the bound floor((2n-3)/3) is the ``minimax-bound``
-    check's to judge.
-    """
-    best = _first_least(ps, profiles, max)
-    return best.pair, max(best.weights)
-
-
 def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
     """Red-blue pairs (p, q) with p < q, sorted: the pairs the red-blue tables range over."""
     reds = ps.indices_of(Color.RED)
@@ -456,44 +416,6 @@ def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
     return KSetStats((0, *edges.directed_j)[:n])
 
 
-def segment_weight_census(
-    ps: PointSet, profiles: list[BisectorProfile] | None = None
-) -> WeightCensus:
-    """Histogram of segment weights over the profiled bisectors (default all C(n,2))."""
-    ps.require_certified()
-    n = len(ps)
-    hist = [0] * (n - 1)
-    for profile in all_profiles(ps) if profiles is None else profiles:
-        for w in profile.weights:
-            hist[w] += 1
-    return WeightCensus(tuple(hist))
-
-
-def repeated_weight_stats(
-    ps: PointSet, profiles: list[BisectorProfile] | None = None
-) -> RepeatStats:
-    """How often single bisectors repeat a weight (collinear order-k edges).
-
-    Counts all C(n,2) bisectors; constructions report their designated pairs
-    separately.
-    """
-    ps.require_certified()
-    n = len(ps)
-    b = [0] * n
-    max_mult = [0] * n
-    for profile in all_profiles(ps) if profiles is None else profiles:
-        seen: dict[int, int] = {}
-        for w in profile.weights:
-            seen[w] = seen.get(w, 0) + 1
-        for w, mult in seen.items():
-            k = w + 1
-            if mult >= 4:
-                b[k] += 1
-            if mult > max_mult[k]:
-                max_mult[k] = mult
-    return RepeatStats(tuple(b), tuple(max_mult))
-
-
 @dataclass(frozen=True)
 class SweepTotals:
     """Every table and extremal pair of an analysis, from one sweep per pair.
@@ -501,12 +423,15 @@ class SweepTotals:
     ``triples`` is derived, not counted: a circle through three points that
     encloses k others is an event on each of its three bisectors, between
     segments of weights k and k+1, so c[k] is a third of the number of
-    adjacent weight pairs with minimum k.  The end weights of a bisector are
-    the side counts of its pair's line, which give ``edges``.  The extremal
-    pairs are None when the set has no pair, or no red-blue pair.
+    adjacent weight pairs with minimum k.  That holds only over every
+    bisector, so ``triples`` is None for a fold over a given pair list.  The
+    end weights of a bisector are the side counts of its pair's line, which
+    give ``edges``.  The extremal pairs break ties to the lexicographically
+    smallest pair, and are None when no pair, or no red-blue pair, was
+    swept.
     """
 
-    triples: TripleStats
+    triples: TripleStats | None
     census: WeightCensus
     edges: EdgeStats
     repeats: RepeatStats
@@ -577,9 +502,9 @@ class _Fold:
         self.minimax = _least(self.minimax, other.minimax)
         self.red_blue_maximin = _least(self.red_blue_maximin, other.red_blue_maximin)
 
-    def totals(self) -> SweepTotals:
+    def totals(self, every_pair: bool) -> SweepTotals:
         return SweepTotals(
-            TripleStats(tuple(v // 3 for v in self.incidences)),
+            TripleStats(tuple(v // 3 for v in self.incidences)) if every_pair else None,
             WeightCensus(tuple(self.hist)),
             EdgeStats(tuple(self.directed), tuple(self.undirected)),
             RepeatStats(tuple(self.repeat_b), tuple(self.max_collinear)),
@@ -602,29 +527,42 @@ def _fold_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> _Fold:
     return fold
 
 
-def sweep_totals(ps: PointSet, jobs: int = 1) -> SweepTotals:
-    """Fold every pair's weight sequence into :class:`SweepTotals`.
+def sweep_totals(
+    ps: PointSet, jobs: int = 1, pairs: list[tuple[int, int]] | None = None
+) -> SweepTotals:
+    """Fold the weight sequences of ``pairs`` into :class:`SweepTotals`.
 
-    O(n^3 log n) time and O(n) memory per worker: no profile is kept.  With
-    ``jobs > 1`` workers fold chunks of pairs and their accumulators are
-    merged, so the result is the same for any jobs value.
+    O(n log n) time per pair and O(n) memory per worker: no profile is kept.
+    With ``jobs > 1`` workers fold chunks of pairs and their accumulators
+    are merged, so the result is the same for any jobs value.
 
-    On a set not yet certified the fold certifies it: after a duplicate
-    check the set is lent its grid (:func:`~circledepth.geom._lent_grid`),
-    and every pair i < j is swept over all other points, so a collinear
-    triple is a zero cross on its smallest pair and a cocircular quadruple a
-    tie on its smallest pair.  The first degeneracy raises
-    :class:`DegenerateInputError` (from a worker too) and leaves the set
-    uncertified; :func:`~circledepth.geom.validate_general_position` lists
-    every violation.  A clean fold stores the grid and the local form on the
-    set, the same ones that function would store.
+    ``pairs=None`` sweeps every pair, and only then may the fold certify a
+    set not yet certified: after a duplicate check the set is lent its grid
+    (:func:`~circledepth.geom._lent_grid`), and every pair i < j is swept
+    over all other points, so a collinear triple is a zero cross on its
+    smallest pair and a cocircular quadruple a tie on its smallest pair.
+    The first degeneracy raises :class:`DegenerateInputError` (from a
+    worker too) and leaves the set uncertified;
+    :func:`~circledepth.geom.validate_general_position` lists every
+    violation.  A clean fold stores the grid and the local form on the set,
+    the same ones that function would store.
+
+    A given list, empty or not, needs a certified set, since a partial sweep
+    certifies nothing, and gives ``triples=None``.
     """
-    n = len(ps)
-    total = _Fold(n)
+    if pairs is not None:
+        ps.require_certified()
+        return _fold(ps, pairs, jobs).totals(every_pair=False)
     with nullcontext(ps.grid) if ps.gp_certified else _lent_grid(ps) as grid:
         local = ps.local
-        for part in _map_chunks(partial(_fold_chunk, ps), all_pairs(n), jobs):
-            total.merge(part)
+        total = _fold(ps, all_pairs(len(ps)), jobs)
     # Every pair swept clean: the set is in general position.
     ps.grid, ps.local = grid, local
-    return total.totals()
+    return total.totals(every_pair=True)
+
+
+def _fold(ps: PointSet, pairs: list[tuple[int, int]], jobs: int) -> _Fold:
+    total = _Fold(len(ps))
+    for part in _map_chunks(partial(_fold_chunk, ps), pairs, jobs):
+        total.merge(part)
+    return total

@@ -3,14 +3,7 @@ import tempfile
 
 import pytest
 
-from circledepth import (
-    PointSet,
-    all_profiles,
-    bichromatic_pairs,
-    forkmap,
-    maximin_pair,
-    validate_general_position,
-)
+from circledepth import PointSet, forkmap, sweep_totals, validate_general_position
 from circledepth.constructions import random_general_position
 
 # One verdict line per acceptance criterion, printed after the run summary so
@@ -33,8 +26,8 @@ def make_set(coords, colors=None) -> PointSet:
 
 
 def red_blue_maximin(ps: PointSet):
-    """Maximin depth over the red-blue pairs: the plain maximin, filtered."""
-    return maximin_pair(ps, all_profiles(ps, pairs=bichromatic_pairs(ps)))
+    """Maximin depth over the red-blue pairs, from the fold over every pair."""
+    return sweep_totals(ps).bichromatic_maximin
 
 
 class InProcessChild(forkmap.Child):

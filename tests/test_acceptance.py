@@ -22,15 +22,13 @@ from circledepth import (
     bichromatic_pairs,
     j_edge_counts,
     kset_counts,
-    maximin_pair,
-    minimax_pair,
     oracle_weights,
-    segment_weight_census,
+    sweep_totals,
     triple_counts,
     validate_general_position,
     weight_sequence,
 )
-from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
+from circledepth.brute import kset_counts_bruteforce, weight_tables
 from circledepth.cli import main
 from circledepth.constructions import (
     Rng,
@@ -160,7 +158,7 @@ def test_criterion_04_census_observed_relation(corpus_small):
     checked = 0
     for ps in corpus_small:
         n = len(ps)
-        census = segment_weight_census(ps)
+        census = sweep_totals(ps).census
         stats = triple_counts(ps)
         edges = j_edge_counts(ps)
         assert sum(census.hist) == comb(n, 2) * (n - 1)
@@ -187,7 +185,7 @@ def test_criterion_04_census_stated_form(corpus_small, quad):
     segment of weight k is counted once whether its endpoint circles enclose
     k or k-1 points.  The ``quad`` fixture shows it at n = 4.
     """
-    census = segment_weight_census(quad)
+    census = sweep_totals(quad).census
     quad_inc = circle_incidences((p.weights for p in all_profiles(quad)), 4)
     assert census.hist == (5, 8, 5)
     assert census.at(0) + census.at(1) == 13
@@ -213,11 +211,11 @@ def test_criterion_05_minimax_bound():
     for i in range(200):
         n = sizes[i % len(sizes)]
         ps = random_general_position(n, seed=40_000 + i, coord_range=10**6)
-        _, value = minimax_pair(ps)
+        _, value = sweep_totals(ps).minimax
         assert value <= (2 * n - 3) // 3
     for i in range(10):
         tri = random_general_position(3, seed=41_000 + i, coord_range=10**4)
-        _, value = minimax_pair(tri)
+        _, value = sweep_totals(tri).minimax
         assert value == 1
     report("criterion 5 PASS: minimax K <= floor((2n-3)/3) on 200 random sets "
            "(n up to 30); K == 1 for every triangle")
@@ -259,7 +257,7 @@ def test_criterion_07_convex_lower_bound():
     for i in range(50):
         n = sizes[i % len(sizes)]
         ps = random_convex(n, seed=50_000 + i)
-        _, value = maximin_pair(ps)
+        _, value = sweep_totals(ps).maximin
         need = -(-n // 3) - 1
         assert value >= need, f"convex maximin {value} < ceil(n/3)-1 = {need} at n={n}"
     report("criterion 7 PASS: convex maximin >= ceil(n/3)-1 on 50 random convex sets, n=3..24")
@@ -314,9 +312,7 @@ def test_criterion_10_seven_region_construction():
     for value in range(7, 12):
         mult = sum(1 for x in w if x == value)
         assert mult >= 4, f"weight {value} appears {mult} < 4 times on the (0,1) bisector"
-    from circledepth import repeated_weight_stats
-
-    orders = repeated_weight_stats(ps).nonzero_orders()
+    orders = sweep_totals(ps).repeats.nonzero_orders()
     assert len(orders) >= 5, f"b[k] != 0 for only {len(orders)} orders"
     report(f"criterion 10 PASS: recursive_seven_region(7,1): weights 7..11 all repeat "
            f">= 4 times on the central bisector; b[k] != 0 for {len(orders)} orders")
@@ -327,7 +323,7 @@ def test_criterion_11_bichromatic_exact_relation_and_oracle(corpus_colored):
     for ps in corpus_colored:
         n = len(ps)
         red_blue = bichromatic_pairs(ps)
-        census = segment_weight_census(ps, all_profiles(ps, pairs=red_blue))
+        census = sweep_totals(ps, pairs=red_blue).census
         mixed = triple_counts(ps, red_blue)
         directed = j_edge_counts(ps, red_blue).directed_j
         for w in range(0, n - 1):
@@ -335,7 +331,7 @@ def test_criterion_11_bichromatic_exact_relation_and_oracle(corpus_colored):
                 f"bichromatic census identity fails at n={n}, w={w}"
             )
             identity_checked += 1
-        assert red_blue_maximin(ps) == bichromatic_maximin_bruteforce(ps)
+        assert red_blue_maximin(ps) == weight_tables(ps, red_blue).maximin
     report(f"criterion 11 PASS (exact relation + oracle): red-blue census identity "
            f"({identity_checked} instances) and bichromatic maximin matches the "
            f"sampled-circle oracle on 50 colored sets")

@@ -95,6 +95,14 @@ def test_verify_on_fewer_than_two_points_passes_vacuously(n, capsys):
     assert [c["name"] for c in report["checks"]] == ["profile-invariants", "oracle-match"]
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_minimax_bound_on_fewer_than_two_points_is_a_structured_error(n, capsys):
+    # Asked for explicitly, the check has no pair to judge: one error line
+    # and exit 1, never a traceback.
+    args = ["verify", str(DATA / f"tiny{n}.txt"), "--checks", "minimax-bound"]
+    assert run_cli(args, capsys) == (1, "", "error: need at least two points\n")
+
+
 def test_analyze_golden_fields():
     report = json.loads((DATA / "random8.analysis.json").read_text())
     assert report["schema"] == 1

@@ -4,8 +4,7 @@ from circledepth import (
     Color,
     PointSet,
     convex_hull,
-    maximin_pair,
-    repeated_weight_stats,
+    sweep_totals,
     validate_general_position,
     weight_sequence,
 )
@@ -55,7 +54,7 @@ def test_random_convex_contracts():
         assert ps.gp_certified
         assert len(convex_hull([cp.point for cp in ps.points])) == n
     # Convex-position depth bound realized with room to spare at n=9.
-    _, value = maximin_pair(random_convex(9, seed=4))
+    _, value = sweep_totals(random_convex(9, seed=4)).maximin
     assert value >= (9 + 2) // 3 - 1
 
 
@@ -116,7 +115,7 @@ def test_seven_region_main_instance():
     assert {w[0], w[-1]} == {21, 26}
     for value in range(7, 12):
         assert sum(1 for x in w if x == value) >= 4
-    stats = repeated_weight_stats(ps)
+    stats = sweep_totals(ps).repeats
     assert len(stats.nonzero_orders()) >= 5
 
 
@@ -124,8 +123,8 @@ def test_seven_region_two_levels_has_more_repeat_orders():
     shallow = recursive_seven_region(4, 1)
     deep = recursive_seven_region(4, 2)
     assert len(deep.points) > len(shallow.points)
-    n_shallow = len(repeated_weight_stats(shallow.points).nonzero_orders())
-    n_deep = len(repeated_weight_stats(deep.points).nonzero_orders())
+    n_shallow = len(sweep_totals(shallow.points).repeats.nonzero_orders())
+    n_deep = len(sweep_totals(deep.points).repeats.nonzero_orders())
     assert n_deep > n_shallow
     # Inner triangle pairs are designated along with the vertex-to-vertex
     # halving pairs across the level boundary.
@@ -162,7 +161,7 @@ def test_halving_construction_drives_maximin():
     # Any halving pair keeps all weights >= n-2, so the whole set's maximin
     # is at least 2 at n=4.
     out = halving_line_construction(4)
-    _, value = maximin_pair(out.points)
+    _, value = sweep_totals(out.points).maximin
     assert value >= 2
 
 

@@ -1,9 +1,12 @@
-"""The demos run against the public API: each must exit 0.
+"""The demos and the README's Library examples run against the public API.
 
-``04_render_svg.py`` writes its SVG files into the directory it is given.
+Each demo must exit 0; ``04_render_svg.py`` writes its SVG files into the
+directory it is given.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +29,47 @@ def test_demo_runs(demo, tmp_path):
     if args:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["colored.svg", "profile.svg", "seven.svg"]
+
+
+def _library_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def _leading_literal(comment: str):
+    # The longest prefix of the comment that is a Python literal, e.g. the
+    # "(2, 2)" of "(2, 2): empty / one-point circumcircles".
+    for end in range(len(comment), 0, -1):
+        try:
+            return True, ast.literal_eval(comment[:end].strip())
+        except (SyntaxError, ValueError):
+            continue
+    return False, None
+
+
+def test_readme_library_examples_hold():
+    # Every line of the README's Library blocks is run, and the value of each
+    # expression or assignment with a comment is compared with the literal
+    # the comment starts with, so a public name that is removed or renamed,
+    # or a value that changes, fails here.
+    namespace: dict = {}
+    checked = 0
+    for block in _library_blocks():
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                if not (isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)):
+                    continue
+                value = namespace[stmt.targets[0].id]
+            line = lines[stmt.end_lineno - 1]
+            comment = line[stmt.end_col_offset:].partition("#")[2]
+            if comment:
+                found, expected = _leading_literal(comment)
+                assert found, f"README comment names no value: {line}"
+                assert value == expected, line
+                checked += 1
+    assert checked >= 14

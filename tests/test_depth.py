@@ -24,21 +24,17 @@ from circledepth import (
     in_circle,
     j_edge_counts,
     kset_counts,
-    maximin_pair,
-    minimax_pair,
     oracle_weights,
-    pair_depth,
-    repeated_weight_stats,
-    segment_weight_census,
+    sweep_totals,
     triple_counts,
     validate_general_position,
     weight_sequence,
 )
 from circledepth import brute, depth, forkmap
-from circledepth.brute import bichromatic_maximin_bruteforce, kset_counts_bruteforce
+from circledepth.brute import kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
-from circledepth.depth import _simplest_between, sweep_totals
+from circledepth.depth import _simplest_between
 from circledepth.geom import _incircle_det_int, _orient_int
 from circledepth.pointfile import parse_point_file
 
@@ -131,27 +127,32 @@ def test_two_point_set():
     ps = make_set([(0, 0), (7, 3)])
     assert weight_sequence(ps, 0, 1).weights == (0,)
     assert oracle_weights(ps, 0, 1) == [0]
-    assert maximin_pair(ps) == ((0, 1), 0)
-    assert minimax_pair(ps) == ((0, 1), 0)
+    totals = sweep_totals(ps)
+    assert totals.maximin == ((0, 1), 0)
+    assert totals.minimax == ((0, 1), 0)
 
 
 def test_pair_depth(quad, triangle):
-    summary = pair_depth(triangle, 0, 1)
-    assert (summary.pair, summary.min_weight, summary.max_weight) == ((0, 1), 0, 1)
-    assert (pair_depth(quad, 0, 2).min_weight, pair_depth(quad, 0, 2).max_weight) == (0, 1)
-    assert (pair_depth(quad, 0, 1).min_weight, pair_depth(quad, 0, 1).max_weight) == (0, 2)
+    # A pair's depths are the least and greatest weights on its bisector.
+    def depths(ps, p, q):
+        profile = weight_sequence(ps, p, q)
+        return profile.pair, min(profile.weights), max(profile.weights)
+
+    assert depths(triangle, 0, 1) == ((0, 1), 0, 1)
+    assert depths(quad, 0, 2)[1:] == (0, 1)
+    assert depths(quad, 0, 1)[1:] == (0, 2)
 
 
 def test_extremal_pairs(quad, triangle):
     # Triangle: every pair has weights {0, 1}; lexicographic tie-break.
-    assert maximin_pair(triangle) == ((0, 1), 0)
-    assert minimax_pair(triangle) == ((0, 1), 1)
+    assert sweep_totals(triangle).maximin == ((0, 1), 0)
+    assert sweep_totals(triangle).minimax == ((0, 1), 1)
     # Quad: diagonal (1,3) has weights (1,2,1), so the maximin value is 1,
     # not 0 -- five of the six bisectors carry a weight-0 segment but that
     # one does not.
-    assert maximin_pair(quad) == ((1, 3), 1)
+    assert sweep_totals(quad).maximin == ((1, 3), 1)
     # Diagonal (0,2) realizes max weight 1 <= floor((2*4-3)/3) = 1.
-    assert minimax_pair(quad) == ((0, 2), 1)
+    assert sweep_totals(quad).minimax == ((0, 2), 1)
 
 
 def test_triple_counts(quad, triangle):
@@ -169,10 +170,10 @@ def test_convex_pentagon_empty_circles():
 
 
 def test_census(quad, triangle):
-    assert segment_weight_census(triangle).hist == (3, 3)
+    assert sweep_totals(triangle).census.hist == (3, 3)
     # Summing the six bisector profiles of the quad: four hull edges carry
     # (0,1,2) and the diagonals carry (1,0,1) and (1,2,1).
-    assert segment_weight_census(quad).hist == (5, 8, 5)
+    assert sweep_totals(quad).census.hist == (5, 8, 5)
 
 
 def test_j_edges(quad, triangle):
@@ -244,7 +245,8 @@ def test_event_order_is_certified_by_in_circle_tests():
 def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatch):
     # The benchmark counts sweeps per pair by rebinding depth.weight_sequence,
     # so the fold must call it by that global name, once for every pair,
-    # whether the set comes certified or the fold certifies it.
+    # whether the set comes certified or the fold certifies it, and once for
+    # every pair of a given list.
     coords = [(cp.point.x, cp.point.y) for cp in random_general_position(9, 44, 1000).points]
     swept = []
 
@@ -257,6 +259,24 @@ def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatc
         swept.clear()
         sweep_totals(ps, jobs=1)
         assert sorted(swept) == depth.all_pairs(9)
+    chosen = [(0, 5), (2, 3), (7, 8), (1, 4)]
+    swept.clear()
+    sweep_totals(ps, pairs=chosen)
+    assert sorted(swept) == sorted(chosen)
+    # An empty list sweeps nothing: it is not read as every pair.
+    swept.clear()
+    empty = sweep_totals(ps, pairs=[])
+    assert swept == []
+    assert empty.census.hist == (0,) * 8 and empty.repeats.b == (0,) * 9
+    assert empty.edges.directed_j == (0,) * 8 and not any(empty.repeats.max_collinear)
+    assert empty.triples is None
+    assert (empty.maximin, empty.minimax, empty.bichromatic_maximin) == (None, None, None)
+    # A partial sweep certifies nothing, so a given list needs a certified set.
+    fresh = PointSet.from_coords(coords)
+    for pairs in (chosen, []):
+        with pytest.raises(NotCertifiedError):
+            sweep_totals(fresh, pairs=pairs)
+        assert fresh.grid is None and fresh.local is None and swept == []
 
 
 def test_profile_invariants_on_random_sets():
@@ -272,26 +292,21 @@ def test_profile_invariants_on_random_sets():
 
 def test_minimax_bound_holds():
     ps = random_general_position(20, seed=31, coord_range=10**6)
-    _, value = minimax_pair(ps)
+    _, value = sweep_totals(ps).minimax
     assert value <= (2 * 20 - 3) // 3
 
 
 def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
-    # A hand-built profile above floor((2*4-3)/3) = 1: the helper reports it,
-    # and judging it is the minimax-bound check's job.
+    # A hand-built profile above floor((2*4-3)/3) = 1 on every pair: the fold
+    # reports it, and judging it is the minimax-bound check's job.
     high = BisectorProfile((0, 1), (Point.of(0, 0), Point.of(10, 0)), (), (0, 1, 2))
-    assert minimax_pair(quad, [high]) == ((0, 1), 2)
-    monkeypatch.setattr(depth, "all_profiles", lambda ps, jobs=1, pairs=None: [high])
+    monkeypatch.setattr(depth, "weight_sequence", lambda ps, p, q: high)
+    assert sweep_totals(quad).minimax == ((0, 1), 2)
     assert not check_minimax_bound(quad).passed
 
 
-def test_empty_profile_list_is_not_recomputed(quad):
-    assert segment_weight_census(quad, []).hist == (0, 0, 0)
-    assert repeated_weight_stats(quad, []).b == (0, 0, 0, 0)
-
-
 def test_repeat_stats(triangle):
-    stats = repeated_weight_stats(triangle)
+    stats = sweep_totals(triangle).repeats
     assert all(b == 0 for b in stats.b)
     assert stats.max_collinear[1] == 1  # weight 0 appears once per bisector
     assert stats.nonzero_orders() == []
@@ -300,22 +315,22 @@ def test_repeat_stats(triangle):
 def test_rigid_motion_invariance(quad):
     # Reflect and translate by rational amounts: every count is unchanged.
     moved = make_set([(-x + 3, y - 17) for x, y in [(0, 0), (10, 0), (9, 9), (0, 10)]])
+    totals, before = sweep_totals(moved), sweep_totals(quad)
     assert triple_counts(moved).c == triple_counts(quad).c
-    assert segment_weight_census(moved).hist == segment_weight_census(quad).hist
+    assert totals.census.hist == before.census.hist
     assert j_edge_counts(moved).directed_j == j_edge_counts(quad).directed_j
-    assert maximin_pair(moved)[1] == maximin_pair(quad)[1]
-    assert minimax_pair(moved)[1] == minimax_pair(quad)[1]
+    assert totals.maximin[1] == before.maximin[1]
+    assert totals.minimax[1] == before.minimax[1]
 
 
 def test_index_permutation_invariance(quad):
     perm = [2, 0, 3, 1]
     coords = [(0, 0), (10, 0), (9, 9), (0, 10)]
     shuffled = make_set([coords[i] for i in perm])
-    assert maximin_pair(shuffled)[1] == maximin_pair(quad)[1]
-    assert minimax_pair(shuffled)[1] == minimax_pair(quad)[1]
-    assert sorted(segment_weight_census(shuffled).hist) == sorted(
-        segment_weight_census(quad).hist
-    )
+    totals, before = sweep_totals(shuffled), sweep_totals(quad)
+    assert totals.maximin[1] == before.maximin[1]
+    assert totals.minimax[1] == before.minimax[1]
+    assert sorted(totals.census.hist) == sorted(before.census.hist)
 
 
 def test_bichromatic_two_points():
@@ -337,7 +352,7 @@ def test_bichromatic_census_quad():
     # (0, 1, 2); the same-color diagonals drop out.
     red_blue = bichromatic_pairs(ps)
     assert red_blue == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert segment_weight_census(ps, all_profiles(ps, pairs=red_blue)).hist == (4, 4, 4)
+    assert sweep_totals(ps, pairs=red_blue).census.hist == (4, 4, 4)
     # Both triples through a diagonal and a third point contain a red-blue
     # pair, so every triple counts; the red-blue j-edges are the hull edges.
     assert triple_counts(ps, red_blue) == triple_counts(ps)
@@ -358,9 +373,12 @@ def test_parallel_profiles_match_serial(claim_cpus):
     ps = random_general_position(9, seed=13, coord_range=10**6)
     serial = [p.weights for p in all_profiles(ps, jobs=1)]
     totals = sweep_totals(ps, jobs=1)
+    chosen = depth.all_pairs(9)[::3]
+    chosen_totals = sweep_totals(ps, pairs=chosen)
     for jobs in (2, 3, 4):
         assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial
         assert sweep_totals(ps, jobs=jobs) == totals
+        assert sweep_totals(ps, jobs=jobs, pairs=chosen) == chosen_totals
         assert_no_child_left()
 
 
@@ -546,16 +564,23 @@ def certified_sets(draw):
 def test_sweep_totals_match_independent_references(ps):
     n = len(ps)
     totals = sweep_totals(ps)
-    profiles = all_profiles(ps)
+    tables = brute.weight_tables(ps)
     if n >= 3:
         assert totals.triples == triple_counts(ps)
     assert totals.edges == j_edge_counts(ps)
-    assert totals.census == segment_weight_census(ps, profiles)
-    assert totals.repeats == repeated_weight_stats(ps, profiles)
-    assert totals.maximin == (maximin_pair(ps, profiles) if n >= 2 else None)
-    assert totals.minimax == (minimax_pair(ps, profiles) if n >= 2 else None)
+    assert totals.census == tables.census
+    assert totals.repeats == tables.repeats
+    assert totals.maximin == tables.maximin
+    assert totals.minimax == tables.minimax
     if ps.indices_of(Color.RED) and ps.indices_of(Color.BLUE):
-        assert totals.bichromatic_maximin == bichromatic_maximin_bruteforce(ps)
+        red_blue = bichromatic_pairs(ps)
+        assert totals.bichromatic_maximin == brute.weight_tables(ps, red_blue).maximin
+        filtered, expected = sweep_totals(ps, pairs=red_blue), brute.weight_tables(ps, red_blue)
+        assert filtered.triples is None
+        assert filtered.edges == j_edge_counts(ps, red_blue)
+        assert (filtered.census, filtered.repeats) == (expected.census, expected.repeats)
+        assert (filtered.maximin, filtered.minimax) == (expected.maximin, expected.minimax)
+        assert filtered.bichromatic_maximin == totals.bichromatic_maximin
     else:
         assert totals.bichromatic_maximin is None
     if n <= 9:
