@@ -305,6 +305,12 @@ def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
     assert not check_minimax_bound(quad).passed
 
 
+def test_empty_profile_list_is_not_recomputed(quad):
+    empty = sweep_totals(quad, pairs=[])
+    assert empty.census.hist == (0, 0, 0)
+    assert empty.repeats.b == (0, 0, 0, 0)
+
+
 def test_repeat_stats(triangle):
     stats = sweep_totals(triangle).repeats
     assert all(b == 0 for b in stats.b)
