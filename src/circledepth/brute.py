@@ -8,8 +8,9 @@ instead of the sweep, and general position is decided by an in-circle test
 on every quadruple instead of the bisector order.  :func:`triple_counts` counts
 every triple's enclosed points by one in-circle test each, in O(n^4), and
 cross-checks ``depth.triple_counts``, which counts by inversion in
-O(n^3 log n).  The O(n^4) reference that ``verify`` runs at every size, the integer
-sampling oracle, is ``depth.oracle_weights``.
+O(n^3 log n).  :func:`oracle_weights` tests every point at every sample
+circle, O(n^2) per pair, and cross-checks ``depth.oracle_weights``, which
+bisects each point's single change of status on the same circles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
-from .depth import RepeatStats, TripleStats, WeightCensus, oracle_weights
+from .depth import RepeatStats, TripleStats, WeightCensus, _oracle_circles
 
 
 def general_position_violations(ps: PointSet) -> list[Violation]:
@@ -87,6 +88,20 @@ def kset_counts_bruteforce(ps: PointSet) -> list[int]:
             if separable(ps, frozenset(combo)):
                 counts[k] += 1
     return counts
+
+
+def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
+    """The sampling oracle's weight sequence by a plain count: every point
+    tested by its power at every sample circle of ``depth._oracle_circles``.
+
+    Deliberately O(n^2) per pair; it cross-checks ``depth.oracle_weights``,
+    which counts on the same circles by bisection.
+    """
+    ints = ps.require_certified()
+    circles = _oracle_circles(ints, p, q)
+    px, py = ints[p]
+    rel = [(x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints]
+    return [len([1 for x, y, r2 in rel if b * r2 < cx * x + cy * y]) for b, cx, cy in circles]
 
 
 class WeightTables(NamedTuple):

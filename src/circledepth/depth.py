@@ -24,7 +24,7 @@ Every kernel here decides its signs on integers that
 :func:`sweep_totals`) stores on the set when it certifies it.  The sweep
 (:func:`weight_sequence`) reads each point on its own denominators,
 ``PointSet.local``, so a rational set costs about what an integer one does;
-the references (:func:`oracle_weights`, O(n^4) over all pairs,
+the references (:func:`oracle_weights`, O(n^3 log n) over all pairs,
 :func:`triple_counts` and :func:`j_edge_counts`) read the common integer
 grid that :meth:`PointSet.require_certified` returns, and so share no
 arithmetic with the sweep.
@@ -60,7 +60,6 @@ from .geom import (
     _bisector_order,
     _exact_keys,
     _lent_grid,
-    _orient_int,
 )
 
 
@@ -203,29 +202,68 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     """Independent re-derivation of the weight sequence by sampling circles.
 
+    The samples are :func:`_oracle_circles`, one inside each segment, at
+    increasing t = a/b.  Divided by b > 0 the power test
+    b |x - p|^2 < C . (x - p) is affine in t, with slope 2 d . (x - p), so
+    x changes status at most once along the samples: a point whose status
+    at the last sample differs from the first is bisected, with the same
+    test, for the first sample where it flips, a +-1 step goes there, and
+    the weights are the running sum.  O(n log n) per pair.  Shares no code
+    with the sweep; :func:`circledepth.brute.oracle_weights` is the plain
+    count, every point tested at every sample.
+    """
+    ints = ps.require_certified()
+    circles = _oracle_circles(ints, p, q)
+    px, py = ints[p]
+    b0, cx0, cy0 = circles[0]
+    bl, cxl, cyl = circles[-1]
+    steps = [0] * len(circles)
+    for x, y, r2 in ((x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints):
+        inside = b0 * r2 < cx0 * x + cy0 * y  # never true for p and q
+        steps[0] += inside
+        if inside == (bl * r2 < cxl * x + cyl * y):
+            continue
+        # circles[lo] has the first status and circles[hi] the last.
+        lo, hi = 0, len(circles) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            b, cx, cy = circles[mid]
+            if (b * r2 < cx * x + cy * y) == inside:
+                lo = mid
+            else:
+                hi = mid
+        steps[hi] += -1 if inside else 1
+    return list(accumulate(steps))
+
+
+def _oracle_circles(
+    ints: tuple[tuple[int, int], ...], p: int, q: int
+) -> list[tuple[int, int, int]]:
+    """The oracle's sample circles through ints[p] and ints[q], as (b, Cx, Cy)
+    in increasing order of their parameter, one per segment of the bisector.
+
     On the common integer grid: event parameters are the integer
     circumcenters projected on the bisector, sorted exactly by
-    :func:`_quotient_order`.  Each segment is sampled at the fraction s = a/b
+    :func:`_quotient_order`.  Each segment is sampled at the fraction t = a/b
     with the smallest denominator strictly inside it
     (:func:`_simplest_between`), each unbounded end at an integer, so a
     sample's integers stay small on a wide grid.  The center is
-    p + C / 2b with C = b(q - p) + 2a * d, and its circle encloses x iff
-    b |x - p|^2 < C . (x - p), the power of x (never true for p and q).
-    Shares no code with the sweep in :func:`weight_sequence`.
+    p + C / 2b with C = b(q - p) + 2a * d, d = rot90(q - p), and its circle
+    encloses x iff b |x - p|^2 < C . (x - p), the power of x (never true
+    for p and q).
     """
-    ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
     (px, py), (qx, qy) = ints[p], ints[q]
     bx, by = qx - px, qy - py
-    dx, dy = -by, bx  # rot90(q - p); center(s) = (p + q) / 2 + s * d
-    dd = dx * dx + dy * dy
-    nums, dens = [], []  # s = num / den, den > 0
+    dx, dy = -by, bx  # rot90(q - p); center(t) = (p + q) / 2 + t * d
+    dd, bb = dx * dx + dy * dy, bx * bx + by * by
+    nums, dens = [], []  # t = num / den, den > 0
     for xx, xy in (xy for x, xy in enumerate(ints) if x != p and x != q):
         # Circumcenter of (p, q, x): p + (ux, uy) / den.
         cx, cy = xx - px, xy - py
         den = 2 * (bx * cy - by * cx)
-        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        cc = cx * cx + cy * cy
         ux, uy = cy * bb - by * cc, bx * cc - cx * bb
         # 2 * den * (center - midpoint) = 2u - den * (q - p), projected on d.
         a, b = (2 * ux - den * bx) * dx + (2 * uy - den * by) * dy, 2 * den * dd
@@ -239,12 +277,7 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
         samples.append((hi_a // hi_b + 1, 1))
     else:
         samples = [(0, 1)]
-    rel = [(x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints]
-    counts = []
-    for a, b in samples:
-        cx, cy = b * bx + 2 * a * dx, b * by + 2 * a * dy
-        counts.append(len([1 for x, y, r2 in rel if b * r2 < cx * x + cy * y]))
-    return counts
+    return [(b, b * bx + 2 * a * dx, b * by + 2 * a * dy) for a, b in samples]
 
 
 def _quotient_order(nums: list[int], dens: list[int]) -> list[int]:
@@ -387,14 +420,21 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
 
 
 def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> EdgeStats:
-    """j-edge counts over ``pairs`` (default every pair), by orientation tests."""
+    """j-edge counts over ``pairs`` (default every pair), by orientation tests.
+
+    x lies strictly left of a->b iff cross(e, x - a) > 0 for e = b - a, that
+    is e.x * x.y - e.y * x.x > e.x * a.y - e.y * a.x; a and b meet the bound
+    with equality, so they never count.
+    """
     ints = ps.require_certified()
     n = len(ps)
     directed = [0] * max(n - 1, 0)
     undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
     for i, j in all_pairs(n) if pairs is None else pairs:
-        a, b = ints[i], ints[j]
-        left = sum(_orient_int(a, b, ints[x]) > 0 for x in range(n) if x != i and x != j)
+        (ax, ay), (bx, by) = ints[i], ints[j]
+        ex, ey = bx - ax, by - ay
+        bound = ex * ay - ey * ax
+        left = len([1 for x, y in ints if ex * y - ey * x > bound])
         directed[left] += 1
         directed[n - 2 - left] += 1
         undirected[min(left, n - 2 - left)] += 1

@@ -70,9 +70,10 @@ class PointSet:
     """An indexed list of colored points, optionally certified in general position.
 
     ``grid`` is the common integer grid (coordinates scaled by one lcm of
-    their denominators), read through :meth:`require_certified`.  The O(n^4)
-    references decide their signs on it: ``depth.oracle_weights``,
-    ``depth.triple_counts``, ``depth.j_edge_counts``, the claims of
+    their denominators), read through :meth:`require_certified`.  The
+    references decide their signs on it: ``depth.oracle_weights`` and
+    ``depth.triple_counts`` (both O(n^3 log n) over all pairs),
+    ``depth.j_edge_counts``, the claims of
     ``constructions.claim_failures`` and everything in ``brute``.
     ``local`` is each point on its own denominators, homogeneous integers
     (X, Y, D) with D the lcm of the point's two reduced denominators; the
@@ -276,8 +277,8 @@ def _bisector_order(
     are L Dx (x - p) and L Dx (x - q), so num = a . b and
     cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
     ``local`` is None (every point integral, or a hand-built grid) they are
-    taken on the integer grid ``ints``.  The O(n^4) references never come
-    here; they read the grid.
+    taken on the integer grid ``ints``.  The references never come here;
+    they read the grid.
 
     The key is the float num / cross, which Python rounds correctly, and
     correct rounding is monotone: distinct floats order the points exactly

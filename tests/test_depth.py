@@ -15,6 +15,7 @@ from circledepth import (
     BisectorProfile,
     Color,
     DegenerateInputError,
+    EdgeStats,
     NotCertifiedError,
     Point,
     PointSet,
@@ -757,6 +758,53 @@ def test_triple_counts_by_inversion_match_the_brute_force_count(case):
     ps, pairs = case
     assert depth.triple_counts(ps) == brute.triple_counts(ps)
     assert depth.triple_counts(ps, pairs) == brute.triple_counts(ps, pairs)
+
+
+# n = 2 has one sample and n = 3 two, so no point is ever bisected there.
+@given(counted_sets().map(lambda case: case[0]))
+@example(make_set([(0, 0), (3, 1)]))
+@example(make_set([(0, 0), (4, 0), (1, 3)]))
+@example(parse_point_file((DATA / "rational12.txt").read_text()).points)
+@example(make_set(NEAR_COCIRCULAR))
+@example(make_set(BEYOND_FLOAT))
+@settings(max_examples=25, deadline=None)
+def test_oracle_bisection_matches_the_plain_count(ps):
+    assert not validate_general_position(ps)
+    for p, q in permutations(range(len(ps)), 2):
+        assert depth.oracle_weights(ps, p, q) == brute.oracle_weights(ps, p, q)
+
+
+def orientation_j_edges(ps, pairs):
+    """j-edge counts by one orientation test per pair and third point."""
+    grid = ps.require_certified()
+    n = len(ps)
+    directed, undirected = [0] * (n - 1), [0] * ((n - 2) // 2 + 1)
+    for i, j in pairs:
+        left = sum(_orient_int(grid[i], grid[j], grid[x]) > 0 for x in range(n) if x not in (i, j))
+        directed[left] += 1
+        directed[n - 2 - left] += 1
+        undirected[min(left, n - 2 - left)] += 1
+    return EdgeStats(tuple(directed), tuple(undirected))
+
+
+@st.composite
+def colored_integer_sets(draw):
+    """Certified integer sets of 2-30 points, uncolored or red/blue."""
+    coords = draw(st.lists(integer_coord, min_size=2, max_size=30, unique=True))
+    n = len(coords)
+    red_blue = st.lists(st.sampled_from([Color.RED, Color.BLUE]), min_size=n, max_size=n)
+    ps = PointSet.from_coords(coords, draw(st.one_of(st.none(), red_blue)))
+    assume(not validate_general_position(ps))
+    return ps
+
+
+@given(colored_integer_sets())
+@settings(max_examples=40, deadline=None)
+def test_j_edge_counts_match_orientation_tests(ps):
+    assert j_edge_counts(ps) == orientation_j_edges(ps, depth.all_pairs(len(ps)))
+    if ps.indices_of(Color.RED) and ps.indices_of(Color.BLUE):
+        red_blue = bichromatic_pairs(ps)
+        assert j_edge_counts(ps, red_blue) == orientation_j_edges(ps, red_blue)
 
 
 def smaller_denominator_inside(lo, hi, den):
