@@ -28,7 +28,6 @@ from .constructions import (
     two_colored_convex,
 )
 from .report import analysis_report, input_digest, render_json, verification_report
-from . import svg
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -140,6 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import svg  # only render draws, so the other subcommands skip compiling it
+
     pf, _ = _load(args.input)
     _certify(pf.points)
     what = args.what

@@ -1,16 +1,19 @@
 """Point-set generators: random instances and three extremal constructions.
 
 Every generator is one search, ``_first_verified``, over a fixed and finite
-list of candidate sets built lazily in a fixed order.  It checks each
+list of candidate sets built lazily in a fixed order.  It screens each
 candidate's claims on the candidate's lent integer grid, up to the first
-failure (a degenerate pair fails too); only a candidate whose claims hold is
-certified in general position and then has every claim re-verified with the
-depth engine, and the first that passes all three is returned.  Candidates
-are realized approximately (floats where the ideal angles are irrational) and
-snapped to integers or rationals; only the list says how a generator varies
-its layout.  The budgets are 200 samples for the two random generators,
-7 slant patterns x 2 magnitudes x 8 jitter seeds for two_colored_convex, and
-64 jitter seeds or spacings for recursive_seven_region and
+failure (a degenerate pair fails too), failure-first: the claim that
+rejected the previous candidate is tried first.  Only a candidate whose
+claims all hold is certified in general position and then has every claim
+re-verified with the depth engine in claim order, and the first that passes
+all three is returned; the screen's order changes its cost, never which
+candidate is returned or what an error says.  Candidates are realized
+approximately (floats where the ideal angles are irrational) and snapped to
+integers or rationals; only the list says how a generator varies its
+layout.  The budgets are 200 samples for the two random generators, 7 slant
+patterns x 2 magnitudes x 8 jitter seeds for two_colored_convex, and 64
+jitter seeds or spacings for recursive_seven_region and
 halving_line_construction.  A generator never hands back an unverified set:
 when its list runs out it raises ConstructionError naming the generator, the
 number of candidates tried, and the last candidate's first failure with a
@@ -20,7 +23,7 @@ count of the others.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .geom import (
@@ -99,13 +102,17 @@ class ConstructionOutput:
 
 
 def claim_failures(out: ConstructionOutput) -> list[str]:
-    """Re-verify every claim; returns human-readable failure descriptions."""
-    return list(_failing_claims(out))
+    """Re-verify every claim in claim order; returns human-readable failure descriptions."""
+    failure = _claim_checker(out.points)
+    return [text for text in map(failure, out.claims) if text is not None]
 
 
-def _failing_claims(out: ConstructionOutput) -> Iterator[str]:
-    """The failure descriptions of ``out``'s claims, lazily, in claim order."""
-    ps = out.points
+def _claim_checker(ps: PointSet) -> Callable[[Claim], str | None]:
+    """A function from one claim to its failure description on ``ps``, or None if it holds.
+
+    ``ps`` must carry its integer grid, certified or lent.  Each swept pair's
+    weights are kept, so claims on one pair share its sweep.
+    """
     ints = ps.require_certified()
     n = len(ps)
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -116,69 +123,85 @@ def _failing_claims(out: ConstructionOutput) -> Iterator[str]:
             cache[pair] = weight_sequence(ps, pair[0], pair[1]).weights
         return cache[pair]
 
-    for claim in out.claims:
+    def failure(claim: Claim) -> str | None:
         kind, params = claim.kind, claim.params
         if kind == "halving-pair":
             p, q = params["pair"]
             others = (ints[x] for x in range(n) if x != p and x != q)
             left = sum(_orient_int(ints[p], ints[q], x) > 0 for x in others)
             if 2 * left != n - 2:
-                yield f"{claim.description}: sides {left}/{n - 2 - left}"
+                return f"{claim.description}: sides {left}/{n - 2 - left}"
         elif kind == "weights-within":
             w = weights(params["pair"])
             if not all(params["lo"] <= v <= params["hi"] for v in w):
-                yield f"{claim.description}: range [{min(w)}, {max(w)}]"
+                return f"{claim.description}: range [{min(w)}, {max(w)}]"
         elif kind == "endpoint-weights":
             w = weights(params["pair"])
             if {w[0], w[-1]} != {params["a"], params["b"]}:
-                yield f"{claim.description}: ends {{{w[0]}, {w[-1]}}}"
+                return f"{claim.description}: ends {{{w[0]}, {w[-1]}}}"
         elif kind == "repeated-values":
             w = weights(params["pair"])
             for value in range(params["lo"], params["hi"] + 1):
                 mult = w.count(value)
                 if mult < params["times"]:
-                    yield f"{claim.description}: value {value} occurs {mult}x"
-                    break
+                    return f"{claim.description}: value {value} occurs {mult}x"
         elif kind == "pair-min-below":
             w = weights(params["pair"])
             if min(w) > params["bound"]:
-                yield f"{claim.description}: min weight {min(w)}"
+                return f"{claim.description}: min weight {min(w)}"
         elif kind == "convex-position":
             if len(convex_hull([cp.point for cp in ps.points])) != n:
-                yield f"{claim.description}: hull misses points"
+                return f"{claim.description}: hull misses points"
         else:
-            yield f"unknown claim kind {kind!r}"
+            return f"unknown claim kind {kind!r}"
+        return None
+
+    return failure
 
 
-def _claims_hold(out: ConstructionOutput) -> bool:
+def _claims_hold(out: ConstructionOutput, order: list[int]) -> bool:
     """Whether every claim holds on the candidate's lent grid.
 
-    Stops at the first failure.  A duplicate point or a degenerate swept
-    pair counts as one: the set could not be certified.
+    Claims are tried in ``order``, a permutation of the claim indices, up to
+    the first failure, and the claim that failed is moved to the front of
+    ``order``.  A duplicate point or a degenerate swept pair counts as a
+    failure: the set could not be certified.
     """
     try:
         with _lent_grid(out.points):
-            return next(_failing_claims(out), None) is None
+            failure = _claim_checker(out.points)
+            for at, index in enumerate(order):
+                if failure(out.claims[index]) is not None:
+                    order.insert(0, order.pop(at))
+                    return False
     except DegenerateInputError:
         return False
+    return True
 
 
 def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> ConstructionOutput:
     """The first candidate in general position whose claims all verify.
 
-    Each candidate's claims are checked first, on its lent grid and up to
-    the first failure, so a rejected candidate costs only the sweeps that
-    failure needed.  Only a candidate that passes is certified and then has every claim
-    re-verified on the certified set, so what is returned has passed the
-    same checks as if every candidate had been certified.  ``what`` names the
-    generator in the ConstructionError raised when no candidate passes; the
-    error reports the last candidate's first failure (certification's, or
-    else the claims') and counts the rest, so its length does not grow with
-    the set.
+    Each candidate is first screened on its lent grid, up to its first
+    failing claim, so a rejected candidate costs only the sweeps that
+    failure needed.  The screen keeps one claim order for the whole search
+    and moves each failing claim to its front: layouts in one list tend to
+    fail the same claims, so the next candidate is tried first on the claim
+    that rejected the one before.  A candidate passes the screen only if
+    every claim holds, so the order never changes which candidate passes.
+    Only a candidate that passes is certified and then has every claim
+    re-verified on the certified set, in claim order, so what is returned
+    has passed the same checks as if every candidate had been certified.
+    ``what`` names the generator in the ConstructionError raised when no
+    candidate passes; the error reports the last candidate's first failure
+    (certification's, or else the claims' in claim order) and counts the
+    rest, so its length does not grow with the set.
     """
-    tried, last = 0, None
+    tried, last, order = 0, None, []
     for tried, last in enumerate(candidates, 1):
-        if not _claims_hold(last):
+        if len(order) != len(last.claims):
+            order = list(range(len(last.claims)))
+        if not _claims_hold(last, order):
             continue
         if not (validate_general_position(last.points) or claim_failures(last)):
             return last

@@ -264,8 +264,9 @@ def test_criterion_07_convex_lower_bound():
 
 
 def test_criterion_08_two_colored_construction():
-    # Every n the generator reaches today; n = 17 has no verified layout.
-    for n in range(2, 17):
+    # Every n up to 24 the generator reaches; n = 17, 19, 21 and 23 have no
+    # verified layout.
+    for n in [*range(2, 17), 18, 20, 22, 24]:
         out = two_colored_convex(n)
         ps = out.points
         assert len(ps) == 2 * n
@@ -276,7 +277,7 @@ def test_criterion_08_two_colored_construction():
                 assert min(w) <= bound, (
                     f"two_colored_convex({n}): pair ({r}, {b}) min weight {min(w)} > {bound}"
                 )
-    report("criterion 8 PASS: two_colored_convex(n), n=2..16: every red-blue pair "
+    report("criterion 8 PASS: two_colored_convex(n), n=2..16, 18, 20, 22, 24: every red-blue pair "
            "has a circle enclosing <= floor(n/2) points")
 
 

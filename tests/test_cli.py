@@ -74,6 +74,16 @@ def test_generate_exhausted_search_fails_cleanly(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("n", ["17", "19"])
+def test_generate_two_colored_without_a_layout_fails_cleanly(capsys, n):
+    code, stdout, err = run_cli(["generate", "two-colored-convex", "--n", n], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(
+        f"error: generator failed: two_colored_convex(n={n}): none of 112 candidates verified; "
+    )
+    assert err.count("\n") == 1 and err.endswith(" in all)\n")
+
+
 def test_analyze_matches_golden(capsys):
     code, stdout, _ = run_cli(["analyze", str(DATA / "random8.txt")], capsys)
     assert code == 0

@@ -263,3 +263,48 @@ def test_two_colored_convex_certifies_one_layout(monkeypatch):
     )
     out = two_colored_convex(12)
     assert calls == [out.points] and out.points.gp_certified
+
+
+def _plain_search(candidates):
+    """Slow reference: certify each candidate, then verify all its claims in claim order."""
+    for out in candidates:
+        if not (validate_general_position(out.points) or claim_failures(out)):
+            return out
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_two_colored_convex_accepts_what_a_plain_search_accepts(monkeypatch, n):
+    searches = []
+    real = constructions._first_verified
+
+    def capturing(what, candidates):
+        searches.append(list(candidates))
+        return real(what, searches[-1])
+
+    monkeypatch.setattr(constructions, "_first_verified", capturing)
+    out = two_colored_convex(n)
+    [candidates] = searches
+    assert _plain_search(candidates) is out
+
+
+def test_two_colored_convex_error_names_the_first_failure_in_claim_order():
+    with pytest.raises(ConstructionError) as info:
+        two_colored_convex(17)
+    assert str(info.value) == (
+        "two_colored_convex(n=17): none of 112 candidates verified; the last failed with "
+        "red-blue pair (0, 10) has a circle enclosing <= 8 points: min weight 9 (23 in all)"
+    )
+
+
+def test_two_colored_convex_screens_failure_first(monkeypatch):
+    # Screening every rejected layout in claim order sweeps 2886 pairs here.
+    calls = []
+
+    def counting(ps, p, q):
+        calls.append((p, q))
+        return weight_sequence(ps, p, q)
+
+    monkeypatch.setattr(constructions, "weight_sequence", counting)
+    two_colored_convex(12)
+    assert len(calls) < 700
