@@ -5,9 +5,8 @@ list of candidate sets built lazily in a fixed order.  It screens each
 candidate's claims on the candidate's lent integer grid, up to the first
 failure (a degenerate pair fails too), failure-first: the claim that
 rejected the previous candidate is tried first.  Only a candidate whose
-claims all hold is certified in general position and then has every claim
-re-verified with the depth engine in claim order, and the first that passes
-all three is returned; the screen's order changes its cost, never which
+claims all hold is certified in general position, and the first that is
+certified is returned; the screen's order changes its cost, never which
 candidate is returned or what an error says.  Candidates are realized
 approximately (floats where the ideal angles are irrational) and snapped to
 integers or rationals; only the list says how a generator varies its
@@ -189,13 +188,14 @@ def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> Cons
     fail the same claims, so the next candidate is tried first on the claim
     that rejected the one before.  A candidate passes the screen only if
     every claim holds, so the order never changes which candidate passes.
-    Only a candidate that passes is certified and then has every claim
-    re-verified on the certified set, in claim order, so what is returned
-    has passed the same checks as if every candidate had been certified.
-    ``what`` names the generator in the ConstructionError raised when no
-    candidate passes; the error reports the last candidate's first failure
-    (certification's, or else the claims' in claim order) and counts the
-    rest, so its length does not grow with the set.
+    Only a candidate that passes is certified, and it is returned without
+    checking its claims again: the lent grid and local form the screen read
+    are the ones certification stores, so the claims would read the same
+    integers and hold again.  ``what`` names the generator in the
+    ConstructionError raised when no candidate passes; the error reports the
+    last candidate's first failure (certification's, or else the claims' in
+    claim order) and counts the rest, so its length does not grow with the
+    set.
     """
     tried, last, order = 0, None, []
     for tried, last in enumerate(candidates, 1):
@@ -203,7 +203,7 @@ def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> Cons
             order = list(range(len(last.claims)))
         if not _claims_hold(last, order):
             continue
-        if not (validate_general_position(last.points) or claim_failures(last)):
+        if not validate_general_position(last.points):
             return last
     if last is None:
         raise ConstructionError(f"{what}: no candidate to try")

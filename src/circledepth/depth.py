@@ -43,22 +43,20 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from operator import truediv
+from typing import NamedTuple
 
 from .geom import (
     BisectorOrder,
-    BisectorParam,
     Color,
     DegenerateInputError,
-    Point,
     PointSet,
     Scalar,
     _bisector_order,
-    _exact_keys,
     _lent_grid,
 )
 
@@ -70,48 +68,26 @@ class BisectorEvent:
     covers_positive: bool  # True: enclosed for s > s_x; False: for s < s_x
 
 
-@dataclass(frozen=True)
-class BisectorProfile:
+class BisectorProfile(NamedTuple):
     """The weight sequence of one pair's bisector and the events cutting it.
 
     ``order`` is the sweep's sort of the third points by s (see
-    :class:`circledepth.geom.BisectorOrder`).  The integer ``params``, the
-    exact ``events`` and the frame (``midpoint``, ``direction``) are built
-    from it and from the pair's points on first read, so a caller reading
-    only ``weights`` builds no per-event tuple and no Fraction.
+    :class:`circledepth.geom.BisectorOrder`); the exact ``events`` are built
+    from it each time they are read, so a caller reading only ``weights``
+    builds no per-event object and no Fraction.
     """
 
     pair: tuple[int, int]
-    ends: tuple[Point, Point]  # the points p and q
-    order: BisectorOrder = field(hash=False)  # lists: compared, not hashed
+    order: BisectorOrder
     weights: tuple[int, ...]
 
-    @cached_property
-    def params(self) -> tuple[BisectorParam, ...]:
+    @property
+    def events(self) -> tuple[BisectorEvent, ...]:
         others, nums, crosses, rank, _ = self.order
-        keys = _exact_keys(nums, crosses) if rank else []
         return tuple(
-            (keys[i], nums[i], crosses[i], others[i], True) if crosses[i] > 0
-            else (keys[i], -nums[i], -crosses[i], others[i], False)
+            BisectorEvent(others[i], Fraction(nums[i], 2 * crosses[i]), crosses[i] > 0)
             for i in rank
         )
-
-    @cached_property
-    def events(self) -> tuple[BisectorEvent, ...]:
-        return tuple(
-            BisectorEvent(x, Fraction(num, 2 * den), left) for _, num, den, x, left in self.params
-        )
-
-    @property
-    def midpoint(self) -> Point:
-        p, q = self.ends
-        return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-    @property
-    def direction(self) -> tuple[Scalar, Scalar]:
-        # rot90(q - p); center(s) = midpoint + s * direction
-        p, q = self.ends
-        return (-(q.y - p.y), q.x - p.x)
 
 
 @dataclass(frozen=True)
@@ -196,7 +172,7 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
         raise DegenerateInputError("cocircular quadruple on a swept pair", (p, q, *order.ties[0][:2]))
     steps = [1 if order.crosses[i] > 0 else -1 for i in order.rank]
     weights = accumulate(steps, initial=steps.count(-1))
-    return BisectorProfile((p, q), (ps.point(p), ps.point(q)), order, tuple(weights))
+    return BisectorProfile((p, q), order, tuple(weights))
 
 
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
@@ -265,8 +241,9 @@ def _oracle_circles(
         den = 2 * (bx * cy - by * cx)
         cc = cx * cx + cy * cy
         ux, uy = cy * bb - by * cc, bx * cc - cx * bb
-        # 2 * den * (center - midpoint) = 2u - den * (q - p), projected on d.
-        a, b = (2 * ux - den * bx) * dx + (2 * uy - den * by) * dy, 2 * den * dd
+        # 2 * den * (center - midpoint) = 2u - den * (q - p), projected on d
+        # is 2u . d, since (q - p) . d = 0.
+        a, b = 2 * (ux * dx + uy * dy), 2 * den * dd
         nums.append(a if b > 0 else -a)
         dens.append(abs(b))
     params = [(nums[i], dens[i]) for i in _quotient_order(nums, dens)]
@@ -351,18 +328,14 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     return map_shares(task, [pairs[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
-def all_profiles(
-    ps: PointSet, jobs: int = 1, pairs: list[tuple[int, int]] | None = None
-) -> list[BisectorProfile]:
-    """Profiles for ``pairs`` in their order, by default every unordered pair
-    in lexicographic order.
+def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
+    """Profiles of every unordered pair, in lexicographic order.
 
     ``jobs > 1`` shares the pairs out to forked processes (:func:`_map_chunks`);
     the result order (and therefore every downstream aggregate) is identical
     for any jobs value.
     """
-    pairs = all_pairs(len(ps)) if pairs is None else pairs
-    chunks = _map_chunks(partial(_profile_chunk, ps), pairs, jobs)
+    chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs)
     return [profile for chunk in chunks for profile in chunk]
 
 

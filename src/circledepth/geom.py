@@ -225,13 +225,6 @@ def _incircle_det_int(
     )
 
 
-# One third point x on the bisector of a pair (p, q), as a profile builds it
-# when read, never the sweep: (key, num, den, x, left), the circumcenter of
-# (p, q, x) at s = num / (2 * den) with den > 0, ``key`` from _exact_keys, and
-# ``left`` true when x lies strictly left of p->q.
-BisectorParam = tuple[int, int, int, int, bool]
-
-
 def _exact_keys(nums: list[int], crosses: list[int]) -> list[int]:
     # With every |cross| below 2^B, distinct values num/cross differ by more than
     # 2^-2B, so floor(num * 2^2B / cross) orders them as s does, ties included.

@@ -124,8 +124,9 @@ def render_profile(ps: PointSet, p: int, q: int) -> str:
     canvas = _Canvas()
     pp, qp = ps.point(p), ps.point(q)
     canvas.line(_xy(pp), _xy(qp), "#999999")
-    mid = profile.midpoint
-    dx, dy = profile.direction
+    # center(s) = midpoint of pq + s * rot90(q - p), the sweep's frame
+    mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
+    dx, dy = -(qp.y - pp.y), qp.x - pp.x
     params = [e.s for e in profile.events]
     if params:
         pad = (params[-1] - params[0]) / 2 or Fraction(1)

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 
 import pytest
@@ -205,7 +204,7 @@ def test_failed_oracle_match_names_at_most_three_pairs(monkeypatch):
 def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
     # Bisector (0, 2) carries (1, 0, 1); the corrupted profile says (1, 3, 1).
     real = checks.all_profiles(quad)
-    profiles = [real[0], dataclasses.replace(real[1], weights=(1, 3, 1)), *real[2:]]
+    profiles = [real[0], real[1]._replace(weights=(1, 3, 1)), *real[2:]]
     monkeypatch.setattr(checks, "all_profiles", lambda ps: profiles)
     result = check_profile_invariants(quad)
     assert not result.passed

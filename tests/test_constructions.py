@@ -288,6 +288,16 @@ def test_two_colored_convex_accepts_what_a_plain_search_accepts(monkeypatch, n):
     assert _plain_search(candidates) is out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_two_colored_convex_sweeps_the_accepted_layout_once(monkeypatch, n):
+    # The screen has checked every claim on the grid certification stores,
+    # so a successful search never runs claim_failures.
+    calls = []
+    monkeypatch.setattr(constructions, "claim_failures", lambda out: calls.append(out) or [])
+    assert two_colored_convex(n).points.gp_certified
+    assert calls == []
+
+
 def test_two_colored_convex_error_names_the_first_failure_in_claim_order():
     with pytest.raises(ConstructionError) as info:
         two_colored_convex(17)

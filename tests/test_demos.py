@@ -1,7 +1,7 @@
 """The demos and the README's Library examples run against the public API.
 
 Each demo must exit 0; ``04_render_svg.py`` writes its SVG files into the
-directory it is given.
+directory it is given, byte for byte the ones committed next to it.
 """
 
 import ast
@@ -29,6 +29,8 @@ def test_demo_runs(demo, tmp_path):
     if args:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["colored.svg", "profile.svg", "seven.svg"]
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (ROOT / "demos" / name).read_bytes(), name
 
 
 def _library_blocks() -> list[str]:

@@ -109,19 +109,13 @@ def test_profile_structure(quad):
 
 def test_profile_builds_events_on_first_read(quad):
     # The fold reads only weights, so no per-event tuple and no Fraction is
-    # built until the params or the events are read: the profile holds the
-    # sweep's order as lists of ints.  The frame is midpoint of pq and
-    # rot90(q - p).
+    # built until the events are read: the profile holds the sweep's order
+    # as lists of ints.
     profile = weight_sequence(quad, 0, 2)
-    assert "params" not in vars(profile) and "events" not in vars(profile)
     order = profile.order
     assert order.ties == [] and all(type(v) is list for v in order)
     assert all(type(v) is int for v in (*order.others, *order.nums, *order.crosses, *order.rank))
-    assert [e[3:] for e in profile.params] == [(1, False), (3, True)]
-    assert "params" in vars(profile) and "events" not in vars(profile)
     assert [(e.index, e.covers_positive) for e in profile.events] == [(1, False), (3, True)]
-    assert profile.midpoint == Point.of(Fraction(9, 2), Fraction(9, 2))
-    assert profile.direction == (-9, 9)
 
 
 def test_two_point_set():
@@ -300,7 +294,7 @@ def test_minimax_bound_holds():
 def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
     # A hand-built profile above floor((2*4-3)/3) = 1 on every pair: the fold
     # reports it, and judging it is the minimax-bound check's job.
-    high = BisectorProfile((0, 1), (Point.of(0, 0), Point.of(10, 0)), (), (0, 1, 2))
+    high = BisectorProfile((0, 1), (), (0, 1, 2))
     monkeypatch.setattr(depth, "weight_sequence", lambda ps, p, q: high)
     assert sweep_totals(quad).minimax == ((0, 1), 2)
     assert not check_minimax_bound(quad).passed
