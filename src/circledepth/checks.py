@@ -140,16 +140,23 @@ def check_weight_census(ps: PointSet) -> CheckResult:
 
 
 def check_minimax_bound(ps: PointSet) -> CheckResult:
-    """Some pair's circles all enclose at most floor((2n-3)/3) points."""
+    """Some pair's circles all enclose at most floor((2n-3)/3) points.
+
+    A failing report names the minimax pair in an info row.
+    """
     ps.require_certified()
     n = len(ps)
     if n < 2:
         raise ValueError("need at least two points")
-    _, value = sweep_totals(ps).minimax
+    pair, value = sweep_totals(ps).minimax
+    bound = (2 * n - 3) // 3
+    rows = [(f"n={n}", value, bound, "<=")]
+    if value > bound:
+        rows.append((f"pair {pair} max weight", value, bound, "info"))
     return _result(
         "minimax-bound",
         "min over pairs of max enclosed count <= floor((2n-3)/3)",
-        [(f"n={n}", value, (2 * n - 3) // 3, "<=")],
+        rows,
     )
 
 
@@ -198,6 +205,8 @@ def check_cumulative_kset_bound(ps: PointSet) -> CheckResult:
     """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2."""
     ps.require_certified()
     n = len(ps)
+    if n < 3:
+        raise ValueError("need at least three points")
     ks = kset_counts(ps)
     rows = [(f"k={k}", sum(ks.ksets[1 : k + 1]), k * n, "<=") for k in range(1, n) if k < n / 2]
     return _result(
@@ -291,10 +300,10 @@ def check_oracle_match(ps: PointSet, jobs: int = 1) -> CheckResult:
     """Sweep weights equal sampled-circle oracle weights, elementwise, every pair.
 
     ``jobs > 1`` spreads the oracle over forked processes
-    (:func:`~circledepth.depth._map_chunks`); the report does not depend on
-    it.  The first few mismatching pairs follow as info rows: the first
-    differing segment, sweep weight against oracle weight (-1 for a missing
-    segment).
+    (:func:`~circledepth.depth._map_chunks`); neither the report nor the
+    error raised depends on it.  The first few mismatching pairs follow as
+    info rows: the first differing segment, sweep weight against oracle
+    weight (-1 for a missing segment).
     """
     ps.require_certified()
     profiles = all_profiles(ps)

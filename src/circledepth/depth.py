@@ -315,8 +315,9 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     Otherwise the pairs are cut into one contiguous share per process, and
     :func:`circledepth.forkmap.map_shares` folds the first in this process
     and each of the others in a child forked from it, every process pinned
-    to a CPU of its own.  An error in any of them ends the map, and no child
-    outlives it.
+    to a CPU of its own.  The children are joined in share order, so the
+    error raised is the one a serial run raises, and no child outlives the
+    map.
     """
     workers = _workers(jobs, len(pairs))
     if workers == 1:

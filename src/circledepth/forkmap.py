@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import os
 import pickle
-import select
 import signal
 from contextlib import suppress
-
-BLOCKS = 4  # the caller's share is folded in this many blocks
 
 
 def _pin(cpus: set[int] | None) -> None:
@@ -39,7 +36,7 @@ def outcome(task, share: list) -> bytes:
 
 class Child:
     """A forked process that runs ``task(share)`` pinned to ``cpus`` and
-    writes its :func:`outcome` to a pipe, which :meth:`read` takes in.
+    writes its :func:`outcome` to a pipe, which :meth:`join` reads.
 
     The child leaves only through ``os._exit``, so nothing it inherited
     (buffered output, ``atexit`` handlers, the caller's ``finally`` blocks)
@@ -47,7 +44,6 @@ class Child:
     """
 
     def __init__(self, task, share: list, cpus: set[int] | None):
-        self.received = bytearray()
         self.fd, out = os.pipe()
         try:
             self.pid = os.fork()
@@ -67,26 +63,20 @@ class Child:
                 os._exit(status)
         os.close(out)
 
-    def fileno(self) -> int:
-        return self.fd
-
-    def read(self) -> bool:
-        """Take in what the child has written; at the end of the pipe reap
-        it, keep its result as ``result`` or raise its error, and return True."""
-        data = os.read(self.fd, 1 << 20)
-        if data:
-            self.received += data
-            return False
-        os.close(self.fd)
-        self.fd = None
+    def join(self):
+        """Read the pipe to its end, reap the child, and return its result
+        or raise its error."""
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            received = pipe.read()
         status = self._wait()
-        if not self.received:
+        if not received:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"worker process ended with exit code {code} before sending a result")
-        ok, self.result = pickle.loads(self.received)
+        ok, result = pickle.loads(received)
         if not ok:
-            raise self.result
-        return True
+            raise result
+        return result
 
     def kill(self) -> None:
         """SIGKILL the child and reap it, unless it is reaped already."""
@@ -103,26 +93,14 @@ class Child:
         return status
 
 
-def _collect(pending: list[Child], timeout: float | None) -> list[Child]:
-    """Read the children's pipes until none is ready within ``timeout``, or
-    with None until every child is done; return the children not done."""
-    while pending:
-        ready = select.select(pending, [], [], timeout)[0]
-        if not ready:
-            break
-        pending = [child for child in pending if child not in ready or not child.read()]
-    return pending
-
-
 def map_shares(task, shares: list[list]) -> list:
     """``task`` over ``shares``, one process each, results in share order;
     there are no more shares than CPUs this process may run on.
 
-    This process folds the first share in :data:`BLOCKS` blocks and reads
-    the children's pipes between them, so a child's error ends the map
-    within one block.  Any error, or an interrupt, kills and reaps every
-    child before it propagates; this process's CPU mask is restored in any
-    case.
+    This process folds the first share, then joins the children in share
+    order, so the error raised is the first share's that fails, as in a
+    serial run.  Any error, or an interrupt, kills and reaps every child
+    before it propagates; this process's CPU mask is restored in any case.
     """
     mine, *others = shares
     try:
@@ -131,21 +109,14 @@ def map_shares(task, shares: list[list]) -> list:
     except AttributeError:  # platforms without CPU affinity
         mask, pins = None, [None] * len(shares)
     children: list[Child] = []
-    results = []
     try:
         for share, pin in zip(others, pins[1:], strict=True):
             children.append(Child(task, share, pin))
         _pin(pins[0])
-        pending = children
-        size = -(-len(mine) // BLOCKS)
-        for i in range(0, len(mine), size):
-            results.append(task(mine[i : i + size]))
-            pending = _collect(pending, 0)
-        _collect(pending, None)
+        return [task(mine)] + [child.join() for child in children]
     except BaseException:
         for child in children:
             child.kill()
         raise
     finally:
         _pin(mask)
-    return results + [child.result for child in children]

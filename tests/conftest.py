@@ -39,7 +39,7 @@ class InProcessChild(forkmap.Child):
 
     def __init__(self, task, share, cpus):
         self.cpus.append(cpus)
-        self.received, self.pid = bytearray(), None
+        self.pid = None
         with tempfile.TemporaryFile() as f:
             f.write(forkmap.outcome(task, share))
             f.seek(0)

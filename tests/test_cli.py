@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from circledepth import constructions
+from circledepth import checks, constructions
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 
@@ -111,6 +111,18 @@ def test_minimax_bound_on_fewer_than_two_points_is_a_structured_error(n, capsys)
     # and exit 1, never a traceback.
     args = ["verify", str(DATA / f"tiny{n}.txt"), "--checks", "minimax-bound"]
     assert run_cli(args, capsys) == (1, "", "error: need at least two points\n")
+
+
+@pytest.mark.parametrize("name, size", sorted(checks._MIN_POINTS.items()))
+def test_sized_check_below_its_size_is_a_structured_error(name, size, tmp_path, capsys):
+    # Asked for explicitly on one point too few, a check that needs a pair,
+    # a triple or a quadruple exits 1 naming its size, never passing on no
+    # evidence.
+    src = tmp_path / "points.txt"
+    src.write_text("".join(f"{x} {y}\n" for x, y in [(0, 0), (3, 1), (1, 4)][: size - 1]))
+    words = {2: "two", 3: "three", 4: "four"}
+    args = ["verify", str(src), "--checks", name]
+    assert run_cli(args, capsys) == (1, "", f"error: need at least {words[size]} points\n")
 
 
 def test_analyze_golden_fields():

@@ -297,7 +297,11 @@ def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
     high = BisectorProfile((0, 1), (), (0, 1, 2))
     monkeypatch.setattr(depth, "weight_sequence", lambda ps, p, q: high)
     assert sweep_totals(quad).minimax == ((0, 1), 2)
-    assert not check_minimax_bound(quad).passed
+    result = check_minimax_bound(quad)
+    assert not result.passed
+    assert [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances[1:]] == [
+        ("pair (0, 1) max weight", 2, 1, "info")
+    ]
 
 
 def test_empty_profile_list_is_not_recomputed(quad):
@@ -425,26 +429,28 @@ def test_maps_without_fork_or_cpu_affinity(monkeypatch):
     assert InProcessChild.cpus == [None]
 
 
-def _mark_block(marks, child_share, chunk):
-    if chunk == child_share:
-        raise ValueError("the child's share fails")
-    time.sleep(0.4)
-    (marks / f"{chunk[0]}").touch()
+def _fails_at(slow, fast, chunk):
+    # Fails at pair ``slow`` after 0.3 s, or at pair ``fast`` at once.
+    for pair in chunk:
+        if pair in (slow, fast):
+            if pair == slow:
+                time.sleep(0.3)
+            raise ValueError(f"degenerate {pair}")
     return chunk
 
 
-def test_first_failed_chunk_stops_the_pool(claim_cpus, tmp_path):
-    # Two processes: the child's share fails at once, while this process
-    # folds its share in four blocks of 0.4 s each.  The pipes are read
-    # between blocks, so the map stops after the first or second; reading
-    # them only after this process's share would run all four.
-    claim_cpus(2)
-    pairs = depth.all_pairs(12)
-    task = partial(_mark_block, tmp_path, pairs[33:])
-    with pytest.raises(ValueError, match="the child's share fails"):
-        depth._map_chunks(task, pairs, 2)
-    assert len(list(tmp_path.iterdir())) <= 2
-    assert_no_child_left()
+def test_a_map_raises_the_serial_runs_error(claim_cpus):
+    # Three processes: the second share fails after 0.3 s and the third at
+    # once.  The children are joined in share order, so the map raises the
+    # second share's error, the one a serial run meets first, not whichever
+    # child's error is read first.
+    claim_cpus(3)
+    pairs = depth.all_pairs(6)
+    task = partial(_fails_at, pairs[5], pairs[10])
+    for jobs in (1, 3):
+        with pytest.raises(ValueError, match=r"^degenerate \(1, 2\)$"):
+            depth._map_chunks(task, pairs, jobs)
+        assert_no_child_left()
 
 
 def _fails_or_sleeps(caller, chunk):
@@ -462,10 +468,10 @@ def _exits_in_child(caller, chunk):
 def test_no_child_outlives_a_map(claim_cpus):
     claim_cpus(3)
     pairs = depth.all_pairs(6)
-    assert depth._map_chunks(len, pairs, 3) == [2, 2, 1, 5, 5]
+    assert depth._map_chunks(len, pairs, 3) == [5, 5, 5]
     assert_no_child_left()
-    # A failure in this process's first block kills children that would
-    # sleep for a minute.
+    # A failure in this process's share kills children that would sleep for
+    # a minute.
     start = time.monotonic()
     with pytest.raises(ValueError, match="the caller's share fails"):
         depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3)
@@ -505,7 +511,7 @@ def test_caller_affinity_is_restored():
     assert os.sched_getaffinity(0) == before
     if depth._workers(2, len(pairs)) == 2:
         first, second = sorted(before)[:2]
-        assert masks == [{first}] * 4 + [{second}]
+        assert masks == [{first}, {second}]
 
 
 # Points snapped to a rational grid or to the lattice points of two circles:
