@@ -4,20 +4,25 @@ Each check returns a :class:`CheckResult` carrying the claim it tested and
 one :class:`CheckInstance` per (k, side) evaluation, so a verifier can emit
 the full evidence as JSON rather than a bare boolean.  Instances marked
 ``relation="info"`` are reported but never gate the check.
+
+Each check is a function from a certified set to its rows, declared once,
+with its name, claim and size floor, by :func:`_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import zip_longest
 from math import comb
+from typing import Callable
 
+from . import depth
 from .geom import Color, PointSet
 from .depth import (
     WeightCensus,
     _map_chunks,
-    all_profiles,
+    all_pairs,
     bichromatic_pairs,
     j_edge_counts,
     kset_counts,
@@ -44,7 +49,18 @@ class CheckResult:
     passed: bool
 
 
+Row = tuple[str, int, int, str]
+
 EVIDENCE_PAIRS = 3  # offending pairs a failing check names in info rows
+
+# Registry order is the execution and report order, regardless of how the
+# caller spells the selection: the order in which :func:`_check` declares them.
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
+
+# Fewest points a check needs; the others apply at every size.
+_MIN_POINTS: dict[str, int] = {}
+
+_COUNT_WORDS = {2: "two", 3: "three", 4: "four"}
 
 
 def _relate(relation: str, lhs: int, rhs: int) -> bool:
@@ -57,34 +73,50 @@ def _relate(relation: str, lhs: int, rhs: int) -> bool:
     return True  # "info"
 
 
-def _result(name: str, claim: str, raw: list[tuple[str, int, int, str]]) -> CheckResult:
-    instances = tuple(
-        CheckInstance(label, lhs, rhs, rel, _relate(rel, lhs, rhs)) for label, lhs, rhs, rel in raw
-    )
-    gating = [inst for inst in instances if inst.relation != "info"]
-    return CheckResult(name, claim, instances, all(inst.passed for inst in gating))
+def _check(name: str, claim: str, least: int = 0):
+    """Declare the decorated row function as the check ``name``.
+
+    The check it returns requires a certified set of at least ``least``
+    points (a smaller one raises ``need at least ... points``), and builds
+    the :class:`CheckResult` from the rows; it passes when every row that is
+    not ``info`` holds.
+    """
+
+    def register(rows_of: Callable[..., list[Row]]) -> Callable[..., CheckResult]:
+        @wraps(rows_of)
+        def check(ps: PointSet, *args, **kwargs) -> CheckResult:
+            ps.require_certified()
+            if len(ps) < least:
+                raise ValueError(f"need at least {_COUNT_WORDS[least]} points")
+            instances = tuple(
+                CheckInstance(label, lhs, rhs, rel, _relate(rel, lhs, rhs))
+                for label, lhs, rhs, rel in rows_of(ps, *args, **kwargs)
+            )
+            passed = all(inst.passed for inst in instances if inst.relation != "info")
+            return CheckResult(name, claim, instances, passed)
+
+        CHECKS[name] = check
+        if least:
+            _MIN_POINTS[name] = least
+        return check
+
+    return register
 
 
-def check_triple_pair_sum(ps: PointSet) -> CheckResult:
+@_check("triple-pair-sum", "c[k] + c[n-k-3] == 2(k+1)(n-k-2) for all k", least=3)
+def check_triple_pair_sum(ps: PointSet) -> list[Row]:
     """c[k] + c[n-k-3] == 2(k+1)(n-k-2) for every k (exact, all sets)."""
-    ps.require_certified()
     n = len(ps)
     stats = triple_counts(ps)
-    rows = []
-    for k in range(0, n - 2):
-        rows.append(
-            (f"k={k}", stats.at(k) + stats.at(n - k - 3), 2 * (k + 1) * (n - k - 2), "==")
-        )
-    return _result(
-        "triple-pair-sum",
-        "c[k] + c[n-k-3] == 2(k+1)(n-k-2) for all k",
-        rows,
-    )
+    return [
+        (f"k={k}", stats.at(k) + stats.at(n - k - 3), 2 * (k + 1) * (n - k - 2), "==")
+        for k in range(0, n - 2)
+    ]
 
 
 def _census_rows(
     ps: PointSet, pairs: list[tuple[int, int]] | None, m: int
-) -> tuple[WeightCensus, list[tuple[str, int, int, str]]]:
+) -> tuple[WeightCensus, list[Row]]:
     """The census over the bisectors of ``pairs`` and the rows of its law.
 
     Counting (event, adjacent segment) incidences proves, for every weight w,
@@ -102,7 +134,7 @@ def _census_rows(
     """
     n = len(ps)
     census = sweep_totals(ps, pairs=pairs).census
-    rows: list[tuple[str, int, int, str]] = []
+    rows: list[Row] = []
     if n >= 3:
         stats = triple_counts(ps, pairs)
         directed = j_edge_counts(ps, pairs).directed_j
@@ -115,7 +147,13 @@ def _census_rows(
     return census, rows
 
 
-def check_weight_census(ps: PointSet) -> CheckResult:
+@_check(
+    "weight-census",
+    "2*hist[w] == 3*(c[w] + c[w-1]) + directed_j[w] for all w; "
+    "pair sums vs 6(k+1)(n-k-2) reported as info",
+    least=3,
+)
+def check_weight_census(ps: PointSet) -> list[Row]:
     """The exact segment-census law over every bisector, plus the classical
     pair sum as information (see :func:`_census_rows`).
 
@@ -126,66 +164,50 @@ def check_weight_census(ps: PointSet) -> CheckResult:
     bisectors), not for the distinct census: hist[k] + hist[n-k-3] misses it
     in both directions (first at n = 4, 13 vs 12).
     """
-    ps.require_certified()
     n = len(ps)
-    if n < 3:
-        raise ValueError("need at least three points")
     census, rows = _census_rows(ps, None, 3)
-    return _result(
-        "weight-census",
-        "2*hist[w] == 3*(c[w] + c[w-1]) + directed_j[w] for all w; "
-        "pair sums vs 6(k+1)(n-k-2) reported as info",
-        [("total", sum(census.hist), comb(n, 2) * (n - 1), "=="), *rows],
-    )
+    return [("total", sum(census.hist), comb(n, 2) * (n - 1), "=="), *rows]
 
 
-def check_minimax_bound(ps: PointSet) -> CheckResult:
+@_check("minimax-bound", "min over pairs of max enclosed count <= floor((2n-3)/3)", least=2)
+def check_minimax_bound(ps: PointSet) -> list[Row]:
     """Some pair's circles all enclose at most floor((2n-3)/3) points.
 
     A failing report names the minimax pair in an info row.
     """
-    ps.require_certified()
     n = len(ps)
-    if n < 2:
-        raise ValueError("need at least two points")
     pair, value = sweep_totals(ps).minimax
     bound = (2 * n - 3) // 3
     rows = [(f"n={n}", value, bound, "<=")]
     if value > bound:
         rows.append((f"pair {pair} max weight", value, bound, "info"))
-    return _result(
-        "minimax-bound",
-        "min over pairs of max enclosed count <= floor((2n-3)/3)",
-        rows,
-    )
+    return rows
 
 
-def check_enclosure_count_bounds(ps: PointSet) -> CheckResult:
+@_check(
+    "enclosure-count-bounds",
+    "c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2",
+    least=4,
+)
+def check_enclosure_count_bounds(ps: PointSet) -> list[Row]:
     """c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2."""
-    ps.require_certified()
     n = len(ps)
-    if n < 4:
-        raise ValueError("need at least four points")
     stats = triple_counts(ps)
     rows = []
     for k in range((n - 2) // 2):  # k < (n-3)/2
         bound = (k + 1) * (n - k - 2)
         rows.append((f"k={k} lower", stats.at(k), bound, ">="))
         rows.append((f"k={k} upper", stats.at(n - k - 3), bound, "<="))
-    return _result(
-        "enclosure-count-bounds",
-        "c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2",
-        rows,
-    )
+    return rows
 
 
-def check_region_count_sum(ps: PointSet) -> CheckResult:
+@_check("region-count-sum", "sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2]", least=3)
+def check_region_count_sum(ps: PointSet) -> list[Row]:
     """sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2] for 1 <= k <= n-1.
 
     f_inf(i) is the number of unbounded order-i Voronoi regions, which equals
     the number of i-sets; f_inf(0) = 0 and c[-1] = 0 by convention.
     """
-    ps.require_certified()
     n = len(ps)
     stats = triple_counts(ps)
     ks = kset_counts(ps)
@@ -194,29 +216,23 @@ def check_region_count_sum(ps: PointSet) -> CheckResult:
         lhs = sum(ks.f_inf(i - 1) for i in range(1, k + 1))
         rhs = (k - 1) * (2 * n - k) - stats.at(k - 2)
         rows.append((f"k={k}", lhs, rhs, "=="))
-    return _result(
-        "region-count-sum",
-        "sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2]",
-        rows,
-    )
+    return rows
 
 
-def check_cumulative_kset_bound(ps: PointSet) -> CheckResult:
+@_check("cumulative-kset-bound", "sum_{i=1..k} ksets[i] <= k*n for k < n/2", least=3)
+def check_cumulative_kset_bound(ps: PointSet) -> list[Row]:
     """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2."""
-    ps.require_certified()
     n = len(ps)
-    if n < 3:
-        raise ValueError("need at least three points")
     ks = kset_counts(ps)
-    rows = [(f"k={k}", sum(ks.ksets[1 : k + 1]), k * n, "<=") for k in range(1, n) if k < n / 2]
-    return _result(
-        "cumulative-kset-bound",
-        "sum_{i=1..k} ksets[i] <= k*n for k < n/2",
-        rows,
-    )
+    return [(f"k={k}", sum(ks.ksets[1 : k + 1]), k * n, "<=") for k in range(1, n) if k < n / 2]
 
 
-def check_bichromatic_census(ps: PointSet) -> CheckResult:
+@_check(
+    "bichromatic-census",
+    "2*hist[w] == 2*(c'[w] + c'[w-1]) + directed_j'[w] over red-blue bisectors; "
+    "pair sums vs 4(k+1)(N-k-2) reported as info",
+)
+def check_bichromatic_census(ps: PointSet) -> list[Row]:
     """The exact red-blue census law, with the classical bound as information.
 
     The law of :func:`_census_rows` over the red-blue pairs: a mixed-color
@@ -237,20 +253,22 @@ def check_bichromatic_census(ps: PointSet) -> CheckResult:
     through a red, a blue and an uncolored point lies on only one red-blue
     bisector.
     """
-    ps.require_certified()
     red_blue = bichromatic_pairs(ps)
     if ps.indices_of(Color.UNCOLORED):
         raise ValueError("bichromatic-census needs every point red or blue")
     _, rows = _census_rows(ps, red_blue, 2)
-    return _result(
-        "bichromatic-census",
-        "2*hist[w] == 2*(c'[w] + c'[w-1]) + directed_j'[w] over red-blue bisectors; "
-        "pair sums vs 4(k+1)(N-k-2) reported as info",
-        rows or [("vacuous", 0, 0, "==")],
-    )
+    return rows or [("vacuous", 0, 0, "==")]
 
 
-def check_profile_invariants(ps: PointSet) -> CheckResult:
+# These two sweep each pair when they reach it, so they hold O(n) per worker. They read
+# ``depth.weight_sequence`` through the module, so a counter rebound there sees every sweep.
+
+
+@_check(
+    "profile-invariants",
+    "every bisector weight sequence steps by +-1, ends at {j, n-j-2}, covers the range",
+)
+def check_profile_invariants(ps: PointSet) -> list[Row]:
     """Structural facts of every weight sequence.
 
     Consecutive weights differ by exactly 1; the first and last weights are
@@ -259,13 +277,12 @@ def check_profile_invariants(ps: PointSet) -> CheckResult:
     so the expected value is 0.  The first few offending pairs follow as
     info rows, one per broken invariant.
     """
-    ps.require_certified()
     n = len(ps)
     bad = [0, 0, 0]
-    evidence: list[tuple[str, int, int, str]] = []
+    evidence: list[Row] = []
     offenders = 0
-    for profile in all_profiles(ps):
-        w = profile.weights
+    for pair in all_pairs(n):
+        w = depth.weight_sequence(ps, *pair).weights
         measured = (
             ("non-unit steps", sum(abs(a - b) != 1 for a, b in zip(w, w[1:])), 0),
             ("end weights w[0] + w[-1]", w[0] + w[-1], n - 2),
@@ -278,76 +295,50 @@ def check_profile_invariants(ps: PointSet) -> CheckResult:
         if broken and offenders <= EVIDENCE_PAIRS:
             for i in broken:
                 label, got, want = measured[i]
-                evidence.append((f"pair {profile.pair} {label}", got, want, "info"))
-    rows = [
+                evidence.append((f"pair {pair} {label}", got, want, "info"))
+    return [
         ("unit steps", bad[0], 0, "=="),
         ("end weights {j, n-j-2}", bad[1], 0, "=="),
         ("full intermediate coverage", bad[2], 0, "=="),
         *evidence,
     ]
-    return _result(
-        "profile-invariants",
-        "every bisector weight sequence steps by +-1, ends at {j, n-j-2}, covers the range",
-        rows,
-    )
 
 
-def _oracle_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[list[int]]:
-    return [oracle_weights(ps, p, q) for p, q in pairs]
+def _oracle_mismatches(
+    ps: PointSet, pairs: list[tuple[int, int]]
+) -> list[tuple[tuple[int, int], int, int, int]]:
+    """(pair, first differing segment, sweep weight, oracle weight) for each
+    of ``pairs`` whose swept and sampled weights differ; -1 stands for a
+    missing segment."""
+    found = []
+    for pair in pairs:
+        swept = depth.weight_sequence(ps, *pair).weights
+        sampled = oracle_weights(ps, *pair)
+        if list(swept) != sampled:
+            segments = enumerate(zip_longest(swept, sampled, fillvalue=-1))
+            found.append(next((pair, i, a, b) for i, (a, b) in segments if a != b))
+    return found
 
 
-def check_oracle_match(ps: PointSet, jobs: int = 1) -> CheckResult:
+@_check("oracle-match", "weight_sequence equals oracle_weights elementwise for every pair")
+def check_oracle_match(ps: PointSet, jobs: int = 1) -> list[Row]:
     """Sweep weights equal sampled-circle oracle weights, elementwise, every pair.
 
-    ``jobs > 1`` spreads the oracle over forked processes
+    ``jobs > 1`` spreads the sweeps and the oracle over forked processes
     (:func:`~circledepth.depth._map_chunks`); neither the report nor the
     error raised depends on it.  The first few mismatching pairs follow as
     info rows: the first differing segment, sweep weight against oracle
     weight (-1 for a missing segment).
     """
-    ps.require_certified()
-    profiles = all_profiles(ps)
-    chunks = _map_chunks(partial(_oracle_chunk, ps), [p.pair for p in profiles], jobs)
-    mismatches = 0
-    evidence: list[tuple[str, int, int, str]] = []
-    for profile, sampled in zip(profiles, (w for chunk in chunks for w in chunk)):
-        if list(profile.weights) != sampled:
-            mismatches += 1
-            if mismatches <= EVIDENCE_PAIRS:
-                segments = enumerate(zip_longest(profile.weights, sampled, fillvalue=-1))
-                i, swept, oracle = next((i, a, b) for i, (a, b) in segments if a != b)
-                evidence.append((f"pair {profile.pair} segment {i}", swept, oracle, "info"))
-    return _result(
-        "oracle-match",
-        "weight_sequence equals oracle_weights elementwise for every pair",
-        [("mismatching pairs", mismatches, 0, "=="), *evidence],
-    )
-
-
-# Registry order is the execution and report order, regardless of how the
-# caller spells the selection.
-CHECKS = {
-    "triple-pair-sum": check_triple_pair_sum,
-    "weight-census": check_weight_census,
-    "minimax-bound": check_minimax_bound,
-    "enclosure-count-bounds": check_enclosure_count_bounds,
-    "region-count-sum": check_region_count_sum,
-    "cumulative-kset-bound": check_cumulative_kset_bound,
-    "bichromatic-census": check_bichromatic_census,
-    "profile-invariants": check_profile_invariants,
-    "oracle-match": check_oracle_match,
-}
-
-
-# Fewest points a check needs; the others apply at every size.
-_MIN_POINTS = {
-    "triple-pair-sum": 3,
-    "weight-census": 3,
-    "minimax-bound": 2,
-    "enclosure-count-bounds": 4,
-    "region-count-sum": 3,
-    "cumulative-kset-bound": 3,
-}
+    chunks = _map_chunks(partial(_oracle_mismatches, ps), all_pairs(len(ps)), jobs)
+    mismatches = [found for chunk in chunks for found in chunk]
+    return [
+        ("mismatching pairs", len(mismatches), 0, "=="),
+        *(
+            (f"pair {pair} segment {i}", swept, oracle, "info")
+            for pair, i, swept, oracle in mismatches[:EVIDENCE_PAIRS]
+        ),
+    ]
 
 
 def applicable_checks(ps: PointSet) -> list[str]:

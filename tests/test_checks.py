@@ -1,9 +1,10 @@
 import os
+import tracemalloc
 
 import pytest
 
-from circledepth import Color, kset_counts, oracle_weights, triple_counts
-from circledepth import checks, forkmap
+from circledepth import Color, kset_counts, oracle_weights, triple_counts, weight_sequence
+from circledepth import checks, depth, forkmap
 from circledepth.checks import (
     CHECKS,
     applicable_checks,
@@ -202,10 +203,12 @@ def test_failed_oracle_match_names_at_most_three_pairs(monkeypatch):
 
 
 def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
-    # Bisector (0, 2) carries (1, 0, 1); the corrupted profile says (1, 3, 1).
-    real = checks.all_profiles(quad)
-    profiles = [real[0], real[1]._replace(weights=(1, 3, 1)), *real[2:]]
-    monkeypatch.setattr(checks, "all_profiles", lambda ps: profiles)
+    # Bisector (0, 2) carries (1, 0, 1); the corrupted sweep says (1, 3, 1).
+    def corrupted(ps, p, q):
+        profile = weight_sequence(ps, p, q)
+        return profile._replace(weights=(1, 3, 1)) if (p, q) == (0, 2) else profile
+
+    monkeypatch.setattr(depth, "weight_sequence", corrupted)
     result = check_profile_invariants(quad)
     assert not result.passed
     rows = [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances]
@@ -249,6 +252,20 @@ def test_forked_checks_match_serial(claim_cpus, jobs):
     assert run_checks(ps, jobs=jobs) == run_checks(ps)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_checks_keeps_no_profile_alive():
+    # Each pair is swept when a check reaches it and dropped after, so the
+    # traced peak stays far below the 780 pairs' profiles kept at once
+    # (about 3.8 MiB at n = 40).
+    ps = random_general_position(40, 7, 10**6)
+    tracemalloc.start()
+    try:
+        run_checks(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_run_checks_selection_and_order(quad):

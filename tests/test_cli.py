@@ -207,6 +207,20 @@ def test_huge_exponent_exits_with_parse_error(tmp_path, capsys):
     assert "line 2: bad coordinate '1e999999999': exponent beyond +-4300" in err
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0 0\n1 0\n# @pair 1\n", "line 3: expected '# @pair i j'"),
+        ("0 0\n# @pair a b\n1 0\n", "line 2: pair indices must be integers"),
+    ],
+    ids=["one-index", "non-integer"],
+)
+def test_malformed_pair_line_exits_with_parse_error(tmp_path, capsys, text, error):
+    src = tmp_path / "pairs.txt"
+    src.write_text(text)
+    assert run_cli(["analyze", str(src)], capsys) == (1, "", f"error: {src}: {error}\n")
+
+
 def test_verify_all_passes_golden(capsys):
     code, stdout, _ = run_cli(["verify", str(DATA / "random8.txt")], capsys)
     assert code == 0
@@ -333,6 +347,29 @@ def test_render_profile_bad_pair(tmp_path, capsys):
     )
     assert code == 1
     assert "invalid pair" in err
+
+
+@pytest.mark.parametrize(
+    "what, error",
+    [
+        (["profile", "1"], "--what profile needs two indices"),
+        (["profile", "a", "b"], "profile indices must be integers"),
+        (["bogus"], "unknown render target 'bogus'"),
+    ],
+    ids=["one-index", "non-integer", "unknown-target"],
+)
+def test_render_bad_target_is_an_error(capsys, what, error):
+    args = ["render", str(DATA / "random8.txt"), "--what", *what]
+    assert run_cli(args, capsys) == (1, "", f"error: {error}\n")
+
+
+def test_render_profile_of_two_points_has_one_segment(tmp_path, capsys):
+    # No third point, so no event: the whole bisector is one weight-0 segment.
+    src = tmp_path / "two.txt"
+    src.write_text("0 0\n3 1\n")
+    code, stdout, err = run_cli(["render", str(src), "--what", "profile", "0", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert stdout.count("<text") == 1 and ">0</text>" in stdout
 
 
 def test_render_construction(tmp_path, capsys):

@@ -192,6 +192,26 @@ def test_claim_failures_detects_violations():
     assert claim_failures(out)
 
 
+@pytest.mark.parametrize(
+    "kind, params, expected",
+    [
+        # Bisector (0, 2) carries (4, 3, 2, 1, 0) and (0, 1) carries (2, 3, 2, 3, 2).
+        ("halving-pair", {"pair": (0, 2)}, "bogus: sides 0/4"),
+        ("endpoint-weights", {"pair": (0, 2), "a": 2, "b": 2}, "bogus: ends {4, 0}"),
+        (
+            "repeated-values",
+            {"pair": (0, 1), "lo": 2, "hi": 3, "times": 3},
+            "bogus: value 3 occurs 2x",
+        ),
+    ],
+    ids=["halving-pair", "endpoint-weights", "repeated-values"],
+)
+def test_claim_failures_describe_each_kind(kind, params, expected):
+    out = halving_line_construction(3)
+    out.claims.append(Claim(kind, params, "bogus"))
+    assert claim_failures(out) == [expected]
+
+
 def test_search_reports_failed_certification():
     # 40 points on one line: C(40, 3) collinear triples, one of them named.
     line = [ConstructionOutput(PointSet.from_coords([(i, 2 * i) for i in range(40)])) for _ in range(3)]
