@@ -144,6 +144,9 @@ def cmd_render(args) -> int:
     pf, _ = _load(args.input)
     _certify(pf.points)
     what = args.what
+    if what[0] in ("points", "construction") and len(what) > 1:
+        print(f"error: --what {what[0]} takes no arguments", file=sys.stderr)
+        return EXIT_PARSE
     if what[0] == "points":
         draw = partial(svg.render_points, pf.points)
     elif what[0] == "profile":
@@ -174,8 +177,16 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_PARSE on a usage error, not argparse's 2 (a generator failure)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circledepth",
         description="Exact enclosure-depth statistics, verifiers and generators "
         "for planar point sets.",
@@ -233,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # input loading reports its own exit code
+    except SystemExit as exc:  # argparse and input loading report their own exit codes
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
 
 

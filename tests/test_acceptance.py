@@ -373,6 +373,10 @@ def test_criterion_12_determinism(tmp_path, capsys):
         "random8.txt": ["random8.analysis.json", "random8.verify.json"],
         "colored3.txt": ["colored3.analysis.json"],
         "rational12.txt": ["rational12.analysis.json"],
+        "tiny0.txt": ["tiny0.analysis.json"],
+        "tiny1.txt": ["tiny1.analysis.json"],
+        "tiny2.txt": ["tiny2.analysis.json"],
+        "tiny3.txt": ["tiny3.analysis.json"],
     }
     for name in corpus:
         src = DATA / name

@@ -125,6 +125,31 @@ def test_sized_check_below_its_size_is_a_structured_error(name, size, tmp_path, 
     assert run_cli(args, capsys) == (1, "", f"error: need at least {words[size]} points\n")
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["analyze"], "the following arguments are required: input"),
+        (["analyze", "POINTS", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["verify", "POINTS", "--bogus"], "unrecognized arguments: --bogus"),
+        (["generate", "nokind"], "argument kind: invalid choice"),
+        (["generate", "random", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    ],
+    ids=["no-input", "bad-jobs", "unknown-option", "unknown-kind", "bad-n"],
+)
+def test_usage_error_exits_1(argv, error, capsys):
+    # argparse's own code, 2, is the generator-failure code.
+    argv = [str(DATA / "random8.txt") if arg == "POINTS" else arg for arg in argv]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("usage: circledepth") and f"error: {error}" in err
+
+
+def test_help_exits_0(capsys):
+    code, stdout, err = run_cli(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert stdout.startswith("usage: circledepth")
+
+
 def test_analyze_golden_fields():
     report = json.loads((DATA / "random8.analysis.json").read_text())
     assert report["schema"] == 1
@@ -143,6 +168,16 @@ def test_verify_jobs_do_not_change_bytes(capsys):
     _, serial, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "1"], capsys)
     _, parallel, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "2"], capsys)
     assert serial == parallel
+
+
+def test_verify_on_40_points_passes_with_the_same_bytes_at_two_jobs(tmp_path, capsys):
+    # The goldens have at most 12 points; here the oracle bisects over 39
+    # samples a pair and --jobs 2 forks a share of the pairs.
+    src = tmp_path / "random40.txt"
+    assert run_cli(["generate", "random", "--n", "40", "--seed", "7", "-o", str(src)], capsys)[0] == 0
+    serial = run_cli(["verify", str(src), "--jobs", "1"], capsys)
+    parallel = run_cli(["verify", str(src), "--jobs", "2"], capsys)
+    assert serial[0] == 0 and serial == parallel
 
 
 def test_analyze_collinear_exit(tmp_path, capsys):
@@ -355,8 +390,10 @@ def test_render_profile_bad_pair(tmp_path, capsys):
         (["profile", "1"], "--what profile needs two indices"),
         (["profile", "a", "b"], "profile indices must be integers"),
         (["bogus"], "unknown render target 'bogus'"),
+        (["points", "extra"], "--what points takes no arguments"),
+        (["construction", "extra"], "--what construction takes no arguments"),
     ],
-    ids=["one-index", "non-integer", "unknown-target"],
+    ids=["one-index", "non-integer", "unknown-target", "points-extra", "construction-extra"],
 )
 def test_render_bad_target_is_an_error(capsys, what, error):
     args = ["render", str(DATA / "random8.txt"), "--what", *what]
