@@ -11,11 +11,10 @@ with its name, claim and size floor, by :func:`_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import zip_longest
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import depth
 from .geom import Color, PointSet
@@ -32,8 +31,7 @@ from .depth import (
 )
 
 
-@dataclass(frozen=True)
-class CheckInstance:
+class CheckInstance(NamedTuple):
     label: str
     lhs: int
     rhs: int
@@ -41,8 +39,7 @@ class CheckInstance:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     claim: str
     instances: tuple[CheckInstance, ...]

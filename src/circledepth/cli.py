@@ -3,9 +3,10 @@
 Subcommands: generate (writes point files from the generators), analyze
 (depth statistics as JSON), verify (identity/bound checks, exit 0 iff all
 pass) and render (SVG).  Exit codes: 0 success, 1 unreadable/unparseable
-input, bad options or a drawing beyond the float range, 2 generator
-failure, 3 general-position violation, 4 check failure.  Output bytes
-depend only on input bytes and flags; --jobs never changes them.
+input, an unwritable output, bad options or a drawing beyond the float
+range, 2 generator failure, 3 general-position violation, 4 check failure.
+Output bytes depend only on input bytes and flags; --jobs never changes
+them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,15 @@ VIOLATIONS_SHOWN = 20
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write to ``path`` or stdout; an unwritable path raises SystemExit(1)."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _load(path: str):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .geom import (
     Color,
@@ -74,8 +74,7 @@ class Rng:
         return lo + self.below(hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A verifiable property of a construction.
 
     kind is one of:
@@ -93,11 +92,16 @@ class Claim:
     description: str
 
 
-@dataclass
 class ConstructionOutput:
-    points: PointSet
-    designated_pairs: list[tuple[int, int]] = field(default_factory=list)
-    claims: list[Claim] = field(default_factory=list)
+    def __init__(
+        self,
+        points: PointSet,
+        designated_pairs: list[tuple[int, int]] | None = None,
+        claims: list[Claim] | None = None,
+    ):
+        self.points = points
+        self.designated_pairs = [] if designated_pairs is None else designated_pairs
+        self.claims = [] if claims is None else claims
 
 
 def claim_failures(out: ConstructionOutput) -> list[str]:

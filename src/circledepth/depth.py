@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -61,8 +60,7 @@ from .geom import (
 )
 
 
-@dataclass(frozen=True)
-class BisectorEvent:
+class BisectorEvent(NamedTuple):
     index: int  # third point whose circumcenter with the pair sits here
     s: Scalar
     covers_positive: bool  # True: enclosed for s > s_x; False: for s < s_x
@@ -90,8 +88,7 @@ class BisectorProfile(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class TripleStats:
+class TripleStats(NamedTuple):
     """c[k] = number of point triples whose circumcircle strictly encloses k points."""
 
     c: tuple[int, ...]  # indexed k = 0 .. n-3
@@ -103,14 +100,12 @@ class TripleStats:
         return 0
 
 
-@dataclass(frozen=True)
-class EdgeStats:
+class EdgeStats(NamedTuple):
     directed_j: tuple[int, ...]  # j = 0 .. n-2: ordered pairs with j points strictly left
     undirected_j: tuple[int, ...]  # j = 0 .. floor((n-2)/2): unordered pairs, j = min side
 
 
-@dataclass(frozen=True)
-class KSetStats:
+class KSetStats(NamedTuple):
     ksets: tuple[int, ...]  # index k = 1 .. n-1 (index 0 is unused and zero)
 
     def f_inf(self, k: int) -> int:
@@ -120,8 +115,7 @@ class KSetStats:
         return self.ksets[k]
 
 
-@dataclass(frozen=True)
-class WeightCensus:
+class WeightCensus(NamedTuple):
     hist: tuple[int, ...]  # weight w = 0 .. n-2 over all bisectors counted
 
     def at(self, w: int) -> int:
@@ -130,8 +124,7 @@ class WeightCensus:
         return 0
 
 
-@dataclass(frozen=True)
-class RepeatStats:
+class RepeatStats(NamedTuple):
     """Repeated weights per bisector, indexed by Voronoi order k = weight + 1.
 
     ``b[k]`` counts bisectors whose sequence contains the value k-1 at least
@@ -430,8 +423,7 @@ def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
     return KSetStats((0, *edges.directed_j)[:n])
 
 
-@dataclass(frozen=True)
-class SweepTotals:
+class SweepTotals(NamedTuple):
     """Every table and extremal pair of an analysis, from one sweep per pair.
 
     ``triples`` is derived, not counted: a circle through three points that

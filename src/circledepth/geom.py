@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -36,18 +35,13 @@ class NotCertifiedError(ValueError):
     """An operation required a general-position certified point set."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Scalar
     y: Scalar
 
     @staticmethod
     def of(x, y) -> "Point":
         return Point(Fraction(x), Fraction(y))
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
@@ -59,13 +53,11 @@ class Color(Enum):
     UNCOLORED = ""
 
 
-@dataclass(frozen=True)
-class ColoredPoint:
+class ColoredPoint(NamedTuple):
     point: Point
     color: Color = Color.UNCOLORED
 
 
-@dataclass
 class PointSet:
     """An indexed list of colored points, optionally certified in general position.
 
@@ -92,9 +84,18 @@ class PointSet:
     ``points``.
     """
 
-    points: list[ColoredPoint] = field(default_factory=list)
-    grid: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
-    local: tuple[tuple[int, int, int], ...] | None = field(default=None, repr=False)
+    def __init__(self, points: list[ColoredPoint] | None = None):
+        self.points = [] if points is None else points
+        self.grid: tuple[tuple[int, int], ...] | None = None
+        self.local: tuple[tuple[int, int, int], ...] | None = None
+
+    def __eq__(self, other):  # also makes the set unhashable, as it is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.grid, self.local) == (other.points, other.grid, other.local)
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r})"
 
     @staticmethod
     def from_coords(coords: Iterable[tuple], colors: Iterable[Color] | None = None) -> "PointSet":
@@ -367,8 +368,7 @@ def sqdist(a: Point, b: Point) -> Scalar:
     return dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "duplicate", "collinear" or "cocircular"
     indices: tuple[int, ...]
 

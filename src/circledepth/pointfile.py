@@ -20,9 +20,9 @@ file the parser accepts serializes and parses back to the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geom import Color, ColoredPoint, Point, PointSet
 
@@ -35,10 +35,9 @@ class PointFileError(ValueError):
         self.line = line
 
 
-@dataclass
-class PointFile:
+class PointFile(NamedTuple):
     points: PointSet
-    pairs: list[tuple[int, int]] = field(default_factory=list)
+    pairs: list[tuple[int, int]]
 
 
 _COLOR_TOKENS = {"R": Color.RED, "B": Color.BLUE}

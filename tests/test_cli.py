@@ -144,6 +144,24 @@ def test_usage_error_exits_1(argv, error, capsys):
     assert err.startswith("usage: circledepth") and f"error: {error}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "random", "--n", "5"],
+        ["analyze", "POINTS"],
+        ["verify", "POINTS", "--checks", "triple-pair-sum"],
+        ["render", "POINTS"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_a_structured_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    argv = [str(DATA / "random8.txt") if arg == "POINTS" else arg for arg in argv]
+    code, stdout, err = run_cli([*argv, "--output", str(target)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_help_exits_0(capsys):
     code, stdout, err = run_cli(["--help"], capsys)
     assert (code, err) == (0, "")
@@ -603,3 +621,20 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["input"]["points"] == 8
+
+
+def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
+    # Every CLI process pays for what it imports, and these two pull in ast,
+    # dis and tokenize; -S keeps site's .pth imports out of the count.
+    script = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); from circledepth.cli import main; "
+        "code = main(['analyze', sys.argv[2], '-o', os.devnull]); "
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = Path(__file__).parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(src), str(DATA / "tiny3.txt")],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 []\n", "")

@@ -212,6 +212,14 @@ def test_claim_failures_describe_each_kind(kind, params, expected):
     assert claim_failures(out) == [expected]
 
 
+def test_construction_outputs_hold_lists_of_their_own():
+    a, b = ConstructionOutput(PointSet()), ConstructionOutput(PointSet())
+    a.claims.append(Claim("convex-position", {}, "a's claim"))
+    a.designated_pairs.append((0, 1))
+    assert (b.claims, b.designated_pairs) == ([], [])
+    assert ConstructionOutput(a.points, claims=a.claims).claims is a.claims
+
+
 def test_search_reports_failed_certification():
     # 40 points on one line: C(40, 3) collinear triples, one of them named.
     line = [ConstructionOutput(PointSet.from_coords([(i, 2 * i) for i in range(40)])) for _ in range(3)]

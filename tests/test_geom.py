@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from circledepth import (
     Color,
+    ColoredPoint,
     DegenerateInputError,
     NotCertifiedError,
     Point,
@@ -126,6 +127,39 @@ def test_validate_duplicate_points():
     ps = PointSet.from_coords([(0, 0), (0, 0), (1, 5)])
     violations = validate_general_position(ps)
     assert [(v.kind, v.indices) for v in violations] == [("duplicate", (0, 1))]
+
+
+def test_immutable_records_are_hashable_values():
+    # Equal records hash alike, by the tuple of their fields, so set and dict
+    # orders do not depend on how the records are built.
+    p = P(1, 2)
+    pairs = [
+        (p, P(Fraction(2, 2), 2)),
+        (ColoredPoint(p, Color.RED), ColoredPoint(P(1, 2), Color.RED)),
+        (Violation("collinear", (0, 1, 2)), Violation("collinear", (0, 1, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) == hash(tuple(a)) and len({a, b}) == 1
+    assert p != P(2, 1) and ColoredPoint(p) != ColoredPoint(p, Color.BLUE)
+    assert Violation("collinear", (0, 1, 2)) != Violation("cocircular", (0, 1, 2))
+
+
+def test_point_sets_compare_points_grid_and_local():
+    coords = [(Fraction(1, 2), 0), (0, 1), (1, 1)]
+    a, b = PointSet.from_coords(coords), PointSet.from_coords(coords)
+    assert a == b and PointSet() == PointSet() and a != PointSet.from_coords(coords[:2])
+    validate_general_position(a)
+    assert a != b  # only a holds a grid
+    validate_general_position(b)
+    assert a == b
+    b.local = None
+    assert a != b  # same points and grid, local form dropped
+    with pytest.raises(TypeError):
+        hash(a)  # mutable, so unhashable
+    assert PointSet().points is not PointSet().points
+    assert repr(PointSet.from_coords([(1, 2)])) == (
+        "PointSet(points=[ColoredPoint(point=Point(1, 2), color=<Color.UNCOLORED: ''>)])"
+    )
 
 
 def test_certification_stores_the_integer_grid():
