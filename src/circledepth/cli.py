@@ -41,16 +41,30 @@ EXIT_CHECK_FAILED = 4
 VIOLATIONS_SHOWN = 20
 
 
+def _cannot_write(name: str, exc: OSError):
+    print(f"error: cannot write {name}: {exc}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _require_output_dir(path: str | None) -> None:
+    """Before any work, fail as writing ``path`` would if its directory is missing."""
+    if path not in (None, "-"):
+        try:
+            Path(path).parent.stat()
+        except OSError as exc:
+            _cannot_write(path, OSError(exc.errno, exc.strerror, path))
+
+
 def _write_output(text: str, path: str | None) -> None:
-    """Write to ``path`` or stdout; an unwritable path raises SystemExit(1)."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    """Write to ``path`` or stdout; a failed write raises SystemExit(1)."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path in (None, "-"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        _cannot_write("standard output" if path in (None, "-") else path, exc)
 
 
 def _load(path: str):
@@ -107,11 +121,11 @@ def cmd_generate(args) -> int:
         return EXIT_GENERATOR
     _write_output(serialize_point_file(out.points, out.designated_pairs), args.output)
     if args.output not in (None, "-"):
-        print(f"wrote {len(out.points)} points to {args.output}")
+        print(f"wrote {len(out.points)} points to {args.output}", file=sys.stderr)
     for a, b in out.designated_pairs:
-        print(f"designated pair: ({a}, {b})")
+        print(f"designated pair: ({a}, {b})", file=sys.stderr)
     for claim in out.claims:
-        print(f"claim verified: {claim.description}")
+        print(f"claim verified: {claim.description}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -252,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _require_output_dir(args.output)
         return args.func(args)
     except SystemExit as exc:  # argparse and input loading report their own exit codes
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE

@@ -41,7 +41,6 @@ red-blue tables of a colored set are the same functions over
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
@@ -288,38 +287,16 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-def _workers(jobs: int, tasks: int) -> int:
-    """Processes for ``tasks`` pairs, the caller included: never more than
-    the CPUs this process may run on, nor than there are pairs, and one for
-    ``jobs <= 1`` or where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cpus, tasks))
-
-
 def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
-    """``task`` over consecutive chunks of ``pairs``, results in pair order.
-
-    With one process (see :func:`_workers`) this is ``[task(pairs)]``.
-    Otherwise the pairs are cut into one contiguous share per process, and
-    :func:`circledepth.forkmap.map_shares` folds the first in this process
-    and each of the others in a child forked from it, every process pinned
-    to a CPU of its own.  The children are joined in share order, so the
-    error raised is the one a serial run raises, and no child outlives the
-    map.
-    """
-    workers = _workers(jobs, len(pairs))
-    if workers == 1:
+    """``task`` over consecutive chunks of ``pairs``, results in pair order:
+    ``[task(pairs)]`` for ``jobs <= 1``, else those of forked processes, one
+    per CPU, as :func:`circledepth.forkmap.map_chunks` decides."""
+    if jobs <= 1:
         return [task(pairs)]
     # Imported here, not at module load: a serial run never pays for it.
-    from .forkmap import map_shares
+    from .forkmap import map_chunks
 
-    cuts = [len(pairs) * i // workers for i in range(workers + 1)]
-    return map_shares(task, [pairs[a:b] for a, b in zip(cuts, cuts[1:])])
+    return map_chunks(task, pairs, jobs)
 
 
 def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:

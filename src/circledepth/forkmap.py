@@ -1,13 +1,13 @@
-"""Shares of a pair list folded in forked processes, one per CPU.
+"""A list mapped in contiguous chunks by forked processes, one per CPU.
 
-:func:`circledepth.depth._map_chunks` cuts the pairs into shares and
-imports this module only when it runs more than one process, so a serial
-run never pays for these imports.  The calling process folds the first
-share itself and forks a :class:`Child` for each of the others, each pinned
-to a CPU of its own: the scheduler would otherwise keep a short-lived child
-on its parent's CPU.  Fork, not a fresh interpreter, because a child then
-starts with the set and the task it needs, and nothing is pickled on the way
-in; the CLI that forks runs no other thread.
+:func:`map_chunks` alone decides how ``--jobs`` runs; ``depth._map_chunks``
+imports this module only for ``jobs > 1``, so a serial run never pays for
+these imports.  The calling process maps the first chunk itself and forks a
+:class:`Child` for each of the others, each pinned to a CPU of its own: the
+scheduler would otherwise keep a short-lived child on its parent's CPU.
+Fork, not a fresh interpreter, because a child then starts with the set and
+the task it needs, and nothing is pickled on the way in; the CLI that forks
+runs no other thread.
 """
 
 from __future__ import annotations
@@ -93,25 +93,31 @@ class Child:
         return status
 
 
-def map_shares(task, shares: list[list]) -> list:
-    """``task`` over ``shares``, one process each, results in share order;
-    there are no more shares than CPUs this process may run on.
+def map_chunks(task, items: list, jobs: int) -> list:
+    """``task`` over contiguous chunks of ``items``, results in item order.
 
-    This process folds the first share, then joins the children in share
-    order, so the error raised is the first share's that fails, as in a
-    serial run.  Any error, or an interrupt, kills and reaps every child
-    before it propagates; this process's CPU mask is restored in any case.
+    Runs min(jobs, CPUs, len(items)) processes, or one where ``os.fork`` is
+    missing; the CPUs are this process's mask, read once, or
+    ``os.cpu_count()`` without CPU affinity.  This process maps the first
+    chunk, then joins the children in chunk order, so the error raised is
+    the first chunk's that fails, as in a serial run.  Any error, or an
+    interrupt, kills and reaps every child before it propagates; this
+    process's CPU mask is restored in any case.
     """
-    mine, *others = shares
     try:
         mask = os.sched_getaffinity(0)
-        pins = [{cpu} for cpu in sorted(mask)[: len(shares)]]
+        pins = [{cpu} for cpu in sorted(mask)]
     except AttributeError:  # platforms without CPU affinity
-        mask, pins = None, [None] * len(shares)
+        mask, pins = None, [None] * (os.cpu_count() or 1)
+    workers = min(jobs, len(pins), len(items)) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [task(items)]
+    cuts = [len(items) * i // workers for i in range(workers + 1)]
+    mine, *others = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[Child] = []
     try:
-        for share, pin in zip(others, pins[1:], strict=True):
-            children.append(Child(task, share, pin))
+        for chunk, pin in zip(others, pins[1:]):
+            children.append(Child(task, chunk, pin))
         _pin(pins[0])
         return [task(mine)] + [child.join() for child in children]
     except BaseException:

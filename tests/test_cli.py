@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from circledepth import checks, constructions
+from circledepth import checks, cli, constructions
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 
@@ -21,9 +22,9 @@ def run_cli(args, capsys):
 
 def test_generate_random(tmp_path, capsys):
     out = tmp_path / "pts.txt"
-    code, stdout, _ = run_cli(["generate", "random", "--n", "10", "--seed", "1", "-o", str(out)], capsys)
+    code, _, stderr = run_cli(["generate", "random", "--n", "10", "--seed", "1", "-o", str(out)], capsys)
     assert code == 0
-    assert "wrote 10 points" in stdout
+    assert "wrote 10 points" in stderr
     assert len(out.read_text().splitlines()) == 10
 
 
@@ -39,12 +40,21 @@ def test_generate_round_trip_is_byte_identical(tmp_path, capsys):
 
 def test_generate_two_colored_has_colors(tmp_path, capsys):
     out = tmp_path / "colored.txt"
-    code, stdout, _ = run_cli(["generate", "two-colored-convex", "--n", "4", "-o", str(out)], capsys)
+    code, _, stderr = run_cli(["generate", "two-colored-convex", "--n", "4", "-o", str(out)], capsys)
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(lines) == 8
     assert all(l.endswith((" R", " B")) for l in lines)
-    assert "claim verified" in stdout
+    assert "claim verified" in stderr
+
+
+@pytest.mark.parametrize("kind", ["halving", "two-colored-convex"])
+def test_generate_to_stdout_writes_only_the_point_file(kind, tmp_path, capsys):
+    # Its messages go to stderr, so stdout can be redirected to a point file.
+    out = tmp_path / "points.txt"
+    assert run_cli(["generate", kind, "--n", "3", "-o", str(out)], capsys)[0] == 0
+    code, stdout, _ = run_cli(["generate", kind, "--n", "3"], capsys)
+    assert (code, stdout) == (0, out.read_text())
 
 
 def test_generate_failure_exit_code(tmp_path, capsys):
@@ -144,22 +154,49 @@ def test_usage_error_exits_1(argv, error, capsys):
     assert err.startswith("usage: circledepth") and f"error: {error}" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["generate", "random", "--n", "5"],
-        ["analyze", "POINTS"],
-        ["verify", "POINTS", "--checks", "triple-pair-sum"],
-        ["render", "POINTS"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# One run of each subcommand that writes output; POINTS stands for a point file.
+WRITERS = [
+    ["generate", "random", "--n", "5"],
+    ["analyze", "POINTS"],
+    ["verify", "POINTS", "--checks", "triple-pair-sum"],
+    ["render", "POINTS"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
 def test_unwritable_output_is_a_structured_error(argv, tmp_path, capsys):
     target = tmp_path / "missing" / "out"
     argv = [str(DATA / "random8.txt") if arg == "POINTS" else arg for arg in argv]
     code, stdout, err = run_cli([*argv, "--output", str(target)], capsys)
     assert (code, stdout) == (1, "")
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_missing_output_directory_is_reported_before_any_work(tmp_path, capsys, monkeypatch):
+    def run_checks(*args, **kwargs):
+        raise AssertionError("the checks ran")
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    target = tmp_path / "missing" / "r.json"
+    code, stdout, err = run_cli(["verify", str(DATA / "random8.txt"), "--output", str(target)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_a_failed_write_to_stdout_is_one_error_line(argv):
+    argv = [str(DATA / "random8.txt") if arg == "POINTS" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "circledepth", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert (result.returncode, result.stderr) == (
+        1,
+        "error: cannot write standard output: [Errno 28] No space left on device\n",
+    )
 
 
 def test_help_exits_0(capsys):
@@ -545,7 +582,7 @@ def test_generate_is_reproducible_against_committed_file(tmp_path, capsys):
 
 
 # sha256 of the point file and of the "claim verified" lines (each ending in a
-# newline) that `generate` writes; convex has no claims, so its second digest
+# newline) that `generate` writes on stderr; convex has no claims, so its second digest
 # is that of the empty string.
 GENERATED = {
     ("two-colored-convex", "--n", "3"): (
@@ -604,10 +641,10 @@ GENERATED = {
 @pytest.mark.parametrize("argv", list(GENERATED), ids=" ".join)
 def test_generate_bytes_are_pinned(argv, tmp_path, capsys):
     out = tmp_path / "points.txt"
-    code, stdout, _ = run_cli(["generate", *argv, "-o", str(out)], capsys)
+    code, _, stderr = run_cli(["generate", *argv, "-o", str(out)], capsys)
     assert code == 0
     claims = "".join(
-        line + "\n" for line in stdout.splitlines() if line.startswith("claim verified: ")
+        line + "\n" for line in stderr.splitlines() if line.startswith("claim verified: ")
     )
     digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), claims.encode()))
     assert digests == GENERATED[argv]
@@ -624,12 +661,14 @@ def test_console_entry_point():
 
 
 def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
-    # Every CLI process pays for what it imports, and these two pull in ast,
-    # dis and tokenize; -S keeps site's .pth imports out of the count.
+    # Every CLI process pays for what it imports: dataclasses and inspect
+    # pull in ast, dis and tokenize, and a serial run needs none of the
+    # parallel map's machinery.  -S keeps site's .pth imports out of the count.
     script = (
         "import os, sys; sys.path.insert(0, sys.argv[1]); from circledepth.cli import main; "
-        "code = main(['analyze', sys.argv[2], '-o', os.devnull]); "
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "code = [main([command, sys.argv[2], '-o', os.devnull]) for command in ('analyze', 'verify')]; "
+        "unwanted = {'dataclasses', 'inspect', 'circledepth.forkmap', 'pickle', 'signal'}; "
+        "print(code, sorted(unwanted & set(sys.modules)))"
     )
     src = Path(__file__).parents[1] / "src"
     result = subprocess.run(
@@ -637,4 +676,4 @@ def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
         capture_output=True,
         text=True,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "0 []\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0] []\n", "")

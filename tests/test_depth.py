@@ -424,9 +424,23 @@ def test_maps_without_fork_or_cpu_affinity(monkeypatch):
     assert sweep_totals(ps, jobs=2) == serial
     assert InProcessChild.cpus == [None]
     monkeypatch.delattr(os, "fork")
-    assert depth._workers(8, 36) == 1
+    assert forkmap.map_chunks(len, depth.all_pairs(9), 8) == [36]
     assert sweep_totals(ps, jobs=2) == serial
     assert InProcessChild.cpus == [None]
+
+
+def test_a_mask_that_shrinks_during_a_map_is_read_once(monkeypatch):
+    # The map reads the CPU mask once: a mask that shrinks from two CPUs to
+    # one after that read changes neither the processes nor the totals.
+    ps = random_general_position(9, seed=13, coord_range=10**6)
+    serial = sweep_totals(ps)
+    monkeypatch.setattr(forkmap, "Child", InProcessChild)
+    monkeypatch.setattr(InProcessChild, "cpus", [])
+    masks = iter([{0, 1}, {0}])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: next(masks, {0}))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    assert sweep_totals(ps, jobs=2) == serial
+    assert InProcessChild.cpus == [{1}]
 
 
 def _fails_at(slow, fast, chunk):
@@ -507,9 +521,9 @@ def test_caller_affinity_is_restored():
     # mask back after the map.
     before = os.sched_getaffinity(0)
     pairs = depth.all_pairs(6)
-    masks = depth._map_chunks(_affinity, pairs, 2)
+    masks = forkmap.map_chunks(_affinity, pairs, 2)
     assert os.sched_getaffinity(0) == before
-    if depth._workers(2, len(pairs)) == 2:
+    if len(masks) == 2:
         first, second = sorted(before)[:2]
         assert masks == [{first}, {second}]
 
