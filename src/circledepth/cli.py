@@ -7,6 +7,11 @@ input, an unwritable output, bad options or a drawing beyond the float
 range, 2 generator failure, 3 general-position violation, 4 check failure.
 Output bytes depend only on input bytes and flags; --jobs never changes
 them.
+
+A process compiles every module it imports when no bytecode is cached, so
+each subcommand imports only what it runs: ``checks`` in verify,
+``constructions`` in generate, ``report`` (with ``hashlib`` and ``json``) in
+analyze and verify, ``svg`` in render.
 """
 
 from __future__ import annotations
@@ -18,17 +23,6 @@ from pathlib import Path
 
 from .geom import DegenerateInputError, validate_general_position
 from .pointfile import PointFileError, parse_point_file, serialize_point_file
-from .checks import CHECKS, run_checks
-from .constructions import (
-    ConstructionError,
-    ConstructionOutput,
-    halving_line_construction,
-    random_convex,
-    random_general_position,
-    recursive_seven_region,
-    two_colored_convex,
-)
-from .report import analysis_report, input_digest, render_json, verification_report
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -68,7 +62,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _load(path: str):
-    """Parse a point file; raises SystemExit with the right code."""
+    """Parse a point file into (point file, its bytes); raises SystemExit with the right code."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -79,7 +73,7 @@ def _load(path: str):
     except (UnicodeDecodeError, PointFileError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    return pf, input_digest(data)
+    return pf, data
 
 
 def _certify(ps) -> None:
@@ -97,26 +91,57 @@ def _certify(ps) -> None:
         raise SystemExit(EXIT_DEGENERATE)
 
 
-# Generator per `generate` kind, in the parser's order.  Each entry looks its
-# generator up in this module when called, so rebinding the name here (as
-# perfbench's tracer does) takes effect.
+# Call-time bindings into the modules imported late.  They stay names of this
+# module, looked up when called, so that rebinding one here (as tests and
+# perfbench's tracer do) takes effect.
+
+
+def run_checks(ps, names, jobs=1):
+    from . import checks
+
+    return checks.run_checks(ps, names, jobs=jobs)
+
+
+def two_colored_convex(n):
+    from . import constructions
+
+    return constructions.two_colored_convex(n)
+
+
+def analysis_report(ps, digest, jobs=1):
+    from . import report
+
+    return report.analysis_report(ps, digest, jobs=jobs)
+
+
+def render_json(report_dict):
+    from . import report
+
+    return report.render_json(report_dict)
+
+
+# Generator per `generate` kind, in the parser's order, called with the
+# constructions module.  two-colored-convex goes through this module's
+# binding above.
 GENERATORS = {
-    "random": lambda args: ConstructionOutput(
-        random_general_position(
+    "random": lambda c, args: c.ConstructionOutput(
+        c.random_general_position(
             args.n, args.seed, args.range if args.range is not None else max(4 * args.n * args.n, 10**6)
         )
     ),
-    "convex": lambda args: ConstructionOutput(random_convex(args.n, args.seed)),
-    "two-colored-convex": lambda args: two_colored_convex(args.n),
-    "seven-region": lambda args: recursive_seven_region(args.group_size, args.levels),
-    "halving": lambda args: halving_line_construction(args.n),
+    "convex": lambda c, args: c.ConstructionOutput(c.random_convex(args.n, args.seed)),
+    "two-colored-convex": lambda c, args: two_colored_convex(args.n),
+    "seven-region": lambda c, args: c.recursive_seven_region(args.group_size, args.levels),
+    "halving": lambda c, args: c.halving_line_construction(args.n),
 }
 
 
 def cmd_generate(args) -> int:
+    from . import constructions
+
     try:
-        out = GENERATORS[args.kind](args)
-    except (ConstructionError, ValueError) as exc:
+        out = GENERATORS[args.kind](constructions, args)
+    except (constructions.ConstructionError, ValueError) as exc:
         print(f"error: generator failed: {exc}", file=sys.stderr)
         return EXIT_GENERATOR
     _write_output(serialize_point_file(out.points, out.designated_pairs), args.output)
@@ -130,11 +155,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .report import input_digest
+
     # The sweep certifies the set as it folds; only a set it finds
     # degenerate pays for the certifier, which lists every violation.
-    pf, digest = _load(args.input)
+    pf, data = _load(args.input)
     try:
-        report = analysis_report(pf.points, digest, jobs=args.jobs)
+        report = analysis_report(pf.points, input_digest(data), jobs=args.jobs)
     except DegenerateInputError:
         _certify(pf.points)
         raise
@@ -143,7 +170,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pf, digest = _load(args.input)
+    from .report import input_digest, verification_report
+
+    pf, data = _load(args.input)
     _certify(pf.points)
     names = None  # run_checks picks the checks that apply to the set
     if args.checks != "all":
@@ -153,7 +182,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = verification_report(pf.points, digest, results)
+    report = verification_report(pf.points, input_digest(data), results)
     _write_output(render_json(report), args.output)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
@@ -239,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--checks",
         default="all",
-        help="comma-separated check names, or 'all' (default); known: " + ", ".join(CHECKS),
+        help="comma-separated check names (see the README), or 'all' (default)",
     )
     ver.add_argument("--output", "-o", default=None)
     ver.add_argument(

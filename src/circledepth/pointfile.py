@@ -7,6 +7,10 @@ emit machine-readable ``# @pair i j`` comment lines naming their designated
 index pairs; the parser collects these so renders and verifiers can use them
 while plain consumers still see an ordinary point file.
 
+A coordinate is ASCII and holds no ``_``: ``Fraction`` reads any Unicode
+digit, and PEP 515 underscores only from CPython 3.11, so without this one
+file would parse on one Python and not on another.
+
 A decimal exponent may be at most 4300 in magnitude, CPython's digit limit
 on the mantissa: ``Fraction`` computes 10**exponent, so ``1e999999999``
 alone would cost unbounded time.
@@ -45,7 +49,9 @@ MAX_EXPONENT = 4300  # largest magnitude of a decimal exponent (see module docst
 
 
 def _parse_scalar(token: str, line_no: int) -> Fraction:
-    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if not token.isascii() or "_" in token:
+        raise PointFileError(f"bad coordinate {token!r}: non-ASCII character or '_'", line_no)
+    exponent = token.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > MAX_EXPONENT):
         message = f"bad coordinate {token!r}: exponent beyond +-{MAX_EXPONENT}"
         raise PointFileError(message, line_no)

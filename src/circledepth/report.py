@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .geom import Color, PointSet
-from .checks import CheckResult
 from .depth import kset_counts, sweep_totals
+
+if TYPE_CHECKING:  # only annotations name it, and analyze runs no checks
+    from .checks import CheckResult
 
 SCHEMA_VERSION = 1
 

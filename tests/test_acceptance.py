@@ -371,8 +371,8 @@ def test_criterion_12_determinism(tmp_path, capsys):
     corpus = ["random8.txt", "colored3.txt", "halving3.txt", "rational12.txt"]
     goldens = {
         "random8.txt": ["random8.analysis.json", "random8.verify.json"],
-        "colored3.txt": ["colored3.analysis.json"],
-        "rational12.txt": ["rational12.analysis.json"],
+        "colored3.txt": ["colored3.analysis.json", "colored3.verify.json"],
+        "rational12.txt": ["rational12.analysis.json", "rational12.verify.json"],
         "tiny0.txt": ["tiny0.analysis.json"],
         "tiny1.txt": ["tiny1.analysis.json"],
         "tiny2.txt": ["tiny2.analysis.json"],

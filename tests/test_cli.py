@@ -677,3 +677,37 @@ def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
         text=True,
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0] []\n", "")
+
+
+# Modules each subcommand must not import, and one it must: a CLI process
+# compiles every module it imports when no bytecode is cached, and hashlib
+# loads OpenSSL.
+IMPORTS = {
+    "analyze": ("report", {"checks", "constructions", "svg", "forkmap"}),
+    "verify": ("checks", {"constructions", "svg"}),
+    "generate": ("constructions", {"checks", "report", "svg", "hashlib"}),
+    "render": ("svg", {"checks", "constructions", "report", "hashlib"}),
+}
+
+
+@pytest.mark.parametrize("command", list(IMPORTS))
+def test_each_subcommand_imports_only_the_modules_it_runs(command):
+    if command == "generate":
+        argv = ["generate", "two-colored-convex", "--n", "3"]
+    else:
+        argv = [command, str(DATA / "colored3.txt")]
+    script = (
+        "import json, os, sys; from circledepth.cli import main; "
+        "code = main([*sys.argv[1:], '-o', os.devnull]); "
+        "print(json.dumps([code, sorted(name.removeprefix('circledepth.') for name in sys.modules)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    needed, unwanted = IMPORTS[command]
+    assert code == 0, result.stderr
+    assert needed in loaded
+    assert sorted(unwanted & set(loaded)) == []

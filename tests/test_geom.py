@@ -451,14 +451,39 @@ def test_point_file_comments_and_errors():
         parse_point_file("1 2\n# @pair 0 5\n")
 
 
-@pytest.mark.parametrize(
-    "token", ["1e4301", "1e-4301", "1e999999999", "-2.5E-999999999", "1e+0_4301"]
-)
+@pytest.mark.parametrize("token", ["1e4301", "1e-4301", "1e999999999", "-2.5E-999999999"])
 def test_point_file_rejects_exponents_beyond_the_bound(token):
     # Fraction would compute 10**exponent; the parser refuses before it does.
     message = f"line 2: bad coordinate '{token}': exponent beyond +-4300"
     with pytest.raises(PointFileError, match=re.escape(message)):
         parse_point_file(f"0 0\n1 {token}\n")
+
+
+# Fraction reads PEP 515 underscores only from CPython 3.11, and any Unicode
+# digit on every version, so the parser refuses both to read a file the same
+# way everywhere.
+@pytest.mark.parametrize(
+    "token", ["1_000", "1e1_0", "1e+0_4301", "1/1_0", "1._5", "\u0663", "\uff11\uff12", "1/\u0663"]
+)
+def test_point_file_rejects_non_ascii_and_underscores(token):
+    message = f"line 2: bad coordinate {token!r}: non-ASCII character or '_'"
+    with pytest.raises(PointFileError, match=re.escape(message)):
+        parse_point_file(f"0 0\n1 {token}\n")
+
+
+@given(token=st.text("0123456789+-./eE", min_size=1, max_size=5))
+@example(token="-.5e3")
+@example(token="1/0")
+@settings(max_examples=200, deadline=None)
+def test_point_file_reads_an_ascii_token_as_fraction_does(token):
+    # Five characters hold an exponent of at most 999, within the bound.
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(PointFileError, match=re.escape(f"line 1: bad coordinate {token!r}: ")):
+            parse_point_file(f"{token} 0\n")
+    else:
+        assert parse_point_file(f"{token} 0\n").points.point(0).x == want
 
 
 def test_point_file_accepts_exponents_at_the_bound():
