@@ -2,9 +2,9 @@
 
 Subcommands: generate (writes point files from the generators), analyze
 (depth statistics as JSON), verify (identity/bound checks, exit 0 iff all
-pass) and render (SVG).  Exit codes: 0 success, 1 unreadable/unparseable
-input, an unwritable output, bad options or a drawing beyond the float
-range, 2 generator failure, 3 general-position violation, 4 check failure.
+pass) and render (SVG).  Exit codes: 0 success, 1 bad input, output or
+options, a drawing beyond the float range or a --jobs worker that died,
+2 generator failure, 3 general-position violation, 4 check failure.
 Output bytes depend only on input bytes and flags; --jobs never changes
 them.
 
@@ -35,9 +35,13 @@ EXIT_CHECK_FAILED = 4
 VIOLATIONS_SHOWN = 20
 
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _cannot_write(name: str, exc: OSError):
-    print(f"error: cannot write {name}: {exc}", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
+    raise SystemExit(_error(f"cannot write {name}: {exc}"))
 
 
 def _require_output_dir(path: str | None) -> None:
@@ -66,13 +70,11 @@ def _load(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise SystemExit(_error(f"cannot read {path}: {exc}"))
     try:
         pf = parse_point_file(data.decode("utf-8"))
     except (UnicodeDecodeError, PointFileError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise SystemExit(_error(f"{path}: {exc}"))
     return pf, data
 
 
@@ -180,8 +182,7 @@ def cmd_verify(args) -> int:
     try:
         results = run_checks(pf.points, names, jobs=args.jobs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(str(exc))
     report = verification_report(pf.points, input_digest(data), results)
     _write_output(render_json(report), args.output)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
@@ -194,34 +195,28 @@ def cmd_render(args) -> int:
     _certify(pf.points)
     what = args.what
     if what[0] in ("points", "construction") and len(what) > 1:
-        print(f"error: --what {what[0]} takes no arguments", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(f"--what {what[0]} takes no arguments")
     if what[0] == "points":
         draw = partial(svg.render_points, pf.points)
     elif what[0] == "profile":
         if len(what) != 3:
-            print("error: --what profile needs two indices", file=sys.stderr)
-            return EXIT_PARSE
+            return _error("--what profile needs two indices")
         try:
             p, q = int(what[1]), int(what[2])
         except ValueError:
-            print("error: profile indices must be integers", file=sys.stderr)
-            return EXIT_PARSE
+            return _error("profile indices must be integers")
         n = len(pf.points)
         if not (0 <= p < n and 0 <= q < n) or p == q:
-            print(f"error: invalid pair ({what[1]}, {what[2]})", file=sys.stderr)
-            return EXIT_PARSE
+            return _error(f"invalid pair ({what[1]}, {what[2]})")
         draw = partial(svg.render_profile, pf.points, p, q)
     elif what[0] == "construction":
         draw = partial(svg.render_construction, pf.points, pf.pairs)
     else:
-        print(f"error: unknown render target {what[0]!r}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(f"unknown render target {what[0]!r}")
     try:
         content = draw()
     except OverflowError:
-        print(f"error: {args.input}: a coordinate exceeds the float range", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(f"{args.input}: a coordinate exceeds the float range")
     _write_output(content, args.output)
     return EXIT_OK
 
@@ -299,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse and input loading report their own exit codes
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except ChildProcessError as exc:  # a --jobs worker killed before it sent its result
+        return _error(str(exc))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from operator import truediv
+from operator import add, truediv
 from typing import NamedTuple
 
 from .geom import (
@@ -403,15 +403,18 @@ def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
 class SweepTotals(NamedTuple):
     """Every table and extremal pair of an analysis, from one sweep per pair.
 
-    ``triples`` is derived, not counted: a circle through three points that
-    encloses k others is an event on each of its three bisectors, between
-    segments of weights k and k+1, so c[k] is a third of the number of
-    adjacent weight pairs with minimum k.  That holds only over every
-    bisector, so ``triples`` is None for a fold over a given pair list.  The
-    end weights of a bisector are the side counts of its pair's line, which
-    give ``edges``.  The extremal pairs break ties to the lexicographically
-    smallest pair, and are None when no pair, or no red-blue pair, was
-    swept.
+    The fold counts the census ``hist`` and the end weights ``directed``, the
+    side counts of each pair's line; ``triples`` and ``undirected_j`` follow.
+    Weights step by +-1, so a segment of weight w meets each neighbour in the
+    pair {w-1, w} or {w, w+1}, and an end segment has one neighbour: for
+    adjacent(k) the neighbouring pairs of minimum k, adjacent(-1) = 0 and
+    adjacent(w-1) + adjacent(w) = 2 hist[w] - directed[w].  A circle through
+    three points that encloses k others is an event on each of its three
+    bisectors, between weights k and k+1, so c[k] = adjacent(k) / 3 over
+    every bisector; over a given pair list ``triples`` is None.  The two end
+    weights sum to n-2, so undirected[j] = directed[j], halved at j = (n-2)/2.
+    Extremal pairs break ties to the lexicographically smallest pair, and are
+    None when no pair, or no red-blue pair, was swept.
     """
 
     triples: TripleStats | None
@@ -437,9 +440,7 @@ class _Fold:
 
     def __init__(self, n: int):
         self.hist = [0] * max(n - 1, 0)
-        self.incidences = [0] * max(n - 2, 0)
         self.directed = [0] * max(n - 1, 0)
-        self.undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
         self.repeat_b = [0] * n
         self.max_collinear = [0] * n
         self.maximin = None
@@ -457,13 +458,8 @@ class _Fold:
                 self.repeat_b[w + 1] += 1
             if m > self.max_collinear[w + 1]:
                 self.max_collinear[w + 1] = m
-        incidences = self.incidences
-        for a, b in zip(weights, weights[1:]):
-            incidences[a if a < b else b] += 1
-        first, last = weights[0], weights[-1]
-        self.directed[first] += 1
-        self.directed[last] += 1
-        self.undirected[min(first, last)] += 1
+        self.directed[weights[0]] += 1
+        self.directed[weights[-1]] += 1
         maximin = (-lo, *pair)
         self.maximin = _least(self.maximin, maximin)
         self.minimax = _least(self.minimax, (hi, *pair))
@@ -471,25 +467,26 @@ class _Fold:
             self.red_blue_maximin = _least(self.red_blue_maximin, maximin)
 
     def merge(self, other: "_Fold") -> None:
-        for mine, theirs in (
-            (self.hist, other.hist),
-            (self.incidences, other.incidences),
-            (self.directed, other.directed),
-            (self.undirected, other.undirected),
-            (self.repeat_b, other.repeat_b),
-        ):
-            for i, v in enumerate(theirs):
-                mine[i] += v
-        self.max_collinear = [max(a, b) for a, b in zip(self.max_collinear, other.max_collinear)]
+        self.hist = list(map(add, self.hist, other.hist))
+        self.directed = list(map(add, self.directed, other.directed))
+        self.repeat_b = list(map(add, self.repeat_b, other.repeat_b))
+        self.max_collinear = list(map(max, self.max_collinear, other.max_collinear))
         self.maximin = _least(self.maximin, other.maximin)
         self.minimax = _least(self.minimax, other.minimax)
         self.red_blue_maximin = _least(self.red_blue_maximin, other.red_blue_maximin)
 
     def totals(self, every_pair: bool) -> SweepTotals:
+        adjacent, triples = 0, []
+        for h, d in zip(self.hist[:-1], self.directed):
+            adjacent = 2 * h - d - adjacent
+            triples.append(adjacent // 3)
+        undirected = self.directed[: (len(self.directed) + 1) // 2]
+        if len(self.directed) % 2:  # n even: halving pairs have both ends at (n-2)/2
+            undirected[-1] //= 2
         return SweepTotals(
-            TripleStats(tuple(v // 3 for v in self.incidences)) if every_pair else None,
+            TripleStats(tuple(triples)) if every_pair else None,
             WeightCensus(tuple(self.hist)),
-            EdgeStats(tuple(self.directed), tuple(self.undirected)),
+            EdgeStats(tuple(self.directed), tuple(undirected)),
             RepeatStats(tuple(self.repeat_b), tuple(self.max_collinear)),
             _extremal(self.maximin, -1),
             _extremal(self.minimax, 1),

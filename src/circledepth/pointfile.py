@@ -4,7 +4,8 @@ One point per line: ``x y [color]`` where coordinates are decimal strings or
 ``num/den`` fractions and the optional color is ``R`` or ``B``.  Lines whose
 first non-blank character is ``#`` are comments.  Generators additionally
 emit machine-readable ``# @pair i j`` comment lines naming their designated
-index pairs; the parser collects these so renders and verifiers can use them
+index pairs, two distinct indices below the point count in ASCII decimal
+digits; the parser collects these so renders and verifiers can use them
 while plain consumers still see an ordinary point file.
 
 A coordinate is ASCII and holds no ``_``: ``Fraction`` reads any Unicode
@@ -63,7 +64,7 @@ def _parse_scalar(token: str, line_no: int) -> Fraction:
 
 def parse_point_file(text: str) -> PointFile:
     points: list[ColoredPoint] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []  # i, j and the line naming them
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -74,9 +75,11 @@ def parse_point_file(text: str) -> PointFile:
                 fields = body.split()
                 if len(fields) != 3:
                     raise PointFileError("expected '# @pair i j'", line_no)
-                try:
-                    pairs.append((int(fields[1]), int(fields[2])))
-                except ValueError:
+                try:  # ASCII digits only: int() also reads other digits, signs and '_'
+                    if not all(f.isascii() and f.isdecimal() for f in fields[1:]):
+                        raise ValueError
+                    pairs.append((int(fields[1]), int(fields[2]), line_no))
+                except ValueError:  # or more digits than int() converts
                     raise PointFileError("pair indices must be integers", line_no) from None
             continue
         fields = line.split()
@@ -93,10 +96,10 @@ def parse_point_file(text: str) -> PointFile:
         points.append(ColoredPoint(Point(x, y), color))
     ps = PointSet(points)
     n = len(points)
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise PointFileError(f"pair ({i}, {j}) out of range for {n} points")
-    return PointFile(ps, pairs)
+    for i, j, line_no in pairs:
+        if not (i < n and j < n) or i == j:
+            raise PointFileError(f"pair ({i}, {j}) out of range for {n} points", line_no)
+    return PointFile(ps, [(i, j) for i, j, _ in pairs])
 
 
 def _format_scalar(value: Fraction) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from circledepth import checks, cli, constructions
+from circledepth import checks, cli, constructions, forkmap
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 
@@ -302,13 +302,26 @@ def test_huge_exponent_exits_with_parse_error(tmp_path, capsys):
     [
         ("0 0\n1 0\n# @pair 1\n", "line 3: expected '# @pair i j'"),
         ("0 0\n# @pair a b\n1 0\n", "line 2: pair indices must be integers"),
+        # int() would read these as 0 and 10.
+        ("0 0\n1 0\n# @pair \u0660 1_0\n", "line 3: pair indices must be integers"),
+        ("0 0\n# @pair 0 2\n1 0\n", "line 2: pair (0, 2) out of range for 2 points"),
     ],
-    ids=["one-index", "non-integer"],
+    ids=["one-index", "non-integer", "non-ascii-or-underscore", "out-of-range"],
 )
 def test_malformed_pair_line_exits_with_parse_error(tmp_path, capsys, text, error):
     src = tmp_path / "pairs.txt"
     src.write_text(text)
     assert run_cli(["analyze", str(src)], capsys) == (1, "", f"error: {src}: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_worker_that_dies_is_one_error_line(command, capsys, monkeypatch, claim_cpus):
+    # As a worker killed by a signal or the OOM killer does: it ends before
+    # it writes its result.  Two CPUs are claimed, so the map forks anywhere.
+    claim_cpus(2)
+    monkeypatch.setattr(forkmap, "outcome", lambda task, share: os._exit(9))
+    error = "error: worker process ended with exit code 9 before sending a result\n"
+    assert run_cli([command, str(DATA / "random8.txt"), "--jobs", "2"], capsys) == (1, "", error)
 
 
 def test_verify_all_passes_golden(capsys):

@@ -821,6 +821,50 @@ def test_j_edge_counts_match_orientation_tests(ps):
         assert j_edge_counts(ps, red_blue) == orientation_j_edges(ps, red_blue)
 
 
+# Prefixes of one 21-point set in general position, so every n below is too.
+PREFIX_SOURCE = [(cp.point.x, cp.point.y) for cp in random_general_position(21, 24, 10**6).points]
+
+
+@pytest.mark.parametrize("n", [*range(8), 20, 21])
+def test_fold_edges_match_orientation_tests(n):
+    # The fold derives undirected_j from the end weights: directed_j below
+    # (n-2)/2 and half of it at (n-2)/2, the halving pairs' entry at even n.
+    coords = PREFIX_SOURCE[:n]
+    for colors in (None, [(Color.RED, Color.BLUE)[i % 2] for i in range(n)]):
+        ps = make_set(coords, colors)
+        assert sweep_totals(ps).edges == orientation_j_edges(ps, depth.all_pairs(n))
+        if colors and n >= 2:
+            red_blue = bichromatic_pairs(ps)
+            assert sweep_totals(ps, pairs=red_blue).edges == orientation_j_edges(ps, red_blue)
+
+
+# Weight sequences of six points: five weights stepping by +-1, ends summing to 4.
+WALKS = [(2, 1, 2, 3, 2), (0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 3, 2, 1, 2), (1, 0, 1, 2, 3)]
+
+
+def test_fold_reads_adjacent_pairs_off_the_census_and_the_end_weights():
+    # Each walk folded three times, so c[k] = adjacent(k) / 3 is the walk's
+    # own count of adjacent weights with minimum k.
+    fold = depth._Fold(6)
+    for walk in WALKS[:1] * 3:
+        fold.add((0, 1), list(walk), False)
+    # (2, 1), (1, 2), (2, 3), (3, 2): minima 1, 1, 2, 2; both ends at 2.
+    totals = fold.totals(every_pair=True)
+    assert totals.triples.c == (0, 2, 2, 0)
+    assert totals.edges == EdgeStats((0, 0, 6, 0, 0), (0, 0, 3))
+    for walk in WALKS[1:] * 3:
+        fold.add((0, 1), list(walk), False)
+    adjacent, undirected = [0] * 4, [0] * 3
+    for walk in WALKS:
+        for a, b in zip(walk, walk[1:]):
+            adjacent[min(a, b)] += 1
+        undirected[min(walk[0], walk[-1])] += 3
+    totals = fold.totals(every_pair=True)
+    assert totals.triples.c == tuple(adjacent)
+    assert totals.edges.undirected_j == tuple(undirected)
+    assert fold.totals(every_pair=False).triples is None
+
+
 def smaller_denominator_inside(lo, hi, den):
     """Whether some fraction with denominator below ``den`` lies strictly in (lo, hi)."""
     return any(math.floor(lo * d) + 1 < hi * d for d in range(1, den))
