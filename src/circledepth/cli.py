@@ -10,8 +10,9 @@ them.
 
 A process compiles every module it imports when no bytecode is cached, so
 each subcommand imports only what it runs: ``checks`` in verify,
-``constructions`` in generate, ``report`` (with ``hashlib`` and ``json``) in
-analyze and verify, ``svg`` in render.
+``constructions`` in generate, ``report`` (with ``json``) in analyze and
+verify, ``svg`` in render.  None of them imports ``hashlib``, which maps
+OpenSSL: ``report`` takes the input digest from CPython's builtin SHA-256.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from .geom import DegenerateInputError, validate_general_position
-from .pointfile import PointFileError, parse_point_file, serialize_point_file
+from .pointfile import PointFileError, parse_index, parse_point_file, serialize_point_file
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -202,7 +203,7 @@ def cmd_render(args) -> int:
         if len(what) != 3:
             return _error("--what profile needs two indices")
         try:
-            p, q = int(what[1]), int(what[2])
+            p, q = parse_index(what[1]), parse_index(what[2])
         except ValueError:
             return _error("profile indices must be integers")
         n = len(pf.points)
@@ -219,6 +220,17 @@ def cmd_render(args) -> int:
         return _error(f"{args.input}: a coordinate exceeds the float range")
     _write_output(content, args.output)
     return EXIT_OK
+
+
+def _jobs(text: str) -> int:
+    """The --jobs type: a process count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return jobs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--output", "-o", default=None)
     ana.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         help="processes for the sweep: this one and forked children, one per CPU (output-invariant)",
     )
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--output", "-o", default=None)
     ver.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         help="processes for oracle-match: this one and forked children, one per CPU (output-invariant)",
     )

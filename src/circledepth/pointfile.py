@@ -49,6 +49,16 @@ _COLOR_TOKENS = {"R": Color.RED, "B": Color.BLUE}
 MAX_EXPONENT = 4300  # largest magnitude of a decimal exponent (see module docstring)
 
 
+def parse_index(token: str) -> int:
+    """An index written in ASCII decimal digits; ValueError otherwise.
+
+    ``int()`` alone also reads other scripts' digits, signs, spaces and '_'.
+    """
+    if not (token.isascii() and token.isdecimal()):
+        raise ValueError(f"not an index: {token!r}")
+    return int(token)  # raises ValueError past int()'s digit limit
+
+
 def _parse_scalar(token: str, line_no: int) -> Fraction:
     if not token.isascii() or "_" in token:
         raise PointFileError(f"bad coordinate {token!r}: non-ASCII character or '_'", line_no)
@@ -75,11 +85,9 @@ def parse_point_file(text: str) -> PointFile:
                 fields = body.split()
                 if len(fields) != 3:
                     raise PointFileError("expected '# @pair i j'", line_no)
-                try:  # ASCII digits only: int() also reads other digits, signs and '_'
-                    if not all(f.isascii() and f.isdecimal() for f in fields[1:]):
-                        raise ValueError
-                    pairs.append((int(fields[1]), int(fields[2]), line_no))
-                except ValueError:  # or more digits than int() converts
+                try:
+                    pairs.append((parse_index(fields[1]), parse_index(fields[2]), line_no))
+                except ValueError:
                     raise PointFileError("pair indices must be integers", line_no) from None
             continue
         fields = line.split()

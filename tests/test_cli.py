@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from circledepth import checks, cli, constructions, forkmap
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
+from circledepth.report import input_digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,11 +142,13 @@ def test_sized_check_below_its_size_is_a_structured_error(name, size, tmp_path, 
     [
         (["analyze"], "the following arguments are required: input"),
         (["analyze", "POINTS", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["analyze", "POINTS", "--jobs", "0"], "argument --jobs: must be at least 1, got '0'"),
+        (["verify", "POINTS", "--jobs=-3"], "argument --jobs: must be at least 1, got '-3'"),
         (["verify", "POINTS", "--bogus"], "unrecognized arguments: --bogus"),
         (["generate", "nokind"], "argument kind: invalid choice"),
         (["generate", "random", "--n", "x"], "argument --n: invalid int value: 'x'"),
     ],
-    ids=["no-input", "bad-jobs", "unknown-option", "unknown-kind", "bad-n"],
+    ids=["no-input", "bad-jobs", "zero-jobs", "negative-jobs", "unknown-option", "unknown-kind", "bad-n"],
 )
 def test_usage_error_exits_1(argv, error, capsys):
     # argparse's own code, 2, is the generator-failure code.
@@ -468,6 +472,15 @@ def test_render_bad_target_is_an_error(capsys, what, error):
     assert run_cli(args, capsys) == (1, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize(
+    "indices", [["٠", "٣"], ["+1", "2"], ["1_1", "2"], [" 1", "2"]], ids=["arabic-indic", "sign", "underscore", "space"]
+)
+def test_render_profile_indices_are_ascii_digits(capsys, indices):
+    # int() reads each of these, "٠ ٣" as (0, 3); the @pair parser takes none of them.
+    args = ["render", str(DATA / "random8.txt"), "--what", "profile", *indices]
+    assert run_cli(args, capsys) == (1, "", "error: profile indices must be integers\n")
+
+
 def test_render_profile_of_two_points_has_one_segment(tmp_path, capsys):
     # No third point, so no event: the whole bisector is one weight-0 segment.
     src = tmp_path / "two.txt"
@@ -694,12 +707,15 @@ def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
 
 # Modules each subcommand must not import, and one it must: a CLI process
 # compiles every module it imports when no bytecode is cached, and hashlib
-# loads OpenSSL.
+# maps OpenSSL's libcrypto (_hashlib), which report's input digest avoids by
+# taking CPython's builtin SHA-256.
+OPENSSL = {"hashlib", "_hashlib"}
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 IMPORTS = {
-    "analyze": ("report", {"checks", "constructions", "svg", "forkmap"}),
-    "verify": ("checks", {"constructions", "svg"}),
-    "generate": ("constructions", {"checks", "report", "svg", "hashlib"}),
-    "render": ("svg", {"checks", "constructions", "report", "hashlib"}),
+    "analyze": ("report", {"checks", "constructions", "svg", "forkmap", *OPENSSL}),
+    "verify": ("checks", {"constructions", "svg", *OPENSSL}),
+    "generate": ("constructions", {"checks", "report", "svg", *OPENSSL}),
+    "render": ("svg", {"checks", "constructions", "report", *OPENSSL}),
 }
 
 
@@ -723,4 +739,36 @@ def test_each_subcommand_imports_only_the_modules_it_runs(command):
     needed, unwanted = IMPORTS[command]
     assert code == 0, result.stderr
     assert needed in loaded
-    assert sorted(unwanted & set(loaded)) == []
+    # Without _sha2 or _sha256 the digest falls back to hashlib, so only the
+    # OpenSSL assertion is skipped, after the others have run.
+    fallback = command in ("analyze", "verify") and not BUILTIN_SHA256
+    assert sorted((unwanted - OPENSSL if fallback else unwanted) & set(loaded)) == []
+    if fallback:
+        pytest.skip("neither _sha2 nor _sha256 is built, so report imports hashlib")
+
+
+# Around SHA-256's padding boundaries (a 64-byte block, 9 bytes of padding),
+# and 1 MiB.
+DIGEST_INPUTS = [bytes(i % 251 for i in range(size)) for size in (0, 1, 55, 56, 63, 64, 65, 1 << 20)]
+
+
+def test_input_digest_is_the_sha256_of_the_bytes():
+    for data in DIGEST_INPUTS:
+        assert input_digest(data) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_falls_back_to_hashlib():
+    script = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib; from circledepth import report; "
+        "assert report.sha256 is hashlib.sha256; "
+        "sizes = map(int, sys.argv[1:]); "
+        "print(*(report.input_digest(bytes(i % 251 for i in range(size))) for size in sizes))"
+    )
+    sizes = [str(len(data)) for data in DIGEST_INPUTS]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *sizes], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["sha256:" + hashlib.sha256(data).hexdigest() for data in DIGEST_INPUTS]
