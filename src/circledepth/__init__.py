@@ -29,7 +29,6 @@ from .depth import (
     BisectorEvent,
     BisectorProfile,
     EdgeStats,
-    KSetStats,
     RepeatStats,
     SweepTotals,
     TripleStats,
@@ -37,7 +36,6 @@ from .depth import (
     all_profiles,
     bichromatic_pairs,
     j_edge_counts,
-    kset_counts,
     oracle_weights,
     sweep_totals,
     triple_counts,

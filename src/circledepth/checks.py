@@ -24,7 +24,6 @@ from .depth import (
     all_pairs,
     bichromatic_pairs,
     j_edge_counts,
-    kset_counts,
     oracle_weights,
     sweep_totals,
     triple_counts,
@@ -203,25 +202,24 @@ def check_region_count_sum(ps: PointSet) -> list[Row]:
     """sum_{i=1..k} f_inf(i-1) == (k-1)(2n-k) - c[k-2] for 1 <= k <= n-1.
 
     f_inf(i) is the number of unbounded order-i Voronoi regions, which equals
-    the number of i-sets; f_inf(0) = 0 and c[-1] = 0 by convention.
+    the number of i-sets, directed_j[i-1]; f_inf(0) = 0 and c[-1] = 0 by
+    convention.
     """
     n = len(ps)
     stats = triple_counts(ps)
-    ks = kset_counts(ps)
-    rows = []
-    for k in range(1, n):
-        lhs = sum(ks.f_inf(i - 1) for i in range(1, k + 1))
-        rhs = (k - 1) * (2 * n - k) - stats.at(k - 2)
-        rows.append((f"k={k}", lhs, rhs, "=="))
-    return rows
+    directed_j = j_edge_counts(ps).directed_j
+    return [
+        (f"k={k}", sum(directed_j[: k - 1]), (k - 1) * (2 * n - k) - stats.at(k - 2), "==")
+        for k in range(1, n)
+    ]
 
 
 @_check("cumulative-kset-bound", "sum_{i=1..k} ksets[i] <= k*n for k < n/2", least=3)
 def check_cumulative_kset_bound(ps: PointSet) -> list[Row]:
-    """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2."""
+    """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2, where ksets[i] = directed_j[i-1]."""
     n = len(ps)
-    ks = kset_counts(ps)
-    return [(f"k={k}", sum(ks.ksets[1 : k + 1]), k * n, "<=") for k in range(1, n) if k < n / 2]
+    directed_j = j_edge_counts(ps).directed_j
+    return [(f"k={k}", sum(directed_j[:k]), k * n, "<=") for k in range(1, n) if k < n / 2]
 
 
 @_check(

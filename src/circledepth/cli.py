@@ -222,15 +222,15 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _jobs(text: str) -> int:
-    """The --jobs type: a process count of at least 1."""
+def _integer(text: str, least: int | None = None) -> int:
+    """The type of every integer option: ASCII decimal digits after an optional '-'."""
     try:
-        jobs = int(text)
+        value = -parse_index(text[1:]) if text.startswith("-") else parse_index(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return jobs
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a point set and write a point file")
     gen.add_argument("kind", choices=list(GENERATORS))
-    gen.add_argument("--n", type=int, default=8, help="size parameter (see README)")
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--range", type=int, default=None, help="coordinate range for random")
-    gen.add_argument("--group-size", type=int, default=7, help="seven-region group size")
-    gen.add_argument("--levels", type=int, default=1, help="seven-region recursion depth")
+    gen.add_argument("--n", type=_integer, default=8, help="size parameter (see README)")
+    gen.add_argument("--seed", type=_integer, default=1)
+    gen.add_argument("--range", type=_integer, default=None, help="coordinate range for random")
+    gen.add_argument("--group-size", type=_integer, default=7, help="seven-region group size")
+    gen.add_argument("--levels", type=_integer, default=1, help="seven-region recursion depth")
     gen.add_argument("--output", "-o", default=None, help="point file path (default stdout)")
     gen.set_defaults(func=cmd_generate)
 
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--output", "-o", default=None)
     ana.add_argument(
         "--jobs",
-        type=_jobs,
+        type=partial(_integer, least=1),
         default=1,
         help="processes for the sweep: this one and forked children, one per CPU (output-invariant)",
     )
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--output", "-o", default=None)
     ver.add_argument(
         "--jobs",
-        type=_jobs,
+        type=partial(_integer, least=1),
         default=1,
         help="processes for oracle-match: this one and forked children, one per CPU (output-invariant)",
     )

@@ -100,18 +100,10 @@ class TripleStats(NamedTuple):
 
 
 class EdgeStats(NamedTuple):
+    """j-edge counts.  The k-sets (k points cut off by a line) number directed_j[k-1]."""
+
     directed_j: tuple[int, ...]  # j = 0 .. n-2: ordered pairs with j points strictly left
     undirected_j: tuple[int, ...]  # j = 0 .. floor((n-2)/2): unordered pairs, j = min side
-
-
-class KSetStats(NamedTuple):
-    ksets: tuple[int, ...]  # index k = 1 .. n-1 (index 0 is unused and zero)
-
-    def f_inf(self, k: int) -> int:
-        # Unbounded regions of the order-k diagram; order 0 has none.
-        if k == 0:
-            return 0
-        return self.ksets[k]
 
 
 class WeightCensus(NamedTuple):
@@ -383,21 +375,6 @@ def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> E
         directed[n - 2 - left] += 1
         undirected[min(left, n - 2 - left)] += 1
     return EdgeStats(tuple(directed), tuple(undirected))
-
-
-def kset_counts(ps: PointSet, edges: EdgeStats | None = None) -> KSetStats:
-    """k-set counts via the directed j-edge correspondence.
-
-    The number of subsets of size k separable by a line equals the number of
-    ordered pairs with exactly k-1 points strictly on their left.  The
-    directed convention is what makes this exact at k = n/2 as well; the
-    undirected table would halve the halving-edge contribution.
-    """
-    ps.require_certified()
-    n = len(ps)
-    if edges is None:
-        edges = j_edge_counts(ps)
-    return KSetStats((0, *edges.directed_j)[:n])
 
 
 class SweepTotals(NamedTuple):

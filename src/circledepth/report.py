@@ -24,7 +24,7 @@ except ImportError:
 
 from . import __version__
 from .geom import Color, PointSet
-from .depth import kset_counts, sweep_totals
+from .depth import sweep_totals
 
 if TYPE_CHECKING:  # only annotations name it, and analyze runs no checks
     from .checks import CheckResult
@@ -96,7 +96,7 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     tables["weight_census"] = list(totals.census.hist)
     tables["directed_j"] = list(totals.edges.directed_j)
     tables["undirected_j"] = list(totals.edges.undirected_j)
-    tables["ksets"] = list(kset_counts(ps, totals.edges).ksets)
+    tables["ksets"] = [0, *totals.edges.directed_j][:n]
     tables["repeat_b"] = list(totals.repeats.b)
     tables["max_collinear"] = list(totals.repeats.max_collinear)
     report["tables"] = tables

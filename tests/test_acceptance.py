@@ -21,7 +21,6 @@ from circledepth import (
     all_profiles,
     bichromatic_pairs,
     j_edge_counts,
-    kset_counts,
     oracle_weights,
     sweep_totals,
     triple_counts,
@@ -236,7 +235,7 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
         # Region sums, brute force on both sides: subset-enumerated k-sets on
         # the left, the O(n^4) triple table on the right.
         brute = kset_counts_bruteforce(ps)
-        assert brute == list(kset_counts(ps).ksets)
+        assert brute == [0, *j_edge_counts(ps).directed_j] == [0, *sweep_totals(ps).edges.directed_j]
         for kk in range(1, n):
             lhs = sum((0 if i - 1 == 0 else brute[i - 1]) for i in range(1, kk + 1))
             assert lhs == (kk - 1) * (2 * n - kk) - stats.at(kk - 2), (
@@ -245,9 +244,11 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
     # Convex pentagon anchor: 3 empty circles, 5 single-point sets, 5 == 8-3.
     pent = random_convex(5, seed=11)
     assert triple_counts(pent).c[0] == 3
-    ks = kset_counts(pent)
-    assert ks.ksets[1] == 5
-    assert ks.f_inf(0) + ks.f_inf(1) == 1 * (2 * 5 - 2) - triple_counts(pent).at(0)
+    ksets = [0, *j_edge_counts(pent).directed_j]
+    assert ksets == [0, *sweep_totals(pent).edges.directed_j] == kset_counts_bruteforce(pent)
+    assert ksets[1] == 5
+    # f_inf(i) = ksets[i], so f_inf(0) + f_inf(1) = ksets[0] + ksets[1] = 0 + 5.
+    assert sum(ksets[:2]) == 1 * (2 * 5 - 2) - triple_counts(pent).at(0)
     report(f"criterion 6 PASS: depth-count bounds and region sums, brute-forced "
            f"on {len(sets)} sets with n <= 9 plus the convex-pentagon anchor")
 

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
-from circledepth import Color, kset_counts, oracle_weights, triple_counts, weight_sequence
+from circledepth import Color, j_edge_counts, oracle_weights, sweep_totals, triple_counts, weight_sequence
 from circledepth import checks, depth, forkmap
+from circledepth.brute import kset_counts_bruteforce
 from circledepth.checks import (
     CHECKS,
     applicable_checks,
@@ -81,7 +82,9 @@ def test_enclosure_count_bounds_requires_four():
 def test_region_count_sum_pentagon_anchor():
     ps = random_convex(5, seed=11)
     assert triple_counts(ps).c[0] == 3
-    assert kset_counts(ps).ksets[1] == 5
+    # One 1-set per vertex: ksets[1] = directed_j[0], in the fold and in the reference.
+    assert j_edge_counts(ps).directed_j[0] == sweep_totals(ps).edges.directed_j[0] == 5
+    assert kset_counts_bruteforce(ps)[1] == 5
     result = check_region_count_sum(ps)
     inst = {inst.label: inst for inst in result.instances}["k=2"]
     # f_inf(0) + f_inf(1) = 0 + 5 and (k-1)(2n-k) - c_0 = 8 - 3.
@@ -219,6 +222,40 @@ def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
         ("pair (0, 2) non-unit steps", 2, 0, "info"),
         ("pair (0, 2) missing intermediate weights", 1, 0, "info"),
     ]
+
+
+def _swap_first_adjacent(same_side):
+    """A sweep sort that swaps, on every bisector, the first two adjacent
+    events on the same side of the pair's line (or on opposite sides)."""
+    real = depth._bisector_order
+
+    def mutant(*args, **kwargs):
+        order, collinear = real(*args, **kwargs)
+        rank = list(order.rank)
+        left = [order.crosses[i] > 0 for i in rank]
+        i = next((i for i in range(len(rank) - 1) if (left[i] == left[i + 1]) == same_side), None)
+        if i is not None:
+            rank[i : i + 2] = rank[i + 1], rank[i]
+        return order._replace(rank=rank), collinear
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "same_side, failing",
+    [(True, set()), (False, {"weight-census", "oracle-match"})],
+    ids=["same-side-swap", "opposite-side-swap"],
+)
+def test_which_checks_catch_a_wrong_event_order(same_side, failing, monkeypatch):
+    # Two adjacent events on one side step the weights the same way, so
+    # swapping them keeps every weight and no default check sees it.  An
+    # opposite-side swap moves one weight by 2, which only the census and
+    # the oracle see.
+    ps = random_general_position(20, 3, 10**6)
+    monkeypatch.setattr(depth, "_bisector_order", _swap_first_adjacent(same_side))
+    results = run_checks(ps, None)
+    assert len(results) == 8
+    assert {result.name for result in results if not result.passed} == failing
 
 
 @pytest.mark.parametrize("jobs, workers", [(1, None), (0, None), (3, 3), (100_000, 8)])

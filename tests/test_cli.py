@@ -30,6 +30,11 @@ def test_generate_random(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 10
 
 
+def test_generate_takes_a_negative_seed(capsys):
+    code, stdout, _ = run_cli(["generate", "random", "--n", "5", "--seed", "-1"], capsys)
+    assert code == 0 and len(stdout.splitlines()) == 5
+
+
 def test_generate_round_trip_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "halving.txt"
     code, _, _ = run_cli(["generate", "halving", "--n", "4", "-o", str(out)], capsys)
@@ -147,8 +152,20 @@ def test_sized_check_below_its_size_is_a_structured_error(name, size, tmp_path, 
         (["verify", "POINTS", "--bogus"], "unrecognized arguments: --bogus"),
         (["generate", "nokind"], "argument kind: invalid choice"),
         (["generate", "random", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        # Integer options take ASCII digits only, as point files do.
+        (["generate", "random", "--n", "\u0665"], "argument --n: invalid int value: '\u0665'"),
+        (["generate", "random", "--seed", "\u0661"], "argument --seed: invalid int value: '\u0661'"),
+        (["analyze", "POINTS", "--jobs", "\u0662"], "argument --jobs: invalid int value: '\u0662'"),
+        (["generate", "random", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["generate", "random", "--n", "+5"], "argument --n: invalid int value: '+5'"),
+        (["generate", "random", "--n", " 5"], "argument --n: invalid int value: ' 5'"),
+        (["generate", "random", "--range", "-"], "argument --range: invalid int value: '-'"),
     ],
-    ids=["no-input", "bad-jobs", "zero-jobs", "negative-jobs", "unknown-option", "unknown-kind", "bad-n"],
+    ids=[
+        "no-input", "bad-jobs", "zero-jobs", "negative-jobs", "unknown-option", "unknown-kind", "bad-n",
+        "arabic-indic-n", "arabic-indic-seed", "arabic-indic-jobs", "underscore-n", "plus-n", "space-n",
+        "bare-minus-range",
+    ],
 )
 def test_usage_error_exits_1(argv, error, capsys):
     # argparse's own code, 2, is the generator-failure code.

@@ -75,3 +75,21 @@ def test_readme_library_examples_hold():
                 assert value == expected, line
                 checked += 1
     assert checked >= 14
+
+
+def test_names_the_readme_lists_as_gone_stay_gone():
+    # The Library section's list of removed names: a bullet's head is a bare
+    # name of the package (`maximin_pair(ps)`, `KSetStats.f_inf(k)`) or a
+    # name in one of its modules (`brute.…`).
+    import circledepth
+    from circledepth import brute, depth
+
+    text = (ROOT / "README.md").read_text()
+    section = text.split("Those names are gone;", 1)[1].split("\n\n", 2)[1]
+    heads = re.findall(r"^- `(\w+)(?:\.(\w+))?", section, re.M)
+    assert {"segment_weight_census", "maximin_pair", "kset_counts", "KSetStats"} <= {h for h, _ in heads}
+    for head, attr in heads:
+        if head == "brute":
+            assert not hasattr(brute, attr), f"brute.{attr}"
+        else:
+            assert not hasattr(circledepth, head) and not hasattr(depth, head), head

@@ -24,7 +24,6 @@ from circledepth import (
     circumcenter,
     in_circle,
     j_edge_counts,
-    kset_counts,
     oracle_weights,
     sweep_totals,
     triple_counts,
@@ -181,20 +180,19 @@ def test_j_edges(quad, triangle):
 
 
 def test_ksets(quad, triangle):
-    assert kset_counts(quad).ksets == (0, 4, 4, 4)
-    assert kset_counts(triangle).ksets == (0, 3, 3)
+    # The k-sets are directed_j one index later: ksets[k] = directed_j[k-1].
+    assert [0, *j_edge_counts(quad).directed_j] == [0, 4, 4, 4]
+    assert [0, *sweep_totals(triangle).edges.directed_j] == [0, 3, 3]
     ninegon = random_convex(9, seed=5)
-    ks = kset_counts(ninegon)
-    assert ks.ksets[1] == 9  # every vertex of a convex polygon is a 1-set
-    assert ks.f_inf(0) == 0 and ks.f_inf(1) == 9
+    # Every vertex of a convex polygon is a 1-set.
+    assert j_edge_counts(ninegon).directed_j[0] == sweep_totals(ninegon).edges.directed_j[0] == 9
 
 
 def test_ksets_match_bruteforce():
-    for ps in random_corpus(8, range(4, 9), seed0=4200):
-        assert list(kset_counts(ps).ksets) == kset_counts_bruteforce(ps)
-    assert list(kset_counts(random_convex(7, 3)).ksets) == kset_counts_bruteforce(
-        random_convex(7, 3)
-    )
+    for ps in [*random_corpus(8, range(4, 9), seed0=4200), random_convex(7, 3)]:
+        brute_ksets = kset_counts_bruteforce(ps)
+        assert [0, *j_edge_counts(ps).directed_j] == brute_ksets
+        assert [0, *sweep_totals(ps).edges.directed_j] == brute_ksets
 
 
 def test_oracle_matches_sweep_on_random_sets():
@@ -605,7 +603,9 @@ def test_sweep_totals_match_independent_references(ps):
     else:
         assert totals.bichromatic_maximin is None
     if n <= 9:
-        assert list(kset_counts(ps, totals.edges).ksets) == kset_counts_bruteforce(ps)
+        brute_ksets = kset_counts_bruteforce(ps)
+        assert [0, *totals.edges.directed_j][:n] == brute_ksets
+        assert [0, *j_edge_counts(ps).directed_j][:n] == brute_ksets
 
 
 @given(
