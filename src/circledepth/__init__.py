@@ -31,8 +31,6 @@ from .depth import (
     EdgeStats,
     RepeatStats,
     SweepTotals,
-    TripleStats,
-    WeightCensus,
     all_profiles,
     bichromatic_pairs,
     j_edge_counts,

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
-from .depth import RepeatStats, TripleStats, WeightCensus, _oracle_circles
+from .depth import RepeatStats, _oracle_circles
 
 
 def general_position_violations(ps: PointSet) -> list[Violation]:
@@ -105,7 +105,7 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
 
 
 class WeightTables(NamedTuple):
-    census: WeightCensus
+    census: tuple[int, ...]  # hist[w], w = 0 .. n-2
     repeats: RepeatStats
     maximin: tuple[tuple[int, int], int] | None
     minimax: tuple[tuple[int, int], int] | None
@@ -138,12 +138,11 @@ def weight_tables(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> W
             maximin = ((p, q), min(weights))
         if minimax is None or max(weights) < minimax[1]:
             minimax = ((p, q), max(weights))
-    census = WeightCensus(tuple(hist))
-    return WeightTables(census, RepeatStats(tuple(b), tuple(max_collinear)), maximin, minimax)
+    return WeightTables(tuple(hist), RepeatStats(tuple(b), tuple(max_collinear)), maximin, minimax)
 
 
-def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:
-    """Brute-force enclosure counts over the circumcircles of point triples.
+def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
+    """Brute-force enclosure counts c[k], k = 0 .. n-3, over triples' circumcircles.
 
     Deliberately O(n^4), and independent of the sweep and of the sort by
     inversion in ``depth.triple_counts``, which it cross-checks.  With
@@ -174,4 +173,4 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
                 if nz < 0:
                     nx, ny, nz = -nx, -ny, -nz
                 counts[len([1 for x, y, z in lifted if nx * x + ny * y + nz * z < 0])] += 1
-    return TripleStats(tuple(counts))
+    return tuple(counts)

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 from . import depth
 from .geom import Color, PointSet
 from .depth import (
-    WeightCensus,
     _map_chunks,
     all_pairs,
     bichromatic_pairs,
@@ -103,16 +102,13 @@ def _check(name: str, claim: str, least: int = 0):
 def check_triple_pair_sum(ps: PointSet) -> list[Row]:
     """c[k] + c[n-k-3] == 2(k+1)(n-k-2) for every k (exact, all sets)."""
     n = len(ps)
-    stats = triple_counts(ps)
-    return [
-        (f"k={k}", stats.at(k) + stats.at(n - k - 3), 2 * (k + 1) * (n - k - 2), "==")
-        for k in range(0, n - 2)
-    ]
+    c = triple_counts(ps)
+    return [(f"k={k}", c[k] + c[n - k - 3], 2 * (k + 1) * (n - k - 2), "==") for k in range(n - 2)]
 
 
 def _census_rows(
     ps: PointSet, pairs: list[tuple[int, int]] | None, m: int
-) -> tuple[WeightCensus, list[Row]]:
+) -> tuple[tuple[int, ...], list[Row]]:
     """The census over the bisectors of ``pairs`` and the rows of its law.
 
     Counting (event, adjacent segment) incidences proves, for every weight w,
@@ -132,13 +128,13 @@ def _census_rows(
     census = sweep_totals(ps, pairs=pairs).census
     rows: list[Row] = []
     if n >= 3:
-        stats = triple_counts(ps, pairs)
+        c = (*triple_counts(ps, pairs), 0)  # c[-1] = c[n-2] = 0
         directed = j_edge_counts(ps, pairs).directed_j
         for w in range(0, n - 1):
-            law = m * (stats.at(w) + stats.at(w - 1)) + directed[w]
-            rows.append((f"w={w}", 2 * census.at(w), law, "=="))
+            law = m * (c[w] + c[w - 1]) + directed[w]
+            rows.append((f"w={w}", 2 * census[w], law, "=="))
     for k in range(0, n - 2):
-        pair_sum = census.at(k) + census.at(n - k - 3)
+        pair_sum = census[k] + census[n - k - 3]
         rows.append((f"pair-sum k={k}", pair_sum, 2 * m * (k + 1) * (n - k - 2), "info"))
     return census, rows
 
@@ -162,7 +158,7 @@ def check_weight_census(ps: PointSet) -> list[Row]:
     """
     n = len(ps)
     census, rows = _census_rows(ps, None, 3)
-    return [("total", sum(census.hist), comb(n, 2) * (n - 1), "=="), *rows]
+    return [("total", sum(census), comb(n, 2) * (n - 1), "=="), *rows]
 
 
 @_check("minimax-bound", "min over pairs of max enclosed count <= floor((2n-3)/3)", least=2)
@@ -188,12 +184,12 @@ def check_minimax_bound(ps: PointSet) -> list[Row]:
 def check_enclosure_count_bounds(ps: PointSet) -> list[Row]:
     """c[k] >= (k+1)(n-k-2) and c[n-k-3] <= (k+1)(n-k-2) for k < (n-3)/2."""
     n = len(ps)
-    stats = triple_counts(ps)
+    c = triple_counts(ps)
     rows = []
     for k in range((n - 2) // 2):  # k < (n-3)/2
         bound = (k + 1) * (n - k - 2)
-        rows.append((f"k={k} lower", stats.at(k), bound, ">="))
-        rows.append((f"k={k} upper", stats.at(n - k - 3), bound, "<="))
+        rows.append((f"k={k} lower", c[k], bound, ">="))
+        rows.append((f"k={k} upper", c[n - k - 3], bound, "<="))
     return rows
 
 
@@ -206,10 +202,10 @@ def check_region_count_sum(ps: PointSet) -> list[Row]:
     convention.
     """
     n = len(ps)
-    stats = triple_counts(ps)
+    c = (*triple_counts(ps), 0)  # c[-1] = 0
     directed_j = j_edge_counts(ps).directed_j
     return [
-        (f"k={k}", sum(directed_j[: k - 1]), (k - 1) * (2 * n - k) - stats.at(k - 2), "==")
+        (f"k={k}", sum(directed_j[: k - 1]), (k - 1) * (2 * n - k) - c[k - 2], "==")
         for k in range(1, n)
     ]
 

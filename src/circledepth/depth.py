@@ -87,32 +87,11 @@ class BisectorProfile(NamedTuple):
         )
 
 
-class TripleStats(NamedTuple):
-    """c[k] = number of point triples whose circumcircle strictly encloses k points."""
-
-    c: tuple[int, ...]  # indexed k = 0 .. n-3
-
-    def at(self, k: int) -> int:
-        # Out-of-range counts are zero by convention (used by identity checks).
-        if 0 <= k < len(self.c):
-            return self.c[k]
-        return 0
-
-
 class EdgeStats(NamedTuple):
     """j-edge counts.  The k-sets (k points cut off by a line) number directed_j[k-1]."""
 
     directed_j: tuple[int, ...]  # j = 0 .. n-2: ordered pairs with j points strictly left
     undirected_j: tuple[int, ...]  # j = 0 .. floor((n-2)/2): unordered pairs, j = min side
-
-
-class WeightCensus(NamedTuple):
-    hist: tuple[int, ...]  # weight w = 0 .. n-2 over all bisectors counted
-
-    def at(self, w: int) -> int:
-        if 0 <= w < len(self.hist):
-            return self.hist[w]
-        return 0
 
 
 class RepeatStats(NamedTuple):
@@ -315,8 +294,8 @@ def bichromatic_pairs(ps: PointSet) -> list[tuple[int, int]]:
     return sorted((min(r, b), max(r, b)) for r in reds for b in blues)
 
 
-def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> TripleStats:
-    """Enclosure counts over the circumcircles of point triples, by inversion.
+def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
+    """c[k], k = 0 .. n-3: triples whose circumcircle strictly encloses k points, by inversion.
 
     O(n^3 log n) and independent of the sweep, with the O(n^4) cross-check
     :func:`circledepth.brute.triple_counts`.  Relative to a pivot i, lift each
@@ -352,7 +331,7 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> T
                 if k > j and (chosen is None or not chosen.isdisjoint(((i, j), (i, k), (j, k)))):
                     counts[right + left] += 1
                 left += not positive
-    return TripleStats(tuple(counts))
+    return tuple(counts)
 
 
 def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> EdgeStats:
@@ -394,8 +373,8 @@ class SweepTotals(NamedTuple):
     None when no pair, or no red-blue pair, was swept.
     """
 
-    triples: TripleStats | None
-    census: WeightCensus
+    triples: tuple[int, ...] | None  # c[k], k = 0 .. n-3 (see triple_counts)
+    census: tuple[int, ...]  # hist[w], w = 0 .. n-2: segments of weight w
     edges: EdgeStats
     repeats: RepeatStats
     maximin: tuple[tuple[int, int], int] | None
@@ -461,8 +440,8 @@ class _Fold:
         if len(self.directed) % 2:  # n even: halving pairs have both ends at (n-2)/2
             undirected[-1] //= 2
         return SweepTotals(
-            TripleStats(tuple(triples)) if every_pair else None,
-            WeightCensus(tuple(self.hist)),
+            tuple(triples) if every_pair else None,
+            tuple(self.hist),
             EdgeStats(tuple(self.directed), tuple(undirected)),
             RepeatStats(tuple(self.repeat_b), tuple(self.max_collinear)),
             _extremal(self.maximin, -1),

@@ -92,8 +92,8 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     report["extremal"] = extremal
     tables: dict = {}
     if n >= 3:
-        tables["triple_counts"] = list(totals.triples.c)
-    tables["weight_census"] = list(totals.census.hist)
+        tables["triple_counts"] = list(totals.triples)
+    tables["weight_census"] = list(totals.census)
     tables["directed_j"] = list(totals.edges.directed_j)
     tables["undirected_j"] = list(totals.edges.undirected_j)
     tables["ksets"] = [0, *totals.edges.directed_j][:n]

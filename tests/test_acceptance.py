@@ -104,13 +104,13 @@ def test_criterion_01_triple_pair_sums_exact(corpus_small):
     checked = 0
     for ps in corpus_small:
         n = len(ps)
-        stats = triple_counts(ps)
+        c = triple_counts(ps)
         for k in range(0, n - 2):
-            assert stats.at(k) + stats.at(n - k - 3) == 2 * (k + 1) * (n - k - 2), (
-                f"triple pair sum failed at n={n}, k={k}: {stats.c}"
+            assert c[k] + c[n - k - 3] == 2 * (k + 1) * (n - k - 2), (
+                f"triple pair sum failed at n={n}, k={k}: {c}"
             )
             checked += 1
-        assert sum(stats.c) == comb(n, 3)
+        assert sum(c) == comb(n, 3)
     report(f"criterion 1 PASS: c[k]+c[n-k-3] == 2(k+1)(n-k-2) exactly "
            f"({checked} instances over 100 random sets, n=4..12)")
 
@@ -158,11 +158,11 @@ def test_criterion_04_census_observed_relation(corpus_small):
     for ps in corpus_small:
         n = len(ps)
         census = sweep_totals(ps).census
-        stats = triple_counts(ps)
+        c = (*triple_counts(ps), 0)  # c[-1] = c[n-2] = 0
         edges = j_edge_counts(ps)
-        assert sum(census.hist) == comb(n, 2) * (n - 1)
+        assert sum(census) == comb(n, 2) * (n - 1)
         for w in range(0, n - 1):
-            assert 2 * census.at(w) == 3 * (stats.at(w) + stats.at(w - 1)) + edges.directed_j[w], (
+            assert 2 * census[w] == 3 * (c[w] + c[w - 1]) + edges.directed_j[w], (
                 f"census identity failed at n={n}, w={w}"
             )
             checked += 1
@@ -186,8 +186,8 @@ def test_criterion_04_census_stated_form(corpus_small, quad):
     """
     census = sweep_totals(quad).census
     quad_inc = circle_incidences((p.weights for p in all_profiles(quad)), 4)
-    assert census.hist == (5, 8, 5)
-    assert census.at(0) + census.at(1) == 13
+    assert census == (5, 8, 5)
+    assert census[0] + census[1] == 13
     assert quad_inc == [6, 6]
     assert quad_inc[0] + quad_inc[1] == 12 == 6 * 1 * 2
 
@@ -225,12 +225,12 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
     assert len(sets) >= 50
     for ps in sets:
         n = len(ps)
-        stats = triple_counts(ps)
+        c = (*triple_counts(ps), 0)  # c[-1] = 0
         k = 0
         while k < (n - 3) / 2:
             bound = (k + 1) * (n - k - 2)
-            assert stats.at(k) >= bound, f"lower bound fails n={n} k={k}"
-            assert stats.at(n - k - 3) <= bound, f"upper bound fails n={n} k={k}"
+            assert c[k] >= bound, f"lower bound fails n={n} k={k}"
+            assert c[n - k - 3] <= bound, f"upper bound fails n={n} k={k}"
             k += 1
         # Region sums, brute force on both sides: subset-enumerated k-sets on
         # the left, the O(n^4) triple table on the right.
@@ -238,17 +238,17 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
         assert brute == [0, *j_edge_counts(ps).directed_j] == [0, *sweep_totals(ps).edges.directed_j]
         for kk in range(1, n):
             lhs = sum((0 if i - 1 == 0 else brute[i - 1]) for i in range(1, kk + 1))
-            assert lhs == (kk - 1) * (2 * n - kk) - stats.at(kk - 2), (
+            assert lhs == (kk - 1) * (2 * n - kk) - c[kk - 2], (
                 f"region sum fails n={n} k={kk}"
             )
     # Convex pentagon anchor: 3 empty circles, 5 single-point sets, 5 == 8-3.
     pent = random_convex(5, seed=11)
-    assert triple_counts(pent).c[0] == 3
+    assert triple_counts(pent)[0] == 3
     ksets = [0, *j_edge_counts(pent).directed_j]
     assert ksets == [0, *sweep_totals(pent).edges.directed_j] == kset_counts_bruteforce(pent)
     assert ksets[1] == 5
     # f_inf(i) = ksets[i], so f_inf(0) + f_inf(1) = ksets[0] + ksets[1] = 0 + 5.
-    assert sum(ksets[:2]) == 1 * (2 * 5 - 2) - triple_counts(pent).at(0)
+    assert sum(ksets[:2]) == 1 * (2 * 5 - 2) - triple_counts(pent)[0]
     report(f"criterion 6 PASS: depth-count bounds and region sums, brute-forced "
            f"on {len(sets)} sets with n <= 9 plus the convex-pentagon anchor")
 
@@ -326,10 +326,10 @@ def test_criterion_11_bichromatic_exact_relation_and_oracle(corpus_colored):
         n = len(ps)
         red_blue = bichromatic_pairs(ps)
         census = sweep_totals(ps, pairs=red_blue).census
-        mixed = triple_counts(ps, red_blue)
+        mixed = (*triple_counts(ps, red_blue), 0)  # c'[-1] = c'[n-2] = 0
         directed = j_edge_counts(ps, red_blue).directed_j
         for w in range(0, n - 1):
-            assert 2 * census.at(w) == 2 * (mixed.at(w) + mixed.at(w - 1)) + directed[w], (
+            assert 2 * census[w] == 2 * (mixed[w] + mixed[w - 1]) + directed[w], (
                 f"bichromatic census identity fails at n={n}, w={w}"
             )
             identity_checked += 1

@@ -81,7 +81,7 @@ def test_enclosure_count_bounds_requires_four():
 
 def test_region_count_sum_pentagon_anchor():
     ps = random_convex(5, seed=11)
-    assert triple_counts(ps).c[0] == 3
+    assert triple_counts(ps)[0] == 3
     # One 1-set per vertex: ksets[1] = directed_j[0], in the fold and in the reference.
     assert j_edge_counts(ps).directed_j[0] == sweep_totals(ps).edges.directed_j[0] == 5
     assert kset_counts_bruteforce(ps)[1] == 5
@@ -253,6 +253,54 @@ def test_which_checks_catch_a_wrong_event_order(same_side, failing, monkeypatch)
     # the oracle see.
     ps = random_general_position(20, 3, 10**6)
     monkeypatch.setattr(depth, "_bisector_order", _swap_first_adjacent(same_side))
+    results = run_checks(ps, None)
+    assert len(results) == 8
+    assert {result.name for result in results if not result.passed} == failing
+
+
+def _one_more_triple(real, k):
+    """A ``triple_counts`` whose c[k] is one too large."""
+
+    def mutant(*args):
+        c = list(real(*args))
+        c[k] += 1
+        return tuple(c)
+
+    return mutant
+
+
+def _edge_moved_down(real, j):
+    """A ``j_edge_counts`` that moves one directed edge from j+1 to j."""
+
+    def mutant(*args):
+        edges = real(*args)
+        directed = list(edges.directed_j)
+        directed[j] += 1
+        directed[j + 1] -= 1
+        return edges._replace(directed_j=tuple(directed))
+
+    return mutant
+
+
+_LAWS_OVER_C = {"triple-pair-sum", "weight-census", "region-count-sum"}
+
+
+@pytest.mark.parametrize(
+    "name, mutate, index, failing",
+    [
+        ("triple_counts", _one_more_triple, 0, _LAWS_OVER_C),
+        ("triple_counts", _one_more_triple, 20 - 3, _LAWS_OVER_C),
+        ("j_edge_counts", _edge_moved_down, 0, {"weight-census", "region-count-sum"}),
+        ("j_edge_counts", _edge_moved_down, 20 - 3, {"weight-census", "region-count-sum"}),
+    ],
+    ids=["c-first", "c-last", "directed-j-first", "directed-j-last"],
+)
+def test_which_checks_catch_a_wrong_reference_table(name, mutate, index, failing, monkeypatch):
+    # The ends of c and directed_j are where the laws read the zero pads
+    # c[-1] and c[n-2].  The bounds `enclosure-count-bounds` and
+    # `cumulative-kset-bound` have slack, so no mutant here fails them.
+    ps = random_general_position(20, 3, 10**6)
+    monkeypatch.setattr(checks, name, mutate(getattr(checks, name), index))
     results = run_checks(ps, None)
     assert len(results) == 8
     assert {result.name for result in results if not result.passed} == failing

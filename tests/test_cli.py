@@ -64,10 +64,23 @@ def test_generate_to_stdout_writes_only_the_point_file(kind, tmp_path, capsys):
     assert (code, stdout) == (0, out.read_text())
 
 
-def test_generate_failure_exit_code(tmp_path, capsys):
-    code, _, err = run_cli(["generate", "random", "--n", "10", "--range", "50", "-o", str(tmp_path / "x")], capsys)
-    assert code == 2
-    assert "generator failed" in err
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["random", "--n", "10", "--range", "50"], "range must be at least 4*n^2 = 400"),
+        (["random", "--n", "0"], "n must be at least 1"),
+        (["convex", "--n", "2"], "n must be at least 3"),
+        (["two-colored-convex", "--n", "1"], "n must be at least 2"),
+        (["halving", "--n", "1"], "n must be at least 2"),
+        (["seven-region", "--group-size", "2"], "group_size must be at least 3"),
+        (["seven-region", "--levels", "0"], "levels must be at least 1"),
+    ],
+    ids=["random-range", "random-n", "convex-n", "two-colored-n", "halving-n", "seven-group", "seven-levels"],
+)
+def test_generate_failure_exit_code(args, message, capsys):
+    code, stdout, err = run_cli(["generate", *args], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: generator failed: {message}\n"
 
 
 @pytest.mark.parametrize("levels", ["29", "2000"])

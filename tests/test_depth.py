@@ -150,24 +150,22 @@ def test_extremal_pairs(quad, triangle):
 
 
 def test_triple_counts(quad, triangle):
-    assert triple_counts(triangle).c == (1,)
-    stats = triple_counts(quad)
-    assert stats.c == (2, 2)
-    assert stats.at(-1) == 0 and stats.at(5) == 0
+    assert triple_counts(triangle) == (1,)
+    assert triple_counts(quad) == (2, 2)
 
 
 def test_convex_pentagon_empty_circles():
     # Perturbed convex 5-gon: the empty circumcircles are its Delaunay
     # triangles, and a convex polygon triangulates into n-2 of them.
     ps = random_convex(5, seed=11)
-    assert triple_counts(ps).c[0] == 3
+    assert triple_counts(ps)[0] == 3
 
 
 def test_census(quad, triangle):
-    assert sweep_totals(triangle).census.hist == (3, 3)
+    assert sweep_totals(triangle).census == (3, 3)
     # Summing the six bisector profiles of the quad: four hull edges carry
     # (0,1,2) and the diagonals carry (1,0,1) and (1,2,1).
-    assert sweep_totals(quad).census.hist == (5, 8, 5)
+    assert sweep_totals(quad).census == (5, 8, 5)
 
 
 def test_j_edges(quad, triangle):
@@ -260,7 +258,7 @@ def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatc
     swept.clear()
     empty = sweep_totals(ps, pairs=[])
     assert swept == []
-    assert empty.census.hist == (0,) * 8 and empty.repeats.b == (0,) * 9
+    assert empty.census == (0,) * 8 and empty.repeats.b == (0,) * 9
     assert empty.edges.directed_j == (0,) * 8 and not any(empty.repeats.max_collinear)
     assert empty.triples is None
     assert (empty.maximin, empty.minimax, empty.bichromatic_maximin) == (None, None, None)
@@ -304,7 +302,7 @@ def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
 
 def test_empty_profile_list_is_not_recomputed(quad):
     empty = sweep_totals(quad, pairs=[])
-    assert empty.census.hist == (0, 0, 0)
+    assert empty.census == (0, 0, 0)
     assert empty.repeats.b == (0, 0, 0, 0)
 
 
@@ -319,8 +317,8 @@ def test_rigid_motion_invariance(quad):
     # Reflect and translate by rational amounts: every count is unchanged.
     moved = make_set([(-x + 3, y - 17) for x, y in [(0, 0), (10, 0), (9, 9), (0, 10)]])
     totals, before = sweep_totals(moved), sweep_totals(quad)
-    assert triple_counts(moved).c == triple_counts(quad).c
-    assert totals.census.hist == before.census.hist
+    assert triple_counts(moved) == triple_counts(quad)
+    assert totals.census == before.census
     assert j_edge_counts(moved).directed_j == j_edge_counts(quad).directed_j
     assert totals.maximin[1] == before.maximin[1]
     assert totals.minimax[1] == before.minimax[1]
@@ -333,7 +331,7 @@ def test_index_permutation_invariance(quad):
     totals, before = sweep_totals(shuffled), sweep_totals(quad)
     assert totals.maximin[1] == before.maximin[1]
     assert totals.minimax[1] == before.minimax[1]
-    assert sorted(totals.census.hist) == sorted(before.census.hist)
+    assert sorted(totals.census) == sorted(before.census)
 
 
 def test_bichromatic_two_points():
@@ -355,7 +353,7 @@ def test_bichromatic_census_quad():
     # (0, 1, 2); the same-color diagonals drop out.
     red_blue = bichromatic_pairs(ps)
     assert red_blue == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert sweep_totals(ps, pairs=red_blue).census.hist == (4, 4, 4)
+    assert sweep_totals(ps, pairs=red_blue).census == (4, 4, 4)
     # Both triples through a diagonal and a third point contain a red-blue
     # pair, so every triple counts; the red-blue j-edges are the hull edges.
     assert triple_counts(ps, red_blue) == triple_counts(ps)
@@ -724,10 +722,10 @@ def test_integer_oracle_matches_sweep_and_fraction_oracle(ps):
 @given(reference_sets())
 @settings(max_examples=60, deadline=None)
 def test_lifted_triple_counts_match_in_circle(ps):
-    assert triple_counts(ps).c == in_circle_counts(ps)
+    assert triple_counts(ps) == in_circle_counts(ps)
     if ps.indices_of(Color.RED):
         red_blue = bichromatic_pairs(ps)
-        assert triple_counts(ps, red_blue).c == in_circle_counts(ps, red_blue)
+        assert triple_counts(ps, red_blue) == in_circle_counts(ps, red_blue)
 
 
 @st.composite
@@ -850,7 +848,7 @@ def test_fold_reads_adjacent_pairs_off_the_census_and_the_end_weights():
         fold.add((0, 1), list(walk), False)
     # (2, 1), (1, 2), (2, 3), (3, 2): minima 1, 1, 2, 2; both ends at 2.
     totals = fold.totals(every_pair=True)
-    assert totals.triples.c == (0, 2, 2, 0)
+    assert totals.triples == (0, 2, 2, 0)
     assert totals.edges == EdgeStats((0, 0, 6, 0, 0), (0, 0, 3))
     for walk in WALKS[1:] * 3:
         fold.add((0, 1), list(walk), False)
@@ -860,7 +858,7 @@ def test_fold_reads_adjacent_pairs_off_the_census_and_the_end_weights():
             adjacent[min(a, b)] += 1
         undirected[min(walk[0], walk[-1])] += 3
     totals = fold.totals(every_pair=True)
-    assert totals.triples.c == tuple(adjacent)
+    assert totals.triples == tuple(adjacent)
     assert totals.edges.undirected_j == tuple(undirected)
     assert fold.totals(every_pair=False).triples is None
 
