@@ -24,7 +24,7 @@ w = weight_sequence(out.points, 0, 1).weights
 print(f"recursive_seven_region(7, 1): n = {len(out.points)}")
 print(f"  weight list of the central pair (0, 1): {list(w)}")
 print(f"  multiplicities of 7..11: {[list(w).count(v) for v in range(7, 12)]} (all >= 4)")
-orders = sweep_totals(out.points).repeats.nonzero_orders()
+orders = [k for k, b in enumerate(sweep_totals(out.points).repeat_b) if b]
 print(f"  some bisector repeats a weight >= 4 times for {len(orders)} Voronoi orders\n")
 
 n = 4

@@ -28,8 +28,6 @@ from .geom import (
 from .depth import (
     BisectorEvent,
     BisectorProfile,
-    EdgeStats,
-    RepeatStats,
     SweepTotals,
     all_profiles,
     bichromatic_pairs,

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .geom import PointSet, Violation, _incircle_det_int, _int_coords, _orient_int
-from .depth import RepeatStats, _oracle_circles
+from .depth import _oracle_circles
 
 
 def general_position_violations(ps: PointSet) -> list[Violation]:
@@ -106,7 +106,8 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
 
 class WeightTables(NamedTuple):
     census: tuple[int, ...]  # hist[w], w = 0 .. n-2
-    repeats: RepeatStats
+    repeat_b: tuple[int, ...]  # k = 1 .. n-1, as in depth.SweepTotals
+    max_collinear: tuple[int, ...]
     maximin: tuple[tuple[int, int], int] | None
     minimax: tuple[tuple[int, int], int] | None
 
@@ -124,7 +125,7 @@ def weight_tables(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> W
     ps.require_certified()
     n = len(ps)
     hist = [0] * max(n - 1, 0)
-    b, max_collinear = [0] * n, [0] * n
+    repeat_b, max_collinear = [0] * n, [0] * n
     maximin = minimax = None
     for p, q in sorted(combinations(range(n), 2) if pairs is None else pairs):
         weights = oracle_weights(ps, p, q)
@@ -132,13 +133,13 @@ def weight_tables(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> W
             hist[w] += 1
         for w in set(weights):
             mult = weights.count(w)
-            b[w + 1] += mult >= 4
+            repeat_b[w + 1] += mult >= 4
             max_collinear[w + 1] = max(max_collinear[w + 1], mult)
         if maximin is None or min(weights) > maximin[1]:
             maximin = ((p, q), min(weights))
         if minimax is None or max(weights) < minimax[1]:
             minimax = ((p, q), max(weights))
-    return WeightTables(tuple(hist), RepeatStats(tuple(b), tuple(max_collinear)), maximin, minimax)
+    return WeightTables(tuple(hist), tuple(repeat_b), tuple(max_collinear), maximin, minimax)
 
 
 def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> tuple[int, ...]:

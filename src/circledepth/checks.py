@@ -129,7 +129,7 @@ def _census_rows(
     rows: list[Row] = []
     if n >= 3:
         c = (*triple_counts(ps, pairs), 0)  # c[-1] = c[n-2] = 0
-        directed = j_edge_counts(ps, pairs).directed_j
+        directed = j_edge_counts(ps, pairs)
         for w in range(0, n - 1):
             law = m * (c[w] + c[w - 1]) + directed[w]
             rows.append((f"w={w}", 2 * census[w], law, "=="))
@@ -203,7 +203,7 @@ def check_region_count_sum(ps: PointSet) -> list[Row]:
     """
     n = len(ps)
     c = (*triple_counts(ps), 0)  # c[-1] = 0
-    directed_j = j_edge_counts(ps).directed_j
+    directed_j = j_edge_counts(ps)
     return [
         (f"k={k}", sum(directed_j[: k - 1]), (k - 1) * (2 * n - k) - c[k - 2], "==")
         for k in range(1, n)
@@ -214,7 +214,7 @@ def check_region_count_sum(ps: PointSet) -> list[Row]:
 def check_cumulative_kset_bound(ps: PointSet) -> list[Row]:
     """sum_{i=1..k} ksets[i] <= k*n for 1 <= k < n/2, where ksets[i] = directed_j[i-1]."""
     n = len(ps)
-    directed_j = j_edge_counts(ps).directed_j
+    directed_j = j_edge_counts(ps)
     return [(f"k={k}", sum(directed_j[:k]), k * n, "<=") for k in range(1, n) if k < n / 2]
 
 

@@ -87,28 +87,6 @@ class BisectorProfile(NamedTuple):
         )
 
 
-class EdgeStats(NamedTuple):
-    """j-edge counts.  The k-sets (k points cut off by a line) number directed_j[k-1]."""
-
-    directed_j: tuple[int, ...]  # j = 0 .. n-2: ordered pairs with j points strictly left
-    undirected_j: tuple[int, ...]  # j = 0 .. floor((n-2)/2): unordered pairs, j = min side
-
-
-class RepeatStats(NamedTuple):
-    """Repeated weights per bisector, indexed by Voronoi order k = weight + 1.
-
-    ``b[k]`` counts bisectors whose sequence contains the value k-1 at least
-    four times (four collinear order-k Voronoi edges); ``max_collinear[k]`` is
-    the largest multiplicity of k-1 on any single bisector.  Index 0 unused.
-    """
-
-    b: tuple[int, ...]  # k = 1 .. n-1
-    max_collinear: tuple[int, ...]
-
-    def nonzero_orders(self) -> list[int]:
-        return [k for k in range(1, len(self.b)) if self.b[k] > 0]
-
-
 def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
@@ -334,8 +312,10 @@ def triple_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> t
     return tuple(counts)
 
 
-def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> EdgeStats:
-    """j-edge counts over ``pairs`` (default every pair), by orientation tests.
+def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
+    """directed_j[j], j = 0 .. n-2: ordered pairs of ``pairs`` (default every
+    pair) with j points strictly left, by orientation tests.  The k-sets (k
+    points cut off by a line) number ksets[k] = directed_j[k-1].
 
     x lies strictly left of a->b iff cross(e, x - a) > 0 for e = b - a, that
     is e.x * x.y - e.y * x.x > e.x * a.y - e.y * a.x; a and b meet the bound
@@ -344,7 +324,6 @@ def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> E
     ints = ps.require_certified()
     n = len(ps)
     directed = [0] * max(n - 1, 0)
-    undirected = [0] * ((n - 2) // 2 + 1 if n >= 2 else 0)
     for i, j in all_pairs(n) if pairs is None else pairs:
         (ax, ay), (bx, by) = ints[i], ints[j]
         ex, ey = bx - ax, by - ay
@@ -352,8 +331,7 @@ def j_edge_counts(ps: PointSet, pairs: list[tuple[int, int]] | None = None) -> E
         left = len([1 for x, y in ints if ex * y - ey * x > bound])
         directed[left] += 1
         directed[n - 2 - left] += 1
-        undirected[min(left, n - 2 - left)] += 1
-    return EdgeStats(tuple(directed), tuple(undirected))
+    return tuple(directed)
 
 
 class SweepTotals(NamedTuple):
@@ -375,8 +353,11 @@ class SweepTotals(NamedTuple):
 
     triples: tuple[int, ...] | None  # c[k], k = 0 .. n-3 (see triple_counts)
     census: tuple[int, ...]  # hist[w], w = 0 .. n-2: segments of weight w
-    edges: EdgeStats
-    repeats: RepeatStats
+    directed_j: tuple[int, ...]  # j = 0 .. n-2: ordered pairs with j points strictly left
+    undirected_j: tuple[int, ...]  # j = 0 .. floor((n-2)/2): unordered pairs, j = min side
+    # Indexed by Voronoi order k = weight + 1, k = 1 .. n-1; index 0 unused.
+    repeat_b: tuple[int, ...]  # bisectors with weight k-1 on 4+ segments: collinear order-k edges
+    max_collinear: tuple[int, ...]  # the most segments of weight k-1 on one bisector
     maximin: tuple[tuple[int, int], int] | None
     minimax: tuple[tuple[int, int], int] | None
     bichromatic_maximin: tuple[tuple[int, int], int] | None
@@ -442,8 +423,10 @@ class _Fold:
         return SweepTotals(
             tuple(triples) if every_pair else None,
             tuple(self.hist),
-            EdgeStats(tuple(self.directed), tuple(undirected)),
-            RepeatStats(tuple(self.repeat_b), tuple(self.max_collinear)),
+            tuple(self.directed),
+            tuple(undirected),
+            tuple(self.repeat_b),
+            tuple(self.max_collinear),
             _extremal(self.maximin, -1),
             _extremal(self.minimax, 1),
             _extremal(self.red_blue_maximin, -1),

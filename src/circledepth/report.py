@@ -94,11 +94,11 @@ def analysis_report(ps: PointSet, digest: str, jobs: int = 1) -> dict:
     if n >= 3:
         tables["triple_counts"] = list(totals.triples)
     tables["weight_census"] = list(totals.census)
-    tables["directed_j"] = list(totals.edges.directed_j)
-    tables["undirected_j"] = list(totals.edges.undirected_j)
-    tables["ksets"] = [0, *totals.edges.directed_j][:n]
-    tables["repeat_b"] = list(totals.repeats.b)
-    tables["max_collinear"] = list(totals.repeats.max_collinear)
+    tables["directed_j"] = list(totals.directed_j)
+    tables["undirected_j"] = list(totals.undirected_j)
+    tables["ksets"] = [0, *totals.directed_j][:n]
+    tables["repeat_b"] = list(totals.repeat_b)
+    tables["max_collinear"] = list(totals.max_collinear)
     report["tables"] = tables
     return report
 

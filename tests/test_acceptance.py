@@ -159,10 +159,10 @@ def test_criterion_04_census_observed_relation(corpus_small):
         n = len(ps)
         census = sweep_totals(ps).census
         c = (*triple_counts(ps), 0)  # c[-1] = c[n-2] = 0
-        edges = j_edge_counts(ps)
+        directed = j_edge_counts(ps)
         assert sum(census) == comb(n, 2) * (n - 1)
         for w in range(0, n - 1):
-            assert 2 * census[w] == 3 * (c[w] + c[w - 1]) + edges.directed_j[w], (
+            assert 2 * census[w] == 3 * (c[w] + c[w - 1]) + directed[w], (
                 f"census identity failed at n={n}, w={w}"
             )
             checked += 1
@@ -235,7 +235,7 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
         # Region sums, brute force on both sides: subset-enumerated k-sets on
         # the left, the O(n^4) triple table on the right.
         brute = kset_counts_bruteforce(ps)
-        assert brute == [0, *j_edge_counts(ps).directed_j] == [0, *sweep_totals(ps).edges.directed_j]
+        assert brute == [0, *j_edge_counts(ps)] == [0, *sweep_totals(ps).directed_j]
         for kk in range(1, n):
             lhs = sum((0 if i - 1 == 0 else brute[i - 1]) for i in range(1, kk + 1))
             assert lhs == (kk - 1) * (2 * n - kk) - c[kk - 2], (
@@ -244,8 +244,8 @@ def test_criterion_06_depth_bounds_and_region_sums(corpus_small):
     # Convex pentagon anchor: 3 empty circles, 5 single-point sets, 5 == 8-3.
     pent = random_convex(5, seed=11)
     assert triple_counts(pent)[0] == 3
-    ksets = [0, *j_edge_counts(pent).directed_j]
-    assert ksets == [0, *sweep_totals(pent).edges.directed_j] == kset_counts_bruteforce(pent)
+    ksets = [0, *j_edge_counts(pent)]
+    assert ksets == [0, *sweep_totals(pent).directed_j] == kset_counts_bruteforce(pent)
     assert ksets[1] == 5
     # f_inf(i) = ksets[i], so f_inf(0) + f_inf(1) = ksets[0] + ksets[1] = 0 + 5.
     assert sum(ksets[:2]) == 1 * (2 * 5 - 2) - triple_counts(pent)[0]
@@ -314,7 +314,7 @@ def test_criterion_10_seven_region_construction():
     for value in range(7, 12):
         mult = sum(1 for x in w if x == value)
         assert mult >= 4, f"weight {value} appears {mult} < 4 times on the (0,1) bisector"
-    orders = sweep_totals(ps).repeats.nonzero_orders()
+    orders = [k for k, b in enumerate(sweep_totals(ps).repeat_b) if b]
     assert len(orders) >= 5, f"b[k] != 0 for only {len(orders)} orders"
     report(f"criterion 10 PASS: recursive_seven_region(7,1): weights 7..11 all repeat "
            f">= 4 times on the central bisector; b[k] != 0 for {len(orders)} orders")
@@ -327,7 +327,7 @@ def test_criterion_11_bichromatic_exact_relation_and_oracle(corpus_colored):
         red_blue = bichromatic_pairs(ps)
         census = sweep_totals(ps, pairs=red_blue).census
         mixed = (*triple_counts(ps, red_blue), 0)  # c'[-1] = c'[n-2] = 0
-        directed = j_edge_counts(ps, red_blue).directed_j
+        directed = j_edge_counts(ps, red_blue)
         for w in range(0, n - 1):
             assert 2 * census[w] == 2 * (mixed[w] + mixed[w - 1]) + directed[w], (
                 f"bichromatic census identity fails at n={n}, w={w}"

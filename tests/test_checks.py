@@ -20,7 +20,7 @@ from circledepth.checks import (
     check_weight_census,
     run_checks,
 )
-from circledepth.constructions import random_convex, random_general_position
+from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 
 from conftest import InProcessChild, make_set, random_corpus
 
@@ -83,7 +83,7 @@ def test_region_count_sum_pentagon_anchor():
     ps = random_convex(5, seed=11)
     assert triple_counts(ps)[0] == 3
     # One 1-set per vertex: ksets[1] = directed_j[0], in the fold and in the reference.
-    assert j_edge_counts(ps).directed_j[0] == sweep_totals(ps).edges.directed_j[0] == 5
+    assert j_edge_counts(ps)[0] == sweep_totals(ps).directed_j[0] == 5
     assert kset_counts_bruteforce(ps)[1] == 5
     result = check_region_count_sum(ps)
     inst = {inst.label: inst for inst in result.instances}["k=2"]
@@ -273,11 +273,10 @@ def _edge_moved_down(real, j):
     """A ``j_edge_counts`` that moves one directed edge from j+1 to j."""
 
     def mutant(*args):
-        edges = real(*args)
-        directed = list(edges.directed_j)
+        directed = list(real(*args))
         directed[j] += 1
         directed[j + 1] -= 1
-        return edges._replace(directed_j=tuple(directed))
+        return tuple(directed)
 
     return mutant
 
@@ -304,6 +303,65 @@ def test_which_checks_catch_a_wrong_reference_table(name, mutate, index, failing
     results = run_checks(ps, None)
     assert len(results) == 8
     assert {result.name for result in results if not result.passed} == failing
+
+
+# The fold's accumulators, each with the offset of its index from the weight it counts,
+_FOLD_TABLES = {"hist": 0, "directed": 0, "repeat_b": 1, "max_collinear": 1}
+# and its extremal keys, each with the step of the key that raises the value by 1.
+_FOLD_KEYS = {"maximin": -1, "minimax": 1, "red_blue_maximin": -1}
+
+
+def _raise_in_fold(monkeypatch, name):
+    """Raise the fold's ``name`` by 1: a table at the first weight of the
+    first pair each fold adds, an extremal value as the fold totals up."""
+    if name in _FOLD_TABLES:
+        real_add = depth._Fold.add
+
+        def add(self, pair, weights, red_blue):
+            real_add(self, pair, weights, red_blue)
+            if not hasattr(self, "raised"):
+                self.raised = True
+                getattr(self, name)[weights[0] + _FOLD_TABLES[name]] += 1
+
+        monkeypatch.setattr(depth._Fold, "add", add)
+    else:
+        real_totals = depth._Fold.totals
+
+        def totals(self, every_pair):
+            key = getattr(self, name)
+            if key is not None:
+                setattr(self, name, (key[0] + _FOLD_KEYS[name], *key[1:]))
+            return real_totals(self, every_pair)
+
+        monkeypatch.setattr(depth._Fold, "totals", totals)
+
+
+@pytest.mark.parametrize(
+    "name, failing, colored_failing",
+    [
+        ("hist", {"weight-census"}, {"weight-census", "bichromatic-census"}),
+        *((name, set(), set()) for name in ["directed", "repeat_b", "max_collinear"]),
+        *((name, set(), set()) for name in ["maximin", "minimax", "red_blue_maximin"]),
+    ],
+    ids=["hist", "directed", "repeat-b", "max-collinear", "maximin", "minimax", "red-blue-maximin"],
+)
+def test_which_checks_catch_a_wrong_fold_table(name, failing, colored_failing, monkeypatch):
+    # Of the fold, `verify` reads only the census, through both census laws,
+    # and the minimax, through its bound alone.  Every other `analyze` table
+    # is cross-checked by the tests alone.
+    sets = [random_general_position(20, 3, 10**6), two_colored_convex(6).points]
+    clean = sweep_totals(sets[1])
+    _raise_in_fold(monkeypatch, name)
+    # On the coloured set every mutant changes what `analyze` reports, so a
+    # check that passes there lets a wrong table through.
+    assert sweep_totals(sets[1]) != clean
+    bound_rows = []
+    for ps, expected in zip(sets, [failing, colored_failing]):
+        results = run_checks(ps, None)
+        assert {result.name for result in results if not result.passed} == expected
+        bound_rows += [(i.lhs, i.rhs) for r in results if r.name == "minimax-bound" for i in r.instances]
+    # Minimax 9 of bound 12 and 5 of bound 7, so one more still passes.
+    assert bound_rows == ([(10, 12), (6, 7)] if name == "minimax" else [(9, 12), (5, 7)])
 
 
 @pytest.mark.parametrize("jobs, workers", [(1, None), (0, None), (3, 3), (100_000, 8)])

@@ -115,16 +115,15 @@ def test_seven_region_main_instance():
     assert {w[0], w[-1]} == {21, 26}
     for value in range(7, 12):
         assert sum(1 for x in w if x == value) >= 4
-    stats = sweep_totals(ps).repeats
-    assert len(stats.nonzero_orders()) >= 5
+    assert sum(b > 0 for b in sweep_totals(ps).repeat_b) >= 5
 
 
 def test_seven_region_two_levels_has_more_repeat_orders():
     shallow = recursive_seven_region(4, 1)
     deep = recursive_seven_region(4, 2)
     assert len(deep.points) > len(shallow.points)
-    n_shallow = len(sweep_totals(shallow.points).repeats.nonzero_orders())
-    n_deep = len(sweep_totals(deep.points).repeats.nonzero_orders())
+    n_shallow = sum(b > 0 for b in sweep_totals(shallow.points).repeat_b)
+    n_deep = sum(b > 0 for b in sweep_totals(deep.points).repeat_b)
     assert n_deep > n_shallow
     # Inner triangle pairs are designated along with the vertex-to-vertex
     # halving pairs across the level boundary.

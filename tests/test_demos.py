@@ -87,7 +87,10 @@ def test_names_the_readme_lists_as_gone_stay_gone():
     text = (ROOT / "README.md").read_text()
     section = text.split("Those names are gone;", 1)[1].split("\n\n", 2)[1]
     heads = re.findall(r"^- `(\w+)(?:\.(\w+))?", section, re.M)
-    gone = {"segment_weight_census", "maximin_pair", "kset_counts", "KSetStats", "TripleStats", "WeightCensus"}
+    gone = {
+        "segment_weight_census", "maximin_pair", "kset_counts", "KSetStats",
+        "TripleStats", "WeightCensus", "EdgeStats", "RepeatStats",
+    }
     assert gone <= {h for h, _ in heads}
     for head, attr in heads:
         if head == "brute":

@@ -15,7 +15,6 @@ from circledepth import (
     BisectorProfile,
     Color,
     DegenerateInputError,
-    EdgeStats,
     NotCertifiedError,
     Point,
     PointSet,
@@ -169,28 +168,28 @@ def test_census(quad, triangle):
 
 
 def test_j_edges(quad, triangle):
-    edges = j_edge_counts(quad)
-    assert edges.directed_j == (4, 4, 4)
-    assert edges.undirected_j == (4, 2)
-    assert j_edge_counts(triangle).undirected_j == (3,)
-    assert sum(edges.directed_j) == 4 * 3
-    assert sum(edges.undirected_j) == 6
+    directed, undirected = j_edge_counts(quad), sweep_totals(quad).undirected_j
+    assert directed == (4, 4, 4)
+    assert undirected == (4, 2)
+    assert sweep_totals(triangle).undirected_j == (3,)
+    assert sum(directed) == 4 * 3
+    assert sum(undirected) == 6
 
 
 def test_ksets(quad, triangle):
     # The k-sets are directed_j one index later: ksets[k] = directed_j[k-1].
-    assert [0, *j_edge_counts(quad).directed_j] == [0, 4, 4, 4]
-    assert [0, *sweep_totals(triangle).edges.directed_j] == [0, 3, 3]
+    assert [0, *j_edge_counts(quad)] == [0, 4, 4, 4]
+    assert [0, *sweep_totals(triangle).directed_j] == [0, 3, 3]
     ninegon = random_convex(9, seed=5)
     # Every vertex of a convex polygon is a 1-set.
-    assert j_edge_counts(ninegon).directed_j[0] == sweep_totals(ninegon).edges.directed_j[0] == 9
+    assert j_edge_counts(ninegon)[0] == sweep_totals(ninegon).directed_j[0] == 9
 
 
 def test_ksets_match_bruteforce():
     for ps in [*random_corpus(8, range(4, 9), seed0=4200), random_convex(7, 3)]:
         brute_ksets = kset_counts_bruteforce(ps)
-        assert [0, *j_edge_counts(ps).directed_j] == brute_ksets
-        assert [0, *sweep_totals(ps).edges.directed_j] == brute_ksets
+        assert [0, *j_edge_counts(ps)] == brute_ksets
+        assert [0, *sweep_totals(ps).directed_j] == brute_ksets
 
 
 def test_oracle_matches_sweep_on_random_sets():
@@ -258,8 +257,8 @@ def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatc
     swept.clear()
     empty = sweep_totals(ps, pairs=[])
     assert swept == []
-    assert empty.census == (0,) * 8 and empty.repeats.b == (0,) * 9
-    assert empty.edges.directed_j == (0,) * 8 and not any(empty.repeats.max_collinear)
+    assert empty.census == (0,) * 8 and empty.repeat_b == (0,) * 9
+    assert empty.directed_j == (0,) * 8 and not any(empty.max_collinear)
     assert empty.triples is None
     assert (empty.maximin, empty.minimax, empty.bichromatic_maximin) == (None, None, None)
     # A partial sweep certifies nothing, so a given list needs a certified set.
@@ -303,14 +302,13 @@ def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
 def test_empty_profile_list_is_not_recomputed(quad):
     empty = sweep_totals(quad, pairs=[])
     assert empty.census == (0, 0, 0)
-    assert empty.repeats.b == (0, 0, 0, 0)
+    assert empty.repeat_b == (0, 0, 0, 0)
 
 
 def test_repeat_stats(triangle):
-    stats = sweep_totals(triangle).repeats
-    assert all(b == 0 for b in stats.b)
-    assert stats.max_collinear[1] == 1  # weight 0 appears once per bisector
-    assert stats.nonzero_orders() == []
+    totals = sweep_totals(triangle)
+    assert totals.repeat_b == (0, 0, 0)
+    assert totals.max_collinear[1] == 1  # weight 0 appears once per bisector
 
 
 def test_rigid_motion_invariance(quad):
@@ -319,7 +317,7 @@ def test_rigid_motion_invariance(quad):
     totals, before = sweep_totals(moved), sweep_totals(quad)
     assert triple_counts(moved) == triple_counts(quad)
     assert totals.census == before.census
-    assert j_edge_counts(moved).directed_j == j_edge_counts(quad).directed_j
+    assert j_edge_counts(moved) == j_edge_counts(quad)
     assert totals.maximin[1] == before.maximin[1]
     assert totals.minimax[1] == before.minimax[1]
 
@@ -357,7 +355,7 @@ def test_bichromatic_census_quad():
     # Both triples through a diagonal and a third point contain a red-blue
     # pair, so every triple counts; the red-blue j-edges are the hull edges.
     assert triple_counts(ps, red_blue) == triple_counts(ps)
-    assert j_edge_counts(ps, red_blue).directed_j == (4, 0, 4)
+    assert j_edge_counts(ps, red_blue) == (4, 0, 4)
     pair, value = red_blue_maximin(ps)
     assert value == 0 and pair == (0, 1)
 
@@ -581,29 +579,26 @@ def certified_sets(draw):
 def test_sweep_totals_match_independent_references(ps):
     n = len(ps)
     totals = sweep_totals(ps)
-    tables = brute.weight_tables(ps)
+    # Every field of brute.WeightTables, read off either record.
+    sampled = lambda t: (t.census, t.repeat_b, t.max_collinear, t.maximin, t.minimax)
     if n >= 3:
         assert totals.triples == triple_counts(ps)
-    assert totals.edges == j_edge_counts(ps)
-    assert totals.census == tables.census
-    assert totals.repeats == tables.repeats
-    assert totals.maximin == tables.maximin
-    assert totals.minimax == tables.minimax
+    assert totals.directed_j == j_edge_counts(ps)
+    assert sampled(totals) == sampled(brute.weight_tables(ps))
     if ps.indices_of(Color.RED) and ps.indices_of(Color.BLUE):
         red_blue = bichromatic_pairs(ps)
         assert totals.bichromatic_maximin == brute.weight_tables(ps, red_blue).maximin
-        filtered, expected = sweep_totals(ps, pairs=red_blue), brute.weight_tables(ps, red_blue)
+        filtered = sweep_totals(ps, pairs=red_blue)
         assert filtered.triples is None
-        assert filtered.edges == j_edge_counts(ps, red_blue)
-        assert (filtered.census, filtered.repeats) == (expected.census, expected.repeats)
-        assert (filtered.maximin, filtered.minimax) == (expected.maximin, expected.minimax)
+        assert filtered.directed_j == j_edge_counts(ps, red_blue)
+        assert sampled(filtered) == sampled(brute.weight_tables(ps, red_blue))
         assert filtered.bichromatic_maximin == totals.bichromatic_maximin
     else:
         assert totals.bichromatic_maximin is None
     if n <= 9:
         brute_ksets = kset_counts_bruteforce(ps)
-        assert [0, *totals.edges.directed_j][:n] == brute_ksets
-        assert [0, *j_edge_counts(ps).directed_j][:n] == brute_ksets
+        assert [0, *totals.directed_j][:n] == brute_ksets
+        assert [0, *j_edge_counts(ps)][:n] == brute_ksets
 
 
 @given(
@@ -634,7 +629,7 @@ def test_outputs_are_covariant_under_a_permutation(ps, data):
         expected = weight_sequence(ps, order[a], order[b]).weights
         assert weight_sequence(permuted, a, b).weights == expected
     totals, again = sweep_totals(ps), sweep_totals(permuted)
-    tables = lambda t: (t.triples, t.census, t.edges, t.repeats)
+    tables = lambda t: t[:6]  # triples .. max_collinear
     values = lambda t: [v and v[1] for v in (t.maximin, t.minimax, t.bichromatic_maximin)]
     assert tables(again) == tables(totals)
     assert values(again) == values(totals)
@@ -787,7 +782,7 @@ def test_oracle_bisection_matches_the_plain_count(ps):
 
 
 def orientation_j_edges(ps, pairs):
-    """j-edge counts by one orientation test per pair and third point."""
+    """(directed_j, undirected_j) by one orientation test per pair and third point."""
     grid = ps.require_certified()
     n = len(ps)
     directed, undirected = [0] * (n - 1), [0] * ((n - 2) // 2 + 1)
@@ -796,7 +791,11 @@ def orientation_j_edges(ps, pairs):
         directed[left] += 1
         directed[n - 2 - left] += 1
         undirected[min(left, n - 2 - left)] += 1
-    return EdgeStats(tuple(directed), tuple(undirected))
+    return tuple(directed), tuple(undirected)
+
+
+def _edges(totals):
+    return totals.directed_j, totals.undirected_j
 
 
 @st.composite
@@ -813,10 +812,10 @@ def colored_integer_sets(draw):
 @given(colored_integer_sets())
 @settings(max_examples=40, deadline=None)
 def test_j_edge_counts_match_orientation_tests(ps):
-    assert j_edge_counts(ps) == orientation_j_edges(ps, depth.all_pairs(len(ps)))
+    assert j_edge_counts(ps) == orientation_j_edges(ps, depth.all_pairs(len(ps)))[0]
     if ps.indices_of(Color.RED) and ps.indices_of(Color.BLUE):
         red_blue = bichromatic_pairs(ps)
-        assert j_edge_counts(ps, red_blue) == orientation_j_edges(ps, red_blue)
+        assert j_edge_counts(ps, red_blue) == orientation_j_edges(ps, red_blue)[0]
 
 
 # Prefixes of one 21-point set in general position, so every n below is too.
@@ -830,10 +829,10 @@ def test_fold_edges_match_orientation_tests(n):
     coords = PREFIX_SOURCE[:n]
     for colors in (None, [(Color.RED, Color.BLUE)[i % 2] for i in range(n)]):
         ps = make_set(coords, colors)
-        assert sweep_totals(ps).edges == orientation_j_edges(ps, depth.all_pairs(n))
+        assert _edges(sweep_totals(ps)) == orientation_j_edges(ps, depth.all_pairs(n))
         if colors and n >= 2:
             red_blue = bichromatic_pairs(ps)
-            assert sweep_totals(ps, pairs=red_blue).edges == orientation_j_edges(ps, red_blue)
+            assert _edges(sweep_totals(ps, pairs=red_blue)) == orientation_j_edges(ps, red_blue)
 
 
 # Weight sequences of six points: five weights stepping by +-1, ends summing to 4.
@@ -849,7 +848,7 @@ def test_fold_reads_adjacent_pairs_off_the_census_and_the_end_weights():
     # (2, 1), (1, 2), (2, 3), (3, 2): minima 1, 1, 2, 2; both ends at 2.
     totals = fold.totals(every_pair=True)
     assert totals.triples == (0, 2, 2, 0)
-    assert totals.edges == EdgeStats((0, 0, 6, 0, 0), (0, 0, 3))
+    assert _edges(totals) == ((0, 0, 6, 0, 0), (0, 0, 3))
     for walk in WALKS[1:] * 3:
         fold.add((0, 1), list(walk), False)
     adjacent, undirected = [0] * 4, [0] * 3
@@ -859,7 +858,7 @@ def test_fold_reads_adjacent_pairs_off_the_census_and_the_end_weights():
         undirected[min(walk[0], walk[-1])] += 3
     totals = fold.totals(every_pair=True)
     assert totals.triples == tuple(adjacent)
-    assert totals.edges.undirected_j == tuple(undirected)
+    assert totals.undirected_j == tuple(undirected)
     assert fold.totals(every_pair=False).triples is None
 
 

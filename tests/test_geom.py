@@ -16,11 +16,15 @@ from circledepth import (
     circumcenter,
     convex_hull,
     in_circle,
+    oracle_weights,
     orientation,
     snap_to_rational,
     sqdist,
+    triple_counts,
     validate_general_position,
+    weight_sequence,
 )
+from circledepth import brute
 from circledepth.constructions import two_colored_convex
 from circledepth.geom import (
     Violation,
@@ -422,6 +426,39 @@ def test_snap_idempotent_on_representable(num, den):
 def test_convex_hull_square_with_interior():
     pts = [P(0, 0), P(10, 0), P(10, 10), P(0, 10), P(5, 4)]
     assert sorted(convex_hull(pts)) == [0, 1, 2, 3]
+
+
+TRIANGLE = [(0, 0), (4, 0), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: weight_sequence(make_set(TRIANGLE), 1, 1), "pair indices must differ"),
+        (lambda: oracle_weights(make_set(TRIANGLE), 1, 1), "pair indices must differ"),
+        (lambda: triple_counts(make_set(TRIANGLE[:2])), "need at least three points"),
+        (lambda: brute.triple_counts(make_set(TRIANGLE[:2])), "need at least three points"),
+        (lambda: PointSet.from_coords(TRIANGLE, [Color.RED]), "colors must match coords in length"),
+        (lambda: snap_to_rational([(0.5, 0.5)], 0), "denominator must be a positive integer"),
+        (lambda: [convex_hull([P(*xy) for xy in TRIANGLE[:n]]) for n in range(3)], [[], [0], [0, 1]]),
+        (lambda: make_set(TRIANGLE).__eq__((1, 2)), NotImplemented),
+        (lambda: make_set(TRIANGLE) == (1, 2), False),
+        (lambda: brute.separable(make_set(TRIANGLE), frozenset()), False),
+        (lambda: brute.separable(make_set(TRIANGLE), frozenset(range(3))), False),
+    ],
+    ids=[
+        "weight-sequence-same-pair", "oracle-same-pair", "triple-counts-two-points",
+        "brute-triple-counts-two-points", "short-colors", "zero-denominator",
+        "small-hulls", "eq-not-implemented", "eq-tuple", "separable-empty", "separable-full",
+    ],
+)
+def test_input_guards(call, outcome):
+    # Guards and edge cases that the rest of the suite never reaches.
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            call()
+    else:
+        assert call() == outcome
 
 
 def test_point_file_round_trip():
