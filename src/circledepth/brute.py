@@ -10,7 +10,7 @@ every triple's enclosed points by one in-circle test each, in O(n^4), and
 cross-checks ``depth.triple_counts``, which counts by inversion in
 O(n^3 log n).  :func:`oracle_weights` tests every point at every sample
 circle, O(n^2) per pair, and cross-checks ``depth.oracle_weights``, which
-bisects each point's single change of status on the same circles.
+tests each point only at the two samples around its own event.
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     tested by its power at every sample circle of ``depth._oracle_circles``.
 
     Deliberately O(n^2) per pair; it cross-checks ``depth.oracle_weights``,
-    which counts on the same circles by bisection.
+    which tests each third point on the same circles only at the two samples
+    around its event, in the order ``_oracle_circles`` sorts the events.
     """
     ints = ps.require_certified()
-    circles = _oracle_circles(ints, p, q)
+    circles, _ = _oracle_circles(ints, p, q)
     px, py = ints[p]
     rel = [(x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints]
     return [len([1 for x, y, r2 in rel if b * r2 < cx * x + cy * y]) for b, cx, cy in circles]

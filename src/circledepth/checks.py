@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import partial, wraps
 from itertools import zip_longest
 from math import comb
+from operator import sub
 from typing import Callable, NamedTuple
 
 from . import depth
@@ -274,10 +275,11 @@ def check_profile_invariants(ps: PointSet) -> list[Row]:
     offenders = 0
     for pair in all_pairs(n):
         w = depth.weight_sequence(ps, *pair).weights
+        d = list(map(sub, w[1:], w))
         measured = (
-            ("non-unit steps", sum(abs(a - b) != 1 for a, b in zip(w, w[1:])), 0),
+            ("non-unit steps", len(d) - d.count(1) - d.count(-1), 0),
             ("end weights w[0] + w[-1]", w[0] + w[-1], n - 2),
-            ("missing intermediate weights", len(set(range(min(w), max(w) + 1)) - set(w)), 0),
+            ("missing intermediate weights", max(w) - min(w) + 1 - len(set(w)), 0),
         )
         broken = [i for i, (_, got, want) in enumerate(measured) if got != want]
         for i in broken:

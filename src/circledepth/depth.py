@@ -45,7 +45,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from operator import add, truediv
+from operator import add, sub, truediv
 from typing import NamedTuple
 
 from .geom import (
@@ -122,42 +122,30 @@ def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
     The samples are :func:`_oracle_circles`, one inside each segment, at
     increasing t = a/b.  Divided by b > 0 the power test
     b |x - p|^2 < C . (x - p) is affine in t, with slope 2 d . (x - p), so
-    x changes status at most once along the samples: a point whose status
-    at the last sample differs from the first is bisected, with the same
-    test, for the first sample where it flips, a +-1 step goes there, and
-    the weights are the running sum.  O(n log n) per pair.  Shares no code
-    with the sweep; :func:`circledepth.brute.oracle_weights` is the plain
-    count, every point tested at every sample.
+    x changes status at most once, and only where its own event lies: the
+    point of rank r is tested at the two samples around it, circles[r] and
+    circles[r + 1], its status at the first counts from the first segment
+    on, its change (0 or +-1) from segment r + 1 on, and the weights are the
+    running sum.  Two power tests per point, O(n log n) per pair with the
+    sort.  Shares no code with the sweep;
+    :func:`circledepth.brute.oracle_weights` is the plain count, every point
+    tested at every sample.
     """
     ints = ps.require_certified()
-    circles = _oracle_circles(ints, p, q)
-    px, py = ints[p]
-    b0, cx0, cy0 = circles[0]
-    bl, cxl, cyl = circles[-1]
-    steps = [0] * len(circles)
-    for x, y, r2 in ((x - px, y - py, (x - px) ** 2 + (y - py) ** 2) for x, y in ints):
-        inside = b0 * r2 < cx0 * x + cy0 * y  # never true for p and q
-        steps[0] += inside
-        if inside == (bl * r2 < cxl * x + cyl * y):
-            continue
-        # circles[lo] has the first status and circles[hi] the last.
-        lo, hi = 0, len(circles) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            b, cx, cy = circles[mid]
-            if (b * r2 < cx * x + cy * y) == inside:
-                lo = mid
-            else:
-                hi = mid
-        steps[hi] += -1 if inside else 1
-    return list(accumulate(steps))
+    circles, points = _oracle_circles(ints, p, q)
+    before = [b * r2 < cx * x + cy * y for (b, cx, cy), (x, y, r2) in zip(circles, points)]
+    after = [b * r2 < cx * x + cy * y for (b, cx, cy), (x, y, r2) in zip(circles[1:], points)]
+    return list(accumulate(map(sub, after, before), initial=sum(before)))
 
 
 def _oracle_circles(
     ints: tuple[tuple[int, int], ...], p: int, q: int
-) -> list[tuple[int, int, int]]:
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """The oracle's sample circles through ints[p] and ints[q], as (b, Cx, Cy)
-    in increasing order of their parameter, one per segment of the bisector.
+    in increasing order of their parameter, one per segment of the bisector,
+    and each third point x as (X, Y, X^2 + Y^2), (X, Y) = x - p, in the order
+    of their events, so the event of points[r] lies between circles[r] and
+    circles[r + 1].
 
     On the common integer grid: event parameters are the integer
     circumcenters projected on the bisector, sorted exactly by
@@ -175,7 +163,7 @@ def _oracle_circles(
     bx, by = qx - px, qy - py
     dx, dy = -by, bx  # rot90(q - p); center(t) = (p + q) / 2 + t * d
     dd, bb = dx * dx + dy * dy, bx * bx + by * by
-    nums, dens = [], []  # t = num / den, den > 0
+    nums, dens, rel = [], [], []  # t = num / den, den > 0
     for xx, xy in (xy for x, xy in enumerate(ints) if x != p and x != q):
         # Circumcenter of (p, q, x): p + (ux, uy) / den.
         cx, cy = xx - px, xy - py
@@ -187,7 +175,9 @@ def _oracle_circles(
         a, b = 2 * (ux * dx + uy * dy), 2 * den * dd
         nums.append(a if b > 0 else -a)
         dens.append(abs(b))
-    params = [(nums[i], dens[i]) for i in _quotient_order(nums, dens)]
+        rel.append((cx, cy, cc))
+    order = _quotient_order(nums, dens)
+    params = [(nums[i], dens[i]) for i in order]
     if params:
         (lo_a, lo_b), (hi_a, hi_b) = params[0], params[-1]
         samples = [(lo_a // lo_b - 1, 1)]
@@ -195,7 +185,8 @@ def _oracle_circles(
         samples.append((hi_a // hi_b + 1, 1))
     else:
         samples = [(0, 1)]
-    return [(b, b * bx + 2 * a * dx, b * by + 2 * a * dy) for a, b in samples]
+    circles = [(b, b * bx + 2 * a * dx, b * by + 2 * a * dy) for a, b in samples]
+    return circles, [rel[i] for i in order]
 
 
 def _quotient_order(nums: list[int], dens: list[int]) -> list[int]:

@@ -31,7 +31,7 @@ from circledepth import (
 )
 from circledepth import brute, depth, forkmap
 from circledepth.brute import kset_counts_bruteforce
-from circledepth.checks import check_minimax_bound
+from circledepth.checks import check_minimax_bound, check_oracle_match
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 from circledepth.depth import _simplest_between
 from circledepth.geom import _incircle_det_int, _orient_int
@@ -767,7 +767,7 @@ def test_triple_counts_by_inversion_match_the_brute_force_count(case):
     assert depth.triple_counts(ps, pairs) == brute.triple_counts(ps, pairs)
 
 
-# n = 2 has one sample and n = 3 two, so no point is ever bisected there.
+# n = 2 has one sample and no third point, n = 3 two samples around one event.
 @given(counted_sets().map(lambda case: case[0]))
 @example(make_set([(0, 0), (3, 1)]))
 @example(make_set([(0, 0), (4, 0), (1, 3)]))
@@ -775,10 +775,61 @@ def test_triple_counts_by_inversion_match_the_brute_force_count(case):
 @example(make_set(NEAR_COCIRCULAR))
 @example(make_set(BEYOND_FLOAT))
 @settings(max_examples=25, deadline=None)
-def test_oracle_bisection_matches_the_plain_count(ps):
+def test_oracle_two_sample_count_matches_the_plain_count(ps):
     assert not validate_general_position(ps)
     for p, q in permutations(range(len(ps)), 2):
         assert depth.oracle_weights(ps, p, q) == brute.oracle_weights(ps, p, q)
+
+
+def test_oracle_tests_each_third_point_at_two_samples(monkeypatch):
+    # Each power test multiplies one sample's b once, so the products of a
+    # counted b are the tests.
+    tests = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            tests.append(other)
+            return int(self) * other
+
+    real = depth._oracle_circles
+
+    def counted(ints, p, q):
+        circles, points = real(ints, p, q)
+        return [(Counted(b), cx, cy) for b, cx, cy in circles], points
+
+    monkeypatch.setattr(depth, "_oracle_circles", counted)
+    ps = random_general_position(9, seed=3, coord_range=10**6)
+    for p, q in permutations(range(9), 2):
+        tests.clear()
+        assert oracle_weights(ps, p, q) == list(weight_sequence(ps, p, q).weights)
+        assert len(tests) == 2 * 7
+
+
+def test_oracle_fails_on_a_sample_outside_its_gap(monkeypatch):
+    # The second interior sample of pair (1, 3) moves below its gap, so the
+    # circle that should follow the second event precedes it: the oracle
+    # still tests real circles and misses that point's change, while the
+    # plain count is right on every untouched sample.
+    ps = random_general_position(6, seed=5, coord_range=10**6)
+    gaps = []
+    monkeypatch.setattr(depth, "_simplest_between", lambda *gap: gaps.append(gap) or _simplest_between(*gap))
+    depth._oracle_circles(ps.require_certified(), 1, 3)
+    moved = gaps[1]
+    monkeypatch.setattr(
+        depth,
+        "_simplest_between",
+        lambda a, b, c, d: (a // b - 1, 1) if (a, b, c, d) == moved else _simplest_between(a, b, c, d),
+    )
+    sampled = depth.oracle_weights(ps, 1, 3)
+    assert sampled != brute.oracle_weights(ps, 1, 3)
+    result = check_oracle_match(ps)
+    assert not result.passed
+    swept = weight_sequence(ps, 1, 3).weights
+    assert sampled[2] == swept[1] != swept[2]
+    assert [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances] == [
+        ("mismatching pairs", 1, 0, "=="),
+        ("pair (1, 3) segment 2", swept[2], swept[1], "info"),
+    ]
 
 
 def orientation_j_edges(ps, pairs):
