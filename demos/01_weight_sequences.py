@@ -21,14 +21,24 @@ n = len(ps)
 print(f"{n} points, general position certified\n")
 
 for pair in [(0, 2), (1, 3)]:
-    profile = weight_sequence(ps, *pair)
+    p, q = map(ps.point, pair)
     print(f"bisector of pair {pair}:")
-    for event in profile.events:
-        side = "left of the directed line" if event.covers_positive else "right of it"
-        print(f"  third point {event.index}: event at s = {event.s} ({side})")
-    print(f"  weights along increasing s: {list(profile.weights)}")
-    print(f"  oracle agrees: {oracle_weights(ps, *pair) == list(profile.weights)}")
-    print(f"  depth summary: min {min(profile.weights)}, max {max(profile.weights)}\n")
+    # Centers on the bisector are midpoint(p, q) + s * rot90(q - p); the
+    # circumcenter of p, q and a third point x sits at s_x below, and x is
+    # enclosed for s > s_x when it lies left of p->q, for s < s_x otherwise.
+    events = []
+    for x in (i for i in range(n) if i not in pair):
+        a = ps.point(x)
+        cross = (q.x - p.x) * (a.y - p.y) - (q.y - p.y) * (a.x - p.x)
+        s = ((a.x - p.x) * (a.x - q.x) + (a.y - p.y) * (a.y - q.y)) / (2 * cross)
+        events.append((s, x, cross > 0))
+    for s, x, left in sorted(events):
+        side = "left of the directed line" if left else "right of it"
+        print(f"  third point {x}: event at s = {s} ({side})")
+    weights = weight_sequence(ps, *pair)
+    print(f"  weights along increasing s: {list(weights)}")
+    print(f"  oracle agrees: {oracle_weights(ps, *pair) == list(weights)}")
+    print(f"  depth summary: min {min(weights)}, max {max(weights)}\n")
 
 # One fold over every pair's weights gives the tables and the extremal pairs.
 totals = sweep_totals(ps)

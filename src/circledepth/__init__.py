@@ -26,8 +26,6 @@ from .geom import (
     validate_general_position,
 )
 from .depth import (
-    BisectorEvent,
-    BisectorProfile,
     SweepTotals,
     all_profiles,
     bichromatic_pairs,

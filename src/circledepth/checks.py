@@ -274,7 +274,7 @@ def check_profile_invariants(ps: PointSet) -> list[Row]:
     evidence: list[Row] = []
     offenders = 0
     for pair in all_pairs(n):
-        w = depth.weight_sequence(ps, *pair).weights
+        w = depth.weight_sequence(ps, *pair)
         d = list(map(sub, w[1:], w))
         measured = (
             ("non-unit steps", len(d) - d.count(1) - d.count(-1), 0),
@@ -305,7 +305,7 @@ def _oracle_mismatches(
     missing segment."""
     found = []
     for pair in pairs:
-        swept = depth.weight_sequence(ps, *pair).weights
+        swept = depth.weight_sequence(ps, *pair)
         sampled = oracle_weights(ps, *pair)
         if list(swept) != sampled:
             segments = enumerate(zip_longest(swept, sampled, fillvalue=-1))

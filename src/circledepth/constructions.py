@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
+from functools import cache, partial
 from typing import NamedTuple
 
 from .geom import (
@@ -118,13 +119,7 @@ def _claim_checker(ps: PointSet) -> Callable[[Claim], str | None]:
     """
     ints = ps.require_certified()
     n = len(ps)
-    cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def weights(pair) -> tuple[int, ...]:
-        pair = tuple(pair)
-        if pair not in cache:
-            cache[pair] = weight_sequence(ps, pair[0], pair[1]).weights
-        return cache[pair]
+    sweep = cache(partial(weight_sequence, ps))
 
     def failure(claim: Claim) -> str | None:
         kind, params = claim.kind, claim.params
@@ -135,21 +130,21 @@ def _claim_checker(ps: PointSet) -> Callable[[Claim], str | None]:
             if 2 * left != n - 2:
                 return f"{claim.description}: sides {left}/{n - 2 - left}"
         elif kind == "weights-within":
-            w = weights(params["pair"])
+            w = sweep(*params["pair"])
             if not all(params["lo"] <= v <= params["hi"] for v in w):
                 return f"{claim.description}: range [{min(w)}, {max(w)}]"
         elif kind == "endpoint-weights":
-            w = weights(params["pair"])
+            w = sweep(*params["pair"])
             if {w[0], w[-1]} != {params["a"], params["b"]}:
                 return f"{claim.description}: ends {{{w[0]}, {w[-1]}}}"
         elif kind == "repeated-values":
-            w = weights(params["pair"])
+            w = sweep(*params["pair"])
             for value in range(params["lo"], params["hi"] + 1):
                 mult = w.count(value)
                 if mult < params["times"]:
                     return f"{claim.description}: value {value} occurs {mult}x"
         elif kind == "pair-min-below":
-            w = weights(params["pair"])
+            w = sweep(*params["pair"])
             if min(w) > params["bound"]:
                 return f"{claim.description}: min weight {min(w)}"
         elif kind == "convex-position":

@@ -49,45 +49,15 @@ from operator import add, sub, truediv
 from typing import NamedTuple
 
 from .geom import (
-    BisectorOrder,
     Color,
     DegenerateInputError,
     PointSet,
-    Scalar,
     _bisector_order,
     _lent_grid,
 )
 
 
-class BisectorEvent(NamedTuple):
-    index: int  # third point whose circumcenter with the pair sits here
-    s: Scalar
-    covers_positive: bool  # True: enclosed for s > s_x; False: for s < s_x
-
-
-class BisectorProfile(NamedTuple):
-    """The weight sequence of one pair's bisector and the events cutting it.
-
-    ``order`` is the sweep's sort of the third points by s (see
-    :class:`circledepth.geom.BisectorOrder`); the exact ``events`` are built
-    from it each time they are read, so a caller reading only ``weights``
-    builds no per-event object and no Fraction.
-    """
-
-    pair: tuple[int, int]
-    order: BisectorOrder
-    weights: tuple[int, ...]
-
-    @property
-    def events(self) -> tuple[BisectorEvent, ...]:
-        others, nums, crosses, rank, _ = self.order
-        return tuple(
-            BisectorEvent(others[i], Fraction(nums[i], 2 * crosses[i]), crosses[i] > 0)
-            for i in rank
-        )
-
-
-def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
+def weight_sequence(ps: PointSet, p: int, q: int) -> tuple[int, ...]:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
     The sweep sorts on the integers stored on ``ps`` by certification or
@@ -112,8 +82,7 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> BisectorProfile:
     if order.ties:
         raise DegenerateInputError("cocircular quadruple on a swept pair", (p, q, *order.ties[0][:2]))
     steps = [1 if order.crosses[i] > 0 else -1 for i in order.rank]
-    weights = accumulate(steps, initial=steps.count(-1))
-    return BisectorProfile((p, q), order, tuple(weights))
+    return tuple(accumulate(steps, initial=steps.count(-1)))
 
 
 def oracle_weights(ps: PointSet, p: int, q: int) -> list[int]:
@@ -239,18 +208,18 @@ def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int) -> list:
     return map_chunks(task, pairs, jobs)
 
 
-def all_profiles(ps: PointSet, jobs: int = 1) -> list[BisectorProfile]:
-    """Profiles of every unordered pair, in lexicographic order.
+def all_profiles(ps: PointSet, jobs: int = 1) -> list[tuple[int, ...]]:
+    """Weight sequences of every unordered pair, in lexicographic order.
 
     ``jobs > 1`` shares the pairs out to forked processes (:func:`_map_chunks`);
     the result order (and therefore every downstream aggregate) is identical
     for any jobs value.
     """
     chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs)
-    return [profile for chunk in chunks for profile in chunk]
+    return [weights for chunk in chunks for weights in chunk]
 
 
-def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[BisectorProfile]:
+def _profile_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
     return [weight_sequence(ps, p, q) for p, q in pairs]
 
 
@@ -432,8 +401,7 @@ def _fold_chunk(ps: PointSet, pairs: list[tuple[int, int]]) -> _Fold:
     fold = _Fold(len(ps))
     red_blue = {Color.RED, Color.BLUE}
     for p, q in pairs:
-        weights = weight_sequence(ps, p, q).weights
-        fold.add((p, q), weights, {ps.color(p), ps.color(q)} == red_blue)
+        fold.add((p, q), weight_sequence(ps, p, q), {ps.color(p), ps.color(q)} == red_blue)
     return fold
 
 

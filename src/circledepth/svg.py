@@ -119,15 +119,26 @@ def render_points(ps: PointSet) -> str:
 
 
 def render_profile(ps: PointSet, p: int, q: int) -> str:
-    """The pair, its bisector with circumcenter ticks, and segment weights."""
-    profile = weight_sequence(ps, p, q)
+    """The pair, its bisector with circumcenter ticks, and segment weights.
+
+    The weights come from the sweep; the ticks sit at the exact parameters
+    s_x = dot(x - p, x - q) / (2 * cross(q - p, x - p)) of the frame of
+    :mod:`circledepth.depth`, sorted, one per third point x.
+    """
+    weights = weight_sequence(ps, p, q)
     canvas = _Canvas()
     pp, qp = ps.point(p), ps.point(q)
     canvas.line(_xy(pp), _xy(qp), "#999999")
     # center(s) = midpoint of pq + s * rot90(q - p), the sweep's frame
     mid = Point((pp.x + qp.x) / 2, (pp.y + qp.y) / 2)
     dx, dy = -(qp.y - pp.y), qp.x - pp.x
-    params = [e.s for e in profile.events]
+    others = (ps.point(x) for x in range(len(ps)) if x != p and x != q)
+    # cross(q - p, x - p) = d . (x - p) for d = rot90(q - p)
+    params = sorted(
+        ((x.x - pp.x) * (x.x - qp.x) + (x.y - pp.y) * (x.y - qp.y))
+        / (2 * (dx * (x.x - pp.x) + dy * (x.y - pp.y)))
+        for x in others
+    )
     if params:
         pad = (params[-1] - params[0]) / 2 or Fraction(1)
         lo, hi = params[0] - pad, params[-1] + pad
@@ -139,7 +150,7 @@ def render_profile(ps: PointSet, p: int, q: int) -> str:
     canvas.line(at(lo), at(hi), "#555555")
     for s in params:
         canvas.circle(at(s), 0.004, "#555555")
-    for s, weight in zip(samples, profile.weights):
+    for s, weight in zip(samples, weights):
         canvas.text(at(s), str(weight))
     for cp in ps.points:
         canvas.circle(_xy(cp.point), 0.008, _FILL[cp.color])

@@ -8,6 +8,7 @@ histograms ``hist`` obey the exact per-weight laws asserted in the
 companion tests instead.
 """
 
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def test_criterion_02_oracle_equivalence(corpus_oracle):
         n = len(ps)
         for p in range(n):
             for q in range(p + 1, n):
-                assert list(weight_sequence(ps, p, q).weights) == oracle_weights(ps, p, q), (
+                assert list(weight_sequence(ps, p, q)) == oracle_weights(ps, p, q), (
                     f"sweep/oracle mismatch at n={n}, pair ({p}, {q})"
                 )
                 pairs += 1
@@ -133,12 +134,11 @@ def test_criterion_03_profile_invariants(corpus_oracle):
     profiles = 0
     for ps in corpus_oracle:
         n = len(ps)
-        for profile in all_profiles(ps):
-            w = profile.weights
-            assert all(abs(a - b) == 1 for a, b in zip(w, w[1:])), profile
+        for pair, w in zip(combinations(range(n), 2), all_profiles(ps)):
+            assert all(abs(a - b) == 1 for a, b in zip(w, w[1:])), (pair, w)
             j = min(w[0], w[-1])
-            assert {w[0], w[-1]} == {j, n - j - 2}, profile
-            assert set(range(min(w), max(w) + 1)) <= set(w), profile
+            assert {w[0], w[-1]} == {j, n - j - 2}, (pair, w)
+            assert set(range(min(w), max(w) + 1)) <= set(w), (pair, w)
             profiles += 1
     report(f"criterion 3 PASS: unit steps, end weights {{j, n-j-2}}, full coverage "
            f"({profiles} profiles)")
@@ -185,7 +185,7 @@ def test_criterion_04_census_stated_form(corpus_small, quad):
     k or k-1 points.  The ``quad`` fixture shows it at n = 4.
     """
     census = sweep_totals(quad).census
-    quad_inc = circle_incidences((p.weights for p in all_profiles(quad)), 4)
+    quad_inc = circle_incidences(all_profiles(quad), 4)
     assert census == (5, 8, 5)
     assert census[0] + census[1] == 13
     assert quad_inc == [6, 6]
@@ -194,7 +194,7 @@ def test_criterion_04_census_stated_form(corpus_small, quad):
     instances = 0
     for ps in corpus_small:
         n = len(ps)
-        inc = circle_incidences((p.weights for p in all_profiles(ps)), n)
+        inc = circle_incidences(all_profiles(ps), n)
         for k in range(0, n - 2):
             lhs = inc[k] + inc[n - k - 3]
             rhs = 6 * (k + 1) * (n - k - 2)
@@ -274,7 +274,7 @@ def test_criterion_08_two_colored_construction():
         bound = n // 2
         for r in ps.indices_of(Color.RED):
             for b in ps.indices_of(Color.BLUE):
-                w = weight_sequence(ps, min(r, b), max(r, b)).weights
+                w = weight_sequence(ps, min(r, b), max(r, b))
                 assert min(w) <= bound, (
                     f"two_colored_convex({n}): pair ({r}, {b}) min weight {min(w)} > {bound}"
                 )
@@ -298,7 +298,7 @@ def test_criterion_09_halving_construction():
                 if x not in (p, q) and _orient_int(ints[p], ints[q], ints[x]) > 0
             )
             assert left == n - 1, f"pair ({p},{q}) is not halving at n={n}"
-            w = weight_sequence(ps, p, q).weights
+            w = weight_sequence(ps, p, q)
             assert min(w) >= n - 2 and max(w) <= n, (
                 f"halving({n}) pair ({p},{q}) weights outside {{n-2, n-1, n}}: {sorted(set(w))}"
             )
@@ -310,7 +310,7 @@ def test_criterion_10_seven_region_construction():
     out = recursive_seven_region(7, 1)
     ps = out.points
     assert len(ps) == 49
-    w = weight_sequence(ps, 0, 1).weights
+    w = weight_sequence(ps, 0, 1)
     for value in range(7, 12):
         mult = sum(1 for x in w if x == value)
         assert mult >= 4, f"weight {value} appears {mult} < 4 times on the (0,1) bisector"
@@ -355,7 +355,7 @@ def test_criterion_11_bichromatic_stated_bound(corpus_colored):
     for ps in corpus_colored:
         n = len(ps)
         inc = circle_incidences(
-            (weight_sequence(ps, p, q).weights for p, q in bichromatic_pairs(ps)), n
+            (weight_sequence(ps, p, q) for p, q in bichromatic_pairs(ps)), n
         )
         for k in range(0, n - 2):
             lhs = inc[k] + inc[n - k - 3]

@@ -208,8 +208,7 @@ def test_failed_oracle_match_names_at_most_three_pairs(monkeypatch):
 def test_failed_profile_invariants_name_the_pairs(monkeypatch, quad):
     # Bisector (0, 2) carries (1, 0, 1); the corrupted sweep says (1, 3, 1).
     def corrupted(ps, p, q):
-        profile = weight_sequence(ps, p, q)
-        return profile._replace(weights=(1, 3, 1)) if (p, q) == (0, 2) else profile
+        return (1, 3, 1) if (p, q) == (0, 2) else weight_sequence(ps, p, q)
 
     monkeypatch.setattr(depth, "weight_sequence", corrupted)
     result = check_profile_invariants(quad)

@@ -629,6 +629,14 @@ def test_verify_empty_check_selection_is_an_error(capsys, selection):
     assert (code, stdout, err) == (1, "", "error: no checks selected\n")
 
 
+@pytest.mark.parametrize("name, p, q", [("rational12", 0, 5), ("rational12", 5, 0), ("random8", 2, 6)])
+def test_render_profile_matches_golden(capsys, name, p, q):
+    # A rational set and both orientations of one pair: the ticks and labels
+    # come from the exact event parameters, the weights from the sweep.
+    args = ["render", str(DATA / f"{name}.txt"), "--what", "profile", str(p), str(q)]
+    assert run_cli(args, capsys) == (0, (DATA / f"{name}.profile-{p}-{q}.svg").read_text(), "")
+
+
 def test_render_svg_deterministic(capsys):
     _, first, _ = run_cli(["render", str(DATA / "halving3.txt"), "--what", "construction"], capsys)
     _, second, _ = run_cli(["render", str(DATA / "halving3.txt"), "--what", "construction"], capsys)

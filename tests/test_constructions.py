@@ -66,7 +66,7 @@ def test_two_colored_convex_small():
     assert len(ps.indices_of(Color.BLUE)) == 2
     # Every red-blue pair admits a circle enclosing at most 1 point.
     for p, q in out.designated_pairs:
-        assert min(weight_sequence(ps, p, q).weights) <= 1
+        assert min(weight_sequence(ps, p, q)) <= 1
 
 
 def test_two_colored_convex_sizes_and_bound():
@@ -102,7 +102,7 @@ def test_seven_region_small():
     out = recursive_seven_region(3, 1)
     ps = out.points
     assert len(ps) == 21 and ps.gp_certified
-    w = weight_sequence(ps, 0, 1).weights
+    w = weight_sequence(ps, 0, 1)
     assert {w[0], w[-1]} == {9, 10}
     assert out.designated_pairs == [(0, 1), (0, 2), (1, 2)]
 
@@ -111,7 +111,7 @@ def test_seven_region_main_instance():
     out = recursive_seven_region(7, 1)
     ps = out.points
     assert len(ps) == 49
-    w = weight_sequence(ps, 0, 1).weights
+    w = weight_sequence(ps, 0, 1)
     assert {w[0], w[-1]} == {21, 26}
     for value in range(7, 12):
         assert sum(1 for x in w if x == value) >= 4
@@ -142,7 +142,7 @@ def test_halving_construction_small():
     ps = out.points
     assert len(ps) == 4 and ps.gp_certified
     for p, q in out.designated_pairs:
-        w = weight_sequence(ps, p, q).weights
+        w = weight_sequence(ps, p, q)
         assert set(w) <= {0, 1, 2}
 
 
@@ -151,7 +151,7 @@ def test_halving_construction_weights_confined():
         out = halving_line_construction(n)
         assert len(out.points) == 2 * n
         for p, q in out.designated_pairs:
-            w = weight_sequence(out.points, p, q).weights
+            w = weight_sequence(out.points, p, q)
             assert w[0] == w[-1] == n - 1  # halving line side counts
             assert min(w) >= n - 2 and max(w) <= n
 
@@ -169,7 +169,7 @@ def test_halving_construction_repeat_example():
     # land on every other segment: multiplicity 3 on some designated pair.
     out = halving_line_construction(3)
     best = max(
-        weight_sequence(out.points, p, q).weights.count(2)
+        weight_sequence(out.points, p, q).count(2)
         for p, q in out.designated_pairs
     )
     assert best >= 3

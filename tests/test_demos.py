@@ -78,19 +78,24 @@ def test_readme_library_examples_hold():
 
 
 def test_names_the_readme_lists_as_gone_stay_gone():
-    # The Library section's list of removed names: a bullet's head is a bare
-    # name of the package (`maximin_pair(ps)`, `KSetStats.f_inf(k)`) or a
-    # name in one of its modules (`brute.…`).
+    # The Library section's lists of removed names, each the paragraph after
+    # "Those names are gone": a bullet's head is a bare name of the package
+    # (`maximin_pair(ps)`, `KSetStats.f_inf(k)`), a name in one of its
+    # modules (`brute.…`) or an attribute of a removed record (`profile.…`).
     import circledepth
     from circledepth import brute, depth
 
     text = (ROOT / "README.md").read_text()
-    section = text.split("Those names are gone;", 1)[1].split("\n\n", 2)[1]
-    heads = re.findall(r"^- `(\w+)(?:\.(\w+))?", section, re.M)
+    heads = []
+    for tail in text.split("Those names are gone")[1:]:
+        section = tail.split("\n\n", 2)[1]
+        heads += re.findall(r"^- `(\w+)(?:\.(\w+))?", section, re.M)
     gone = {
         "segment_weight_census", "maximin_pair", "kset_counts", "KSetStats",
         "TripleStats", "WeightCensus", "EdgeStats", "RepeatStats",
+        "BisectorProfile", "BisectorEvent",
     }
+    assert {("profile", "events"), ("profile", "pair"), ("profile", "order")} <= set(heads)
     assert gone <= {h for h, _ in heads}
     for head, attr in heads:
         if head == "brute":

@@ -5,14 +5,13 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from circledepth import (
-    BisectorProfile,
     Color,
     DegenerateInputError,
     NotCertifiedError,
@@ -34,7 +33,7 @@ from circledepth.brute import kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound, check_oracle_match
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 from circledepth.depth import _simplest_between
-from circledepth.geom import _incircle_det_int, _orient_int
+from circledepth.geom import _bisector_order, _incircle_det_int, _orient_int
 from circledepth.pointfile import parse_point_file
 
 from conftest import (
@@ -72,8 +71,7 @@ def test_weight_sequence_rejects_a_degenerate_grid(coords, pair, indices):
 
 
 def test_triangle_weights(triangle):
-    profile = weight_sequence(triangle, 0, 1)
-    assert profile.weights == (0, 1)
+    assert weight_sequence(triangle, 0, 1) == (0, 1)
     assert oracle_weights(triangle, 0, 1) == [0, 1]
 
 
@@ -81,44 +79,46 @@ def test_quad_diagonal_weights(quad):
     # The two diagonals are not alike: the circumcircle of each triangle
     # containing diagonal (0,2) excludes the fourth point, while both circles
     # through diagonal (1,3) enclose it.
-    assert weight_sequence(quad, 0, 2).weights == (1, 0, 1)
+    assert weight_sequence(quad, 0, 2) == (1, 0, 1)
     assert oracle_weights(quad, 0, 2) == [1, 0, 1]
-    assert weight_sequence(quad, 1, 3).weights == (1, 2, 1)
+    assert weight_sequence(quad, 1, 3) == (1, 2, 1)
     assert oracle_weights(quad, 1, 3) == [1, 2, 1]
 
 
 def test_quad_hull_edge_weights(quad):
     # Both remaining points lie left of the directed edge 0->1, so the
     # weights ascend with the sweep parameter.
-    assert weight_sequence(quad, 0, 1).weights == (0, 1, 2)
+    assert weight_sequence(quad, 0, 1) == (0, 1, 2)
     assert oracle_weights(quad, 0, 1) == [0, 1, 2]
 
 
 def test_profile_structure(quad):
-    profile = weight_sequence(quad, 0, 2)
-    assert profile.pair == (0, 2)
-    assert len(profile.events) == 2
-    assert profile.events[0].s < profile.events[1].s
-    assert len(profile.weights) == len(quad) - 1
-    # Event parameters place circumcenters on the bisector frame exactly.
-    assert profile.events[0].s == Fraction(-1, 18)
-    assert profile.events[1].s == Fraction(1, 18)
+    # On diagonal (0, 2) point 1 (right of 0->2) is the event at s = -1/18
+    # and point 3 (left) the event at s = 1/18, so the n - 1 weights start
+    # at one enclosed point and step down, then up.
+    order, collinear = _bisector_order(quad.require_certified(), 0, 2, [1, 3], quad.local)
+    assert collinear == []
+    events = [
+        (order.others[i], Fraction(order.nums[i], 2 * order.crosses[i]), order.crosses[i] > 0)
+        for i in order.rank
+    ]
+    assert events == [(1, Fraction(-1, 18), False), (3, Fraction(1, 18), True)]
+    assert weight_sequence(quad, 0, 2) == (1, 0, 1)
 
 
 def test_profile_builds_events_on_first_read(quad):
-    # The fold reads only weights, so no per-event tuple and no Fraction is
-    # built until the events are read: the profile holds the sweep's order
-    # as lists of ints.
-    profile = weight_sequence(quad, 0, 2)
-    order = profile.order
+    # The sweep sums the sides of _bisector_order's sort, so no per-event
+    # tuple and no Fraction is built for the weights: the order is plain
+    # lists of ints, and an event's index and side are read off it.
+    order, _ = _bisector_order(quad.require_certified(), 0, 2, [1, 3], quad.local)
     assert order.ties == [] and all(type(v) is list for v in order)
     assert all(type(v) is int for v in (*order.others, *order.nums, *order.crosses, *order.rank))
-    assert [(e.index, e.covers_positive) for e in profile.events] == [(1, False), (3, True)]
+    assert [(order.others[i], order.crosses[i] > 0) for i in order.rank] == [(1, False), (3, True)]
 
 
 def test_two_point_set():
     ps = make_set([(0, 0), (7, 3)])
-    assert weight_sequence(ps, 0, 1).weights == (0,)
+    assert weight_sequence(ps, 0, 1) == (0,)
     assert oracle_weights(ps, 0, 1) == [0]
     totals = sweep_totals(ps)
     assert totals.maximin == ((0, 1), 0)
@@ -128,8 +128,8 @@ def test_two_point_set():
 def test_pair_depth(quad, triangle):
     # A pair's depths are the least and greatest weights on its bisector.
     def depths(ps, p, q):
-        profile = weight_sequence(ps, p, q)
-        return profile.pair, min(profile.weights), max(profile.weights)
+        weights = weight_sequence(ps, p, q)
+        return (p, q), min(weights), max(weights)
 
     assert depths(triangle, 0, 1) == ((0, 1), 0, 1)
     assert depths(quad, 0, 2)[1:] == (0, 1)
@@ -197,7 +197,7 @@ def test_oracle_matches_sweep_on_random_sets():
         n = len(ps)
         for p in range(n):
             for q in range(p + 1, n):
-                assert list(weight_sequence(ps, p, q).weights) == oracle_weights(ps, p, q)
+                assert list(weight_sequence(ps, p, q)) == oracle_weights(ps, p, q)
 
 
 def _certify_event_order(ps: PointSet, p: int, q: int) -> None:
@@ -206,15 +206,21 @@ def _certify_event_order(ps: PointSet, p: int, q: int) -> None:
     # when det(p, q, x, y) has the sign of orient(p, q, x), and the circles
     # centred at s enclose y for s > s_y when y is left of p->q and for
     # s < s_y otherwise.  So s_x < s_y exactly when y is outside that circle
-    # and left, or inside and right: det * side(x) * side(y) < 0.
+    # and left, or inside and right: det * side(x) * side(y) < 0.  The order
+    # checked is geom._bisector_order's, the sort the sweep sums, and the
+    # weights are the running sum of those sides in that order.
     grid = ps.require_certified()
     a, b = grid[p], grid[q]
-    events = weight_sequence(ps, p, q).events
-    side = {e.index: _orient_int(a, b, grid[e.index]) for e in events}
-    assert all(e.covers_positive == (side[e.index] > 0) for e in events)
+    others = [x for x in range(len(ps)) if x != p and x != q]
+    order, _ = _bisector_order(grid, p, q, others, ps.local)
+    events = [order.others[i] for i in order.rank]
+    side = {x: _orient_int(a, b, grid[x]) for x in events}
+    assert [order.crosses[i] > 0 for i in order.rank] == [side[x] > 0 for x in events]
     for x, y in zip(events, events[1:]):
-        det = _incircle_det_int(a, b, grid[x.index], grid[y.index])
-        assert det * side[x.index] * side[y.index] < 0, (p, q, x.index, y.index)
+        det = _incircle_det_int(a, b, grid[x], grid[y])
+        assert det * side[x] * side[y] < 0, (p, q, x, y)
+    steps = [side[x] for x in events]
+    assert weight_sequence(ps, p, q) == tuple(accumulate(steps, initial=steps.count(-1)))
 
 
 def test_event_order_is_certified_by_in_circle_tests():
@@ -272,8 +278,7 @@ def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatc
 def test_profile_invariants_on_random_sets():
     for ps in random_corpus(6, (6, 9), seed0=77):
         n = len(ps)
-        for profile in all_profiles(ps):
-            w = profile.weights
+        for w in all_profiles(ps):
             assert all(abs(a - b) == 1 for a, b in zip(w, w[1:]))
             j = min(w[0], w[-1])
             assert {w[0], w[-1]} == {j, n - j - 2}
@@ -287,10 +292,9 @@ def test_minimax_bound_holds():
 
 
 def test_minimax_pair_returns_a_value_above_the_bound(monkeypatch, quad):
-    # A hand-built profile above floor((2*4-3)/3) = 1 on every pair: the fold
-    # reports it, and judging it is the minimax-bound check's job.
-    high = BisectorProfile((0, 1), (), (0, 1, 2))
-    monkeypatch.setattr(depth, "weight_sequence", lambda ps, p, q: high)
+    # A hand-built weight sequence above floor((2*4-3)/3) = 1 on every pair:
+    # the fold reports it, and judging it is the minimax-bound check's job.
+    monkeypatch.setattr(depth, "weight_sequence", lambda ps, p, q: (0, 1, 2))
     assert sweep_totals(quad).minimax == ((0, 1), 2)
     result = check_minimax_bound(quad)
     assert not result.passed
@@ -370,12 +374,12 @@ def test_parallel_profiles_match_serial(claim_cpus):
     # on a smaller host, where pinning to a CPU it lacks is skipped.
     claim_cpus(4)
     ps = random_general_position(9, seed=13, coord_range=10**6)
-    serial = [p.weights for p in all_profiles(ps, jobs=1)]
+    serial = all_profiles(ps, jobs=1)
     totals = sweep_totals(ps, jobs=1)
     chosen = depth.all_pairs(9)[::3]
     chosen_totals = sweep_totals(ps, pairs=chosen)
     for jobs in (2, 3, 4):
-        assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial
+        assert all_profiles(ps, jobs=jobs) == serial
         assert sweep_totals(ps, jobs=jobs) == totals
         assert sweep_totals(ps, jobs=jobs, pairs=chosen) == chosen_totals
         assert_no_child_left()
@@ -395,10 +399,10 @@ def test_jobs_fan_out_is_bounded(monkeypatch, claim_cpus, n, jobs, workers):
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: masks.append(cpus))
     claim_cpus(8)
     ps = random_general_position(n, seed=13, coord_range=10**6)
-    serial_profiles = [p.weights for p in all_profiles(ps)]
+    serial_profiles = all_profiles(ps)
     serial_totals = sweep_totals(ps)
     assert InProcessChild.cpus == [] and masks == []
-    assert [p.weights for p in all_profiles(ps, jobs=jobs)] == serial_profiles
+    assert all_profiles(ps, jobs=jobs) == serial_profiles
     assert sweep_totals(ps, jobs=jobs) == serial_totals
     children = [] if workers is None else [{cpu} for cpu in range(1, workers)]
     assert InProcessChild.cpus == children * 2
@@ -626,8 +630,8 @@ def test_outputs_are_covariant_under_a_permutation(ps, data):
     permuted = make_set([tuple(ps.point(i)) for i in order], [ps.color(i) for i in order])
     # Pair (a, b) of the permuted set is pair (order[a], order[b]) of ps.
     for a, b in combinations(range(n), 2):
-        expected = weight_sequence(ps, order[a], order[b]).weights
-        assert weight_sequence(permuted, a, b).weights == expected
+        expected = weight_sequence(ps, order[a], order[b])
+        assert weight_sequence(permuted, a, b) == expected
     totals, again = sweep_totals(ps), sweep_totals(permuted)
     tables = lambda t: t[:6]  # triples .. max_collinear
     values = lambda t: [v and v[1] for v in (t.maximin, t.minimax, t.bichromatic_maximin)]
@@ -709,9 +713,9 @@ def reference_sets(draw):
 def test_integer_oracle_matches_sweep_and_fraction_oracle(ps):
     for p, q in combinations(range(len(ps)), 2):
         sampled = oracle_weights(ps, p, q)
-        assert sampled == list(weight_sequence(ps, p, q).weights)
+        assert sampled == list(weight_sequence(ps, p, q))
         assert sampled == fraction_oracle(ps, p, q)
-        assert oracle_weights(ps, q, p) == list(weight_sequence(ps, q, p).weights)
+        assert oracle_weights(ps, q, p) == list(weight_sequence(ps, q, p))
 
 
 @given(reference_sets())
@@ -801,7 +805,7 @@ def test_oracle_tests_each_third_point_at_two_samples(monkeypatch):
     ps = random_general_position(9, seed=3, coord_range=10**6)
     for p, q in permutations(range(9), 2):
         tests.clear()
-        assert oracle_weights(ps, p, q) == list(weight_sequence(ps, p, q).weights)
+        assert oracle_weights(ps, p, q) == list(weight_sequence(ps, p, q))
         assert len(tests) == 2 * 7
 
 
@@ -824,7 +828,7 @@ def test_oracle_fails_on_a_sample_outside_its_gap(monkeypatch):
     assert sampled != brute.oracle_weights(ps, 1, 3)
     result = check_oracle_match(ps)
     assert not result.passed
-    swept = weight_sequence(ps, 1, 3).weights
+    swept = weight_sequence(ps, 1, 3)
     assert sampled[2] == swept[1] != swept[2]
     assert [(i.label, i.lhs, i.rhs, i.relation) for i in result.instances] == [
         ("mismatching pairs", 1, 0, "=="),
