@@ -19,10 +19,8 @@ from .geom import (
     Violation,
     circumcenter,
     convex_hull,
-    in_circle,
     orientation,
     snap_to_rational,
-    sqdist,
     validate_general_position,
 )
 from .depth import (

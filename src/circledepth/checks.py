@@ -323,7 +323,7 @@ def check_oracle_match(ps: PointSet, jobs: int = 1) -> list[Row]:
     info rows: the first differing segment, sweep weight against oracle
     weight (-1 for a missing segment).
     """
-    chunks = _map_chunks(partial(_oracle_mismatches, ps), all_pairs(len(ps)), jobs)
+    chunks = _map_chunks(partial(_oracle_mismatches, ps), all_pairs(len(ps)), jobs, len(ps))
     mismatches = [found for chunk in chunks for found in chunk]
     return [
         ("mismatching pairs", len(mismatches), 0, "=="),

@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=partial(_integer, least=1),
         default=1,
-        help="processes for the sweep: this one and forked children, one per CPU (output-invariant)",
+        help="most processes for the sweep: this one and forked children, one per CPU,"
+        " with at least 10,000 events each, n - 2 a pair (output-invariant)",
     )
     ana.set_defaults(func=cmd_analyze)
 
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=partial(_integer, least=1),
         default=1,
-        help="processes for oracle-match: this one and forked children, one per CPU (output-invariant)",
+        help="most processes for oracle-match: this one and forked children, one per CPU,"
+        " with at least 10,000 events each, n - 2 a pair (output-invariant)",
     )
     ver.set_defaults(func=cmd_verify)
 

@@ -1,13 +1,15 @@
 """A list mapped in contiguous chunks by forked processes, one per CPU.
 
-:func:`map_chunks` alone decides how ``--jobs`` runs; ``depth._map_chunks``
-imports this module only for ``jobs > 1``, so a serial run never pays for
-these imports.  The calling process maps the first chunk itself and forks a
-:class:`Child` for each of the others, each pinned to a CPU of its own: the
-scheduler would otherwise keep a short-lived child on its parent's CPU.
-Fork, not a fresh interpreter, because a child then starts with the set and
-the task it needs, and nothing is pickled on the way in; the CLI that forks
-runs no other thread.
+:func:`map_chunks` caps the processes by the CPUs and the items;
+``depth._map_chunks`` first caps them by the work, ``depth.SHARE_EVENTS``
+events a process, and imports this module only when that leaves two or
+more, so a serial or small run never pays for these imports.  The calling
+process maps the first chunk itself and forks a :class:`Child` for each of
+the others, each pinned to a CPU of its own: the scheduler would otherwise
+keep a short-lived child on its parent's CPU.  Fork, not a fresh
+interpreter, because a child then starts with the set and the task it
+needs, and nothing is pickled on the way in; the CLI that forks runs no
+other thread.
 """
 
 from __future__ import annotations

@@ -331,25 +331,11 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return _orient_int(ia, ib, ic)
 
 
-def in_circle(a: Point, b: Point, c: Point, d: Point) -> int:
-    """Return +1 if d is strictly inside the circle through a, b, c; 0 on it; -1 outside.
-
-    The result does not depend on the orientation of (a, b, c); the sign is
-    normalized internally.  Raises :class:`DegenerateInputError` when a, b, c
-    are collinear (no circle exists).
-    """
-    ia, ib, ic, id_ = _int_coords([a, b, c, d])
-    orient = _orient_int(ia, ib, ic)
-    if orient == 0:
-        raise DegenerateInputError("in_circle: defining points are collinear")
-    return _sign(_incircle_det_int(ia, ib, ic, id_)) * orient
-
-
 def circumcenter(a: Point, b: Point, c: Point) -> Point:
     """Exact circumcenter of three non-collinear points.
 
-    Rational inputs give a rational center, so equidistance is an exact
-    Fraction equality: ``sqdist(center, a) == sqdist(center, b) == sqdist(center, c)``.
+    Rational inputs give a rational center, so its squared distances to a,
+    b and c are equal Fractions.
     """
     d = 2 * ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
     if d == 0:
@@ -360,12 +346,6 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
     ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
     uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
     return Point(ux, uy)
-
-
-def sqdist(a: Point, b: Point) -> Scalar:
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
 
 
 class Violation(NamedTuple):

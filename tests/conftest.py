@@ -3,7 +3,15 @@ import tempfile
 
 import pytest
 
-from circledepth import PointSet, forkmap, sweep_totals, validate_general_position
+from circledepth import (
+    DegenerateInputError,
+    PointSet,
+    depth,
+    forkmap,
+    sweep_totals,
+    validate_general_position,
+)
+from circledepth.geom import _incircle_det_int, _int_coords, _orient_int, _sign
 from circledepth.constructions import random_general_position
 
 # One verdict line per acceptance criterion, printed after the run summary so
@@ -23,6 +31,21 @@ def make_set(coords, colors=None) -> PointSet:
     violations = validate_general_position(ps)
     assert not violations, f"fixture not in general position: {violations}"
     return ps
+
+
+def in_circle(a, b, c, d) -> int:
+    """+1 if d is strictly inside the circle through a, b, c; 0 on it; -1
+    outside, whatever the orientation of (a, b, c).  Collinear a, b, c
+    raise :class:`DegenerateInputError`: no circle exists."""
+    ia, ib, ic, id_ = _int_coords([a, b, c, d])
+    orient = _orient_int(ia, ib, ic)
+    if orient == 0:
+        raise DegenerateInputError("in_circle: defining points are collinear")
+    return _sign(_incircle_det_int(ia, ib, ic, id_)) * orient
+
+
+def sqdist(a, b):
+    return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
 
 
 def red_blue_maximin(ps: PointSet):
@@ -58,6 +81,13 @@ def claim_cpus(monkeypatch):
         os, "sched_getaffinity", lambda pid: set(range(count))
     )
     os.sched_setaffinity(0, real)
+
+
+@pytest.fixture
+def fork_small_maps(monkeypatch):
+    """Lets a map of a few points' pairs fork: every process needs one event,
+    not ``depth.SHARE_EVENTS``, so the fork machinery runs on small sets."""
+    monkeypatch.setattr(depth, "SHARE_EVENTS", 1)
 
 
 # Sets on which the float keys of the bisector sort, num / cross, cannot

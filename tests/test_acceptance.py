@@ -368,7 +368,8 @@ def test_criterion_11_bichromatic_stated_bound(corpus_colored):
            f"over red-blue circle-segment incidences ({instances} instances)")
 
 
-def test_criterion_12_determinism(tmp_path, capsys):
+def test_criterion_12_determinism(tmp_path, capsys, fork_small_maps):
+    # fork_small_maps: these small sets fork at --jobs 2 and 3, as large ones do.
     corpus = ["random8.txt", "colored3.txt", "halving3.txt", "rational12.txt"]
     goldens = {
         "random8.txt": ["random8.analysis.json", "random8.verify.json"],

@@ -364,7 +364,7 @@ def test_which_checks_catch_a_wrong_fold_table(name, failing, colored_failing, m
 
 
 @pytest.mark.parametrize("jobs, workers", [(1, None), (0, None), (3, 3), (100_000, 8)])
-def test_oracle_match_fan_out_is_bounded(monkeypatch, claim_cpus, jobs, workers):
+def test_oracle_match_fan_out_is_bounded(monkeypatch, claim_cpus, fork_small_maps, jobs, workers):
     # Eight CPUs available: the oracle runs in min(jobs, CPUs, pairs)
     # processes, this one and a child for each further CPU, jobs <= 1 forks
     # none, and every pair is sampled once through the name the checks
@@ -388,7 +388,7 @@ def test_oracle_match_fan_out_is_bounded(monkeypatch, claim_cpus, jobs, workers)
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 4])
-def test_forked_checks_match_serial(claim_cpus, jobs):
+def test_forked_checks_match_serial(claim_cpus, fork_small_maps, jobs):
     claim_cpus(4)
     ps = random_general_position(9, seed=13, coord_range=10**6)
     assert run_checks(ps, jobs=jobs) == run_checks(ps)

@@ -252,13 +252,13 @@ def test_analyze_golden_fields():
     assert sum(report["tables"]["weight_census"]) == 28 * 7
 
 
-def test_analyze_jobs_do_not_change_bytes(capsys):
+def test_analyze_jobs_do_not_change_bytes(capsys, fork_small_maps):
     _, serial, _ = run_cli(["analyze", str(DATA / "random8.txt"), "--jobs", "1"], capsys)
     _, parallel, _ = run_cli(["analyze", str(DATA / "random8.txt"), "--jobs", "3"], capsys)
     assert serial == parallel
 
 
-def test_verify_jobs_do_not_change_bytes(capsys):
+def test_verify_jobs_do_not_change_bytes(capsys, fork_small_maps):
     _, serial, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "1"], capsys)
     _, parallel, _ = run_cli(["verify", str(DATA / "random8.txt"), "--jobs", "2"], capsys)
     assert serial == parallel
@@ -354,7 +354,7 @@ def test_malformed_pair_line_exits_with_parse_error(tmp_path, capsys, text, erro
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
-def test_a_worker_that_dies_is_one_error_line(command, capsys, monkeypatch, claim_cpus):
+def test_a_worker_that_dies_is_one_error_line(command, capsys, monkeypatch, claim_cpus, fork_small_maps):
     # As a worker killed by a signal or the OOM killer does: it ends before
     # it writes its result.  Two CPUs are claimed, so the map forks anywhere.
     claim_cpus(2)
@@ -732,10 +732,12 @@ def test_console_entry_point():
 def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
     # Every CLI process pays for what it imports: dataclasses and inspect
     # pull in ast, dis and tokenize, and a serial run needs none of the
-    # parallel map's machinery.  -S keeps site's .pth imports out of the count.
+    # parallel map's machinery, nor does --jobs 2 on a set too small to
+    # fork.  -S keeps site's .pth imports out of the count.
     script = (
         "import os, sys; sys.path.insert(0, sys.argv[1]); from circledepth.cli import main; "
-        "code = [main([command, sys.argv[2], '-o', os.devnull]) for command in ('analyze', 'verify')]; "
+        "code = [main([command, sys.argv[2], '-o', os.devnull, *jobs]) "
+        "for command in ('analyze', 'verify') for jobs in ([], ['--jobs', '2'])]; "
         "unwanted = {'dataclasses', 'inspect', 'circledepth.forkmap', 'pickle', 'signal'}; "
         "print(code, sorted(unwanted & set(sys.modules)))"
     )
@@ -745,7 +747,7 @@ def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
         capture_output=True,
         text=True,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0] []\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0, 0] []\n", "")
 
 
 # Modules each subcommand must not import, and one it must: a CLI process

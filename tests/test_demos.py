@@ -83,7 +83,7 @@ def test_names_the_readme_lists_as_gone_stay_gone():
     # (`maximin_pair(ps)`, `KSetStats.f_inf(k)`), a name in one of its
     # modules (`brute.…`) or an attribute of a removed record (`profile.…`).
     import circledepth
-    from circledepth import brute, depth
+    from circledepth import brute, depth, geom
 
     text = (ROOT / "README.md").read_text()
     heads = []
@@ -93,7 +93,7 @@ def test_names_the_readme_lists_as_gone_stay_gone():
     gone = {
         "segment_weight_census", "maximin_pair", "kset_counts", "KSetStats",
         "TripleStats", "WeightCensus", "EdgeStats", "RepeatStats",
-        "BisectorProfile", "BisectorEvent",
+        "BisectorProfile", "BisectorEvent", "in_circle", "sqdist",
     }
     assert {("profile", "events"), ("profile", "pair"), ("profile", "order")} <= set(heads)
     assert gone <= {h for h, _ in heads}
@@ -101,4 +101,4 @@ def test_names_the_readme_lists_as_gone_stay_gone():
         if head == "brute":
             assert not hasattr(brute, attr), f"brute.{attr}"
         else:
-            assert not hasattr(circledepth, head) and not hasattr(depth, head), head
+            assert not any(hasattr(module, head) for module in (circledepth, depth, geom)), head

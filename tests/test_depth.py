@@ -20,7 +20,6 @@ from circledepth import (
     all_profiles,
     bichromatic_pairs,
     circumcenter,
-    in_circle,
     j_edge_counts,
     oracle_weights,
     sweep_totals,
@@ -40,6 +39,7 @@ from conftest import (
     BEYOND_FLOAT,
     NEAR_COCIRCULAR,
     InProcessChild,
+    in_circle,
     make_set,
     random_corpus,
     red_blue_maximin,
@@ -369,7 +369,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_parallel_profiles_match_serial(claim_cpus):
+def test_parallel_profiles_match_serial(claim_cpus, fork_small_maps):
     # Four CPUs claimed, so --jobs 3 and 4 fork 2 and 3 real children even
     # on a smaller host, where pinning to a CPU it lacks is skipped.
     claim_cpus(4)
@@ -389,7 +389,7 @@ def test_parallel_profiles_match_serial(claim_cpus):
     "n, jobs, workers",
     [(9, 100_000, 8), (9, 3, 3), (3, 100_000, 3), (9, 1, None), (9, 0, None)],
 )
-def test_jobs_fan_out_is_bounded(monkeypatch, claim_cpus, n, jobs, workers):
+def test_jobs_fan_out_is_bounded(monkeypatch, claim_cpus, fork_small_maps, n, jobs, workers):
     # Eight CPUs available: a map runs in min(jobs, CPUs, pairs) processes,
     # this one and a child pinned to each further CPU, and jobs <= 1 forks
     # none.  This process is pinned to the first CPU, then gets its mask back.
@@ -409,7 +409,7 @@ def test_jobs_fan_out_is_bounded(monkeypatch, claim_cpus, n, jobs, workers):
     assert masks == ([] if workers is None else [{0}, set(range(8))] * 2)
 
 
-def test_maps_without_fork_or_cpu_affinity(monkeypatch):
+def test_maps_without_fork_or_cpu_affinity(monkeypatch, fork_small_maps):
     # Without CPU affinity the map still fans out, pinning nothing; without
     # os.fork it runs serially.
     monkeypatch.setattr(forkmap, "Child", InProcessChild)
@@ -427,7 +427,7 @@ def test_maps_without_fork_or_cpu_affinity(monkeypatch):
     assert InProcessChild.cpus == [None]
 
 
-def test_a_mask_that_shrinks_during_a_map_is_read_once(monkeypatch):
+def test_a_mask_that_shrinks_during_a_map_is_read_once(monkeypatch, fork_small_maps):
     # The map reads the CPU mask once: a mask that shrinks from two CPUs to
     # one after that read changes neither the processes nor the totals.
     ps = random_general_position(9, seed=13, coord_range=10**6)
@@ -441,6 +441,25 @@ def test_a_mask_that_shrinks_during_a_map_is_read_once(monkeypatch):
     assert InProcessChild.cpus == [{1}]
 
 
+def test_each_process_of_a_map_gets_share_events(monkeypatch):
+    # With the real constant: a map of one event short of two shares runs
+    # in this process, never reaching forkmap, and one of two shares runs
+    # in 2 processes however many jobs are asked.  On 3 points a pair has
+    # one event.
+    calls = []
+
+    def recorder(task, items, jobs):
+        calls.append((len(items), jobs))
+        return [task(items)]
+
+    monkeypatch.setattr(forkmap, "map_chunks", recorder)
+    two_shares = 2 * depth.SHARE_EVENTS
+    assert depth._map_chunks(len, [(0, 1)] * (two_shares - 1), 8, 3) == [two_shares - 1]
+    assert calls == []
+    assert depth._map_chunks(len, [(0, 1)] * two_shares, 8, 3) == [two_shares]
+    assert calls == [(two_shares, 2)]
+
+
 def _fails_at(slow, fast, chunk):
     # Fails at pair ``slow`` after 0.3 s, or at pair ``fast`` at once.
     for pair in chunk:
@@ -451,7 +470,7 @@ def _fails_at(slow, fast, chunk):
     return chunk
 
 
-def test_a_map_raises_the_serial_runs_error(claim_cpus):
+def test_a_map_raises_the_serial_runs_error(claim_cpus, fork_small_maps):
     # Three processes: the second share fails after 0.3 s and the third at
     # once.  The children are joined in share order, so the map raises the
     # second share's error, the one a serial run meets first, not whichever
@@ -461,7 +480,7 @@ def test_a_map_raises_the_serial_runs_error(claim_cpus):
     task = partial(_fails_at, pairs[5], pairs[10])
     for jobs in (1, 3):
         with pytest.raises(ValueError, match=r"^degenerate \(1, 2\)$"):
-            depth._map_chunks(task, pairs, jobs)
+            depth._map_chunks(task, pairs, jobs, 6)
         assert_no_child_left()
 
 
@@ -477,32 +496,35 @@ def _exits_in_child(caller, chunk):
     return chunk
 
 
-def test_no_child_outlives_a_map(claim_cpus):
+def test_no_child_outlives_a_map(claim_cpus, fork_small_maps):
     claim_cpus(3)
     pairs = depth.all_pairs(6)
-    assert depth._map_chunks(len, pairs, 3) == [5, 5, 5]
+    assert depth._map_chunks(len, pairs, 3, 6) == [5, 5, 5]
     assert_no_child_left()
     # A failure in this process's share kills children that would sleep for
     # a minute.
     start = time.monotonic()
     with pytest.raises(ValueError, match="the caller's share fails"):
-        depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3)
+        depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3, 6)
     assert time.monotonic() - start < 30
     assert_no_child_left()
     # A child that dies without writing is an error naming its exit code.
     with pytest.raises(ChildProcessError, match="exit code 7"):
-        depth._map_chunks(partial(_exits_in_child, os.getpid()), pairs, 3)
+        depth._map_chunks(partial(_exits_in_child, os.getpid()), pairs, 3, 6)
     assert_no_child_left()
 
 
 def test_children_flush_nothing_they_inherit():
     # Output still buffered when a map forks is written once: a child
-    # leaves through os._exit, never through the caller's exit path.
+    # leaves through os._exit, never through the caller's exit path.  The
+    # script lowers SHARE_EVENTS, as the fork_small_maps fixture does, so
+    # that 9 points fork.
     script = (
         "import sys; sys.stdout.write('buffered')\n"
+        "from circledepth import depth\n"
         "from circledepth.constructions import random_general_position\n"
-        "from circledepth.depth import sweep_totals\n"
-        "sweep_totals(random_general_position(9, 13, 10**6), jobs=2)\n"
+        "depth.SHARE_EVENTS = 1\n"
+        "depth.sweep_totals(random_general_position(9, 13, 10**6), jobs=2)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(depth.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
@@ -668,7 +690,7 @@ def fraction_oracle(ps, p, q):
 
 
 def in_circle_counts(ps, pairs=None):
-    """Triple enclosure counts by the public in-circle predicate, quadruple by quadruple."""
+    """Triple enclosure counts by the in-circle predicate, quadruple by quadruple."""
     n = len(ps)
     chosen = None if pairs is None else set(pairs)
     counts = [0] * (n - 2)

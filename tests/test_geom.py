@@ -15,11 +15,9 @@ from circledepth import (
     PointSet,
     circumcenter,
     convex_hull,
-    in_circle,
     oracle_weights,
     orientation,
     snap_to_rational,
-    sqdist,
     triple_counts,
     validate_general_position,
     weight_sequence,
@@ -36,7 +34,7 @@ from circledepth.geom import (
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
-from conftest import BEYOND_FLOAT, NEAR_COCIRCULAR, RIGHT_ANGLE_TIE, make_set
+from conftest import BEYOND_FLOAT, NEAR_COCIRCULAR, RIGHT_ANGLE_TIE, in_circle, make_set, sqdist
 
 P = Point.of
 
