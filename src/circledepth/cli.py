@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=partial(_integer, least=1),
         default=1,
         help="most processes for oracle-match: this one and forked children, one per CPU,"
-        " with at least 10,000 events each, n - 2 a pair (output-invariant)",
+        " with at least 10,000 events each, 4 (n - 2) a pair (output-invariant)",
     )
     ver.set_defaults(func=cmd_verify)
 

@@ -196,22 +196,23 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-# The work a forked map gives each process, in events: importing forkmap
-# and starting a child cost about 10 ms, the sweep of 5,000 to 8,000 events.
+# The work a forked map gives each process, in sweep events: importing
+# forkmap and starting a child cost about 10 ms, the sweep of 5,000 to 8,000
+# events.
 SHARE_EVENTS = 10_000
 
 
-def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int, n: int) -> list:
-    """``task`` over consecutive chunks of ``pairs`` of an n-point set,
-    results in pair order.
+def _map_chunks(task, pairs: list[tuple[int, int]], jobs: int, pair_events: int) -> list:
+    """``task`` over consecutive chunks of ``pairs``, results in pair order.
 
-    Each pair has n - 2 events, and every process gets about
-    :data:`SHARE_EVENTS` of them or more: at most ``jobs`` and
-    len(pairs) * (n - 2) // SHARE_EVENTS processes, as
+    ``pair_events`` is what ``task`` spends on one pair, counted in sweep
+    events (a sweep of an n-point set has n - 2).  Every process gets
+    about :data:`SHARE_EVENTS` of them or more: at most ``jobs`` and
+    len(pairs) * pair_events // SHARE_EVENTS processes, as
     :func:`circledepth.forkmap.map_chunks` runs them.  A cap of one is
     ``[task(pairs)]`` in this process, which never imports forkmap.
     """
-    workers = min(jobs, len(pairs) * (n - 2) // SHARE_EVENTS)
+    workers = min(jobs, len(pairs) * pair_events // SHARE_EVENTS)
     if workers <= 1:
         return [task(pairs)]
     from .forkmap import map_chunks
@@ -226,7 +227,7 @@ def all_profiles(ps: PointSet, jobs: int = 1) -> list[tuple[int, ...]]:
     the result order (and therefore every downstream aggregate) is identical
     for any jobs value.
     """
-    chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs, len(ps))
+    chunks = _map_chunks(partial(_profile_chunk, ps), all_pairs(len(ps)), jobs, len(ps) - 2)
     return [weights for chunk in chunks for weights in chunk]
 
 
@@ -452,6 +453,6 @@ def sweep_totals(
 
 def _fold(ps: PointSet, pairs: list[tuple[int, int]], jobs: int) -> _Fold:
     total = _Fold(len(ps))
-    for part in _map_chunks(partial(_fold_chunk, ps), pairs, jobs, len(ps)):
+    for part in _map_chunks(partial(_fold_chunk, ps), pairs, jobs, len(ps) - 2):
         total.merge(part)
     return total

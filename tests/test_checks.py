@@ -387,6 +387,24 @@ def test_oracle_match_fan_out_is_bounded(monkeypatch, claim_cpus, fork_small_map
     assert len(InProcessChild.cpus) == (0 if workers is None else workers - 1)
 
 
+def test_oracle_match_counts_a_pair_as_four_sweeps(monkeypatch):
+    # With the real constant: 30 points have 435 pairs of 28 events, 12,180
+    # in all, too few for two shares of the sweep, while oracle-match, at
+    # four sweeps a pair, splits them over 2 processes.
+    calls = []
+
+    def recorder(task, items, jobs):
+        calls.append((len(items), jobs))
+        return [task(items)]
+
+    monkeypatch.setattr(forkmap, "map_chunks", recorder)
+    ps = random_general_position(30, seed=1, coord_range=10**6)
+    depth.all_profiles(ps, jobs=2)
+    assert calls == []
+    assert check_oracle_match(ps, jobs=2).passed
+    assert calls == [(435, 2)]
+
+
 @pytest.mark.parametrize("jobs", [2, 3, 4])
 def test_forked_checks_match_serial(claim_cpus, fork_small_maps, jobs):
     claim_cpus(4)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from circledepth import checks, cli, constructions, forkmap
+from circledepth import checks, cli, constructions, depth, forkmap
 from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 from circledepth.report import input_digest
@@ -242,6 +242,17 @@ def test_help_exits_0(capsys):
     code, stdout, err = run_cli(["--help"], capsys)
     assert (code, err) == (0, "")
     assert stdout.startswith("usage: circledepth")
+
+
+def test_jobs_help_and_readme_state_the_share(capsys):
+    # The help and the README write depth.SHARE_EVENTS out; a new value
+    # must change them too.
+    share = f"{depth.SHARE_EVENTS:,}"
+    for command in ("analyze", "verify"):
+        code, stdout, _ = run_cli([command, "--help"], capsys)
+        assert code == 0 and f"at least {share} events" in " ".join(stdout.split())
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"`depth.SHARE_EVENTS` = {share}" in readme
 
 
 def test_analyze_golden_fields():

@@ -444,8 +444,8 @@ def test_a_mask_that_shrinks_during_a_map_is_read_once(monkeypatch, fork_small_m
 def test_each_process_of_a_map_gets_share_events(monkeypatch):
     # With the real constant: a map of one event short of two shares runs
     # in this process, never reaching forkmap, and one of two shares runs
-    # in 2 processes however many jobs are asked.  On 3 points a pair has
-    # one event.
+    # in 2 processes however many jobs are asked.  Each pair counts as one
+    # event.
     calls = []
 
     def recorder(task, items, jobs):
@@ -454,9 +454,9 @@ def test_each_process_of_a_map_gets_share_events(monkeypatch):
 
     monkeypatch.setattr(forkmap, "map_chunks", recorder)
     two_shares = 2 * depth.SHARE_EVENTS
-    assert depth._map_chunks(len, [(0, 1)] * (two_shares - 1), 8, 3) == [two_shares - 1]
+    assert depth._map_chunks(len, [(0, 1)] * (two_shares - 1), 8, 1) == [two_shares - 1]
     assert calls == []
-    assert depth._map_chunks(len, [(0, 1)] * two_shares, 8, 3) == [two_shares]
+    assert depth._map_chunks(len, [(0, 1)] * two_shares, 8, 1) == [two_shares]
     assert calls == [(two_shares, 2)]
 
 
@@ -480,7 +480,7 @@ def test_a_map_raises_the_serial_runs_error(claim_cpus, fork_small_maps):
     task = partial(_fails_at, pairs[5], pairs[10])
     for jobs in (1, 3):
         with pytest.raises(ValueError, match=r"^degenerate \(1, 2\)$"):
-            depth._map_chunks(task, pairs, jobs, 6)
+            depth._map_chunks(task, pairs, jobs, 4)
         assert_no_child_left()
 
 
@@ -499,18 +499,18 @@ def _exits_in_child(caller, chunk):
 def test_no_child_outlives_a_map(claim_cpus, fork_small_maps):
     claim_cpus(3)
     pairs = depth.all_pairs(6)
-    assert depth._map_chunks(len, pairs, 3, 6) == [5, 5, 5]
+    assert depth._map_chunks(len, pairs, 3, 4) == [5, 5, 5]
     assert_no_child_left()
     # A failure in this process's share kills children that would sleep for
     # a minute.
     start = time.monotonic()
     with pytest.raises(ValueError, match="the caller's share fails"):
-        depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3, 6)
+        depth._map_chunks(partial(_fails_or_sleeps, os.getpid()), pairs, 3, 4)
     assert time.monotonic() - start < 30
     assert_no_child_left()
     # A child that dies without writing is an error naming its exit code.
     with pytest.raises(ChildProcessError, match="exit code 7"):
-        depth._map_chunks(partial(_exits_in_child, os.getpid()), pairs, 3, 6)
+        depth._map_chunks(partial(_exits_in_child, os.getpid()), pairs, 3, 4)
     assert_no_child_left()
 
 
