@@ -21,7 +21,7 @@ pair = colored.designated_pairs[0]
 (here / "profile.svg").write_text(svg.render_profile(colored.points, *pair))
 
 seven = recursive_seven_region(4, 1)
-(here / "seven.svg").write_text(svg.render_construction(seven.points, seven.designated_pairs))
+(here / "seven.svg").write_text(svg.render_points(seven.points, seven.designated_pairs))
 
 for name in ("colored.svg", "profile.svg", "seven.svg"):
     print(f"wrote {here / name}")

@@ -15,7 +15,6 @@ from .geom import (
     NotCertifiedError,
     Point,
     PointSet,
-    Scalar,
     Violation,
     circumcenter,
     convex_hull,

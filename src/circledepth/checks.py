@@ -348,17 +348,23 @@ def applicable_checks(ps: PointSet) -> list[str]:
     ]
 
 
-def run_checks(ps: PointSet, names: list[str] | None = None, jobs: int = 1) -> list[CheckResult]:
-    # ``jobs`` serves oracle-match, the costliest check; results do not depend
-    # on it.  An explicit empty selection is an error: it would pass on no evidence.
-    ps.require_certified()
-    if names is not None and not names:
+def select_checks(names: list[str]) -> list[str]:
+    """The named checks in run order; ValueError if none is named or one is unknown.
+
+    An explicit empty selection is an error: it would pass on no evidence.
+    """
+    if not names:
         raise ValueError("no checks selected")
-    selected = applicable_checks(ps) if names is None else list(names)
-    unknown = [name for name in selected if name not in CHECKS]
+    unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(CHECKS)})")
-    ordered = [name for name in CHECKS if name in selected]
+    return [name for name in CHECKS if name in names]
+
+
+def run_checks(ps: PointSet, names: list[str] | None = None, jobs: int = 1) -> list[CheckResult]:
+    # ``jobs`` serves oracle-match, the costliest check; results do not depend on it.
+    ps.require_certified()
+    ordered = applicable_checks(ps) if names is None else select_checks(names)
     return [
         CHECKS[name](ps, jobs=jobs) if name == "oracle-match" else CHECKS[name](ps)
         for name in ordered

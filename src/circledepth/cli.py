@@ -173,14 +173,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import select_checks
     from .report import input_digest, verification_report
 
     pf, data = _load(args.input)
-    _certify(pf.points)
     names = None  # run_checks picks the checks that apply to the set
-    if args.checks != "all":
-        names = [name.strip() for name in args.checks.split(",") if name.strip()]
     try:
+        if args.checks != "all":  # a selection is checked before any work
+            names = select_checks([name.strip() for name in args.checks.split(",") if name.strip()])
+        _certify(pf.points)
         results = run_checks(pf.points, names, jobs=args.jobs)
     except ValueError as exc:
         return _error(str(exc))
@@ -195,10 +196,10 @@ def cmd_render(args) -> int:
     pf, _ = _load(args.input)
     _certify(pf.points)
     what = args.what
-    if what[0] in ("points", "construction") and len(what) > 1:
-        return _error(f"--what {what[0]} takes no arguments")
-    if what[0] == "points":
-        draw = partial(svg.render_points, pf.points)
+    if what[0] in ("points", "construction"):
+        if len(what) > 1:
+            return _error(f"--what {what[0]} takes no arguments")
+        draw = partial(svg.render_points, pf.points, pf.pairs if what[0] == "construction" else ())
     elif what[0] == "profile":
         if len(what) != 3:
             return _error("--what profile needs two indices")
@@ -210,8 +211,6 @@ def cmd_render(args) -> int:
         if not (0 <= p < n and 0 <= q < n) or p == q:
             return _error(f"invalid pair ({what[1]}, {what[2]})")
         draw = partial(svg.render_profile, pf.points, p, q)
-    elif what[0] == "construction":
-        draw = partial(svg.render_construction, pf.points, pf.pairs)
     else:
         return _error(f"unknown render target {what[0]!r}")
     try:

@@ -517,14 +517,11 @@ def _halving_layout(n: int, eps: float) -> list[tuple[float, float]]:
             raise ConstructionError(f"halving: empty admissible interval at i={i}")
         t_mid = (t_lo + t_hi) / 2
         q[i] = (-t_mid * u[0], -t_mid * u[1])
-        cen3, r23 = _circle3(q[i + 1], p[i + 1], q[i])
-        b3 = u[0] * cen3[0] + u[1] * cen3[1]
-        disc = b3 * b3 - (cen3[0] ** 2 + cen3[1] ** 2 - r23)
-        if disc < 0:
+        # The ray runs along -u, so p_i = t_p * u is its lower hit, negated.
+        hits3 = ray_hits(u, *_circle3(q[i + 1], p[i + 1], q[i]))
+        if hits3 is None:
             raise ConstructionError(f"halving: no second intersection at i={i}")
-        root = math.sqrt(disc)
-        candidates = (b3 - root, b3 + root)
-        t_p = max(candidates)
+        t_p = -hits3[0]
         if t_p <= 0:
             raise ConstructionError(f"halving: p_{i} not above the base line")
         p[i] = (t_p * u[0], t_p * u[1])

@@ -16,8 +16,6 @@ from itertools import combinations, groupby
 from operator import truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-Scalar = Fraction
-
 
 class DegenerateInputError(ValueError):
     """A predicate received input it is undefined for (e.g. collinear points).
@@ -36,8 +34,8 @@ class NotCertifiedError(ValueError):
 
 
 class Point(NamedTuple):
-    x: Scalar
-    y: Scalar
+    x: Fraction
+    y: Fraction
 
     @staticmethod
     def of(x, y) -> "Point":

@@ -1,5 +1,8 @@
 """Static SVG renderings of point sets, bisector profiles and constructions.
 
+A construction is its points drawn over one segment per designated pair
+(``render_points`` with ``pairs``).
+
 Coordinates stay exact until the drawing is translated by the exact corner
 of its bounding box, then are rounded for drawing only, to three decimals
 or a thousandth of the drawing's span when that is finer; element order and
@@ -17,6 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
+from typing import Iterable
 
 from .geom import Color, Point, PointSet
 from .depth import weight_sequence
@@ -30,32 +34,35 @@ def _fmt(value: float, digits: int) -> str:
 
 
 class _Canvas:
+    """Elements in drawing order, each its exact points and the writer of its line.
+
+    ``render`` calls a writer with a formatter of sizes (fractions of the
+    drawing's span) and the element's points as formatted (x, y) pairs.
+    """
+
     def __init__(self):
         self.elements: list[tuple] = []
-        self.xs: list[Fraction] = []
-        self.ys: list[Fraction] = []
-
-    def _track(self, x: Fraction, y: Fraction) -> None:
-        self.xs.append(x)
-        self.ys.append(y)
 
     def line(self, a, b, stroke: str, width_frac: float = 0.002) -> None:
-        self._track(*a)
-        self._track(*b)
-        self.elements.append(
-            ("line", a[0], a[1], b[0], b[1], stroke, width_frac)
-        )
+        self.elements.append(((a, b), lambda size, u, v: (
+            f'  <line x1="{u[0]}" y1="{u[1]}" x2="{v[0]}" y2="{v[1]}" '
+            f'stroke="{stroke}" stroke-width="{size(width_frac)}" />'
+        )))
 
     def circle(self, center, radius_frac: float, fill: str) -> None:
-        self._track(*center)
-        self.elements.append(("circle", center[0], center[1], radius_frac, fill))
+        self.elements.append(((center,), lambda size, c: (
+            f'  <circle cx="{c[0]}" cy="{c[1]}" r="{size(radius_frac)}" fill="{fill}" />'
+        )))
 
     def text(self, pos, content: str, size_frac: float = 0.025) -> None:
-        self._track(*pos)
-        self.elements.append(("text", pos[0], pos[1], content, size_frac))
+        self.elements.append(((pos,), lambda size, t: (
+            f'  <text x="{t[0]}" y="{t[1]}" font-size="{size(size_frac)}" '
+            f'font-family="monospace" fill="#000000">{content}</text>'
+        )))
 
     def render(self) -> str:
-        xs, ys = self.xs or [0, 1], self.ys or [0, 1]
+        points = [p for element, _ in self.elements for p in element]
+        xs, ys = zip(*points) if points else ((0, 1), (0, 1))
         left, top = min(xs), min(ys)
         width, height = max(xs) - left, max(ys) - top
         scale = _scale(Fraction(max(width, height)))
@@ -66,30 +73,14 @@ class _Canvas:
         if not all(map(math.isfinite, vb)):
             raise OverflowError("drawing extends beyond the float range")
         fmt = partial(_fmt, digits=3 + max(0, -math.floor(math.log10(span))))
-        fx, fy = (lambda v: fmt(float((v - left) * scale))), (lambda v: fmt(float((v - top) * scale)))
+        at = lambda p: (fmt(float((p[0] - left) * scale)), fmt(float((p[1] - top) * scale)))
+        size = lambda frac: fmt(frac * span)
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} '
             f'{fmt(vb[2])} {fmt(vb[3])}">',
         ]
-        for element in self.elements:
-            if element[0] == "line":
-                _, x1, y1, x2, y2, stroke, wf = element
-                out.append(
-                    f'  <line x1="{fx(x1)}" y1="{fy(y1)}" x2="{fx(x2)}" y2="{fy(y2)}" '
-                    f'stroke="{stroke}" stroke-width="{fmt(wf * span)}" />'
-                )
-            elif element[0] == "circle":
-                _, cx, cy, rf, fill = element
-                out.append(
-                    f'  <circle cx="{fx(cx)}" cy="{fy(cy)}" r="{fmt(rf * span)}" fill="{fill}" />'
-                )
-            else:
-                _, x, y, content, sf = element
-                out.append(
-                    f'  <text x="{fx(x)}" y="{fy(y)}" font-size="{fmt(sf * span)}" '
-                    f'font-family="monospace" fill="#000000">{content}</text>'
-                )
+        out += (write(size, *map(at, element)) for element, write in self.elements)
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
@@ -111,8 +102,11 @@ def _xy(p: Point) -> tuple[Fraction, Fraction]:
     return p.x, -p.y
 
 
-def render_points(ps: PointSet) -> str:
+def render_points(ps: PointSet, pairs: Iterable[tuple[int, int]] = ()) -> str:
+    """The points, over one segment per pair (a construction's designated pairs)."""
     canvas = _Canvas()
+    for a, b in pairs:
+        canvas.line(_xy(ps.point(a)), _xy(ps.point(b)), "#2e7d32", 0.003)
     for cp in ps.points:
         canvas.circle(_xy(cp.point), 0.008, _FILL[cp.color])
     return canvas.render()
@@ -156,11 +150,3 @@ def render_profile(ps: PointSet, p: int, q: int) -> str:
         canvas.circle(_xy(cp.point), 0.008, _FILL[cp.color])
     return canvas.render()
 
-
-def render_construction(ps: PointSet, pairs: list[tuple[int, int]]) -> str:
-    canvas = _Canvas()
-    for a, b in pairs:
-        canvas.line(_xy(ps.point(a)), _xy(ps.point(b)), "#2e7d32", 0.003)
-    for cp in ps.points:
-        canvas.circle(_xy(cp.point), 0.008, _FILL[cp.color])
-    return canvas.render()

@@ -640,12 +640,34 @@ def test_verify_empty_check_selection_is_an_error(capsys, selection):
     assert (code, stdout, err) == (1, "", "error: no checks selected\n")
 
 
+def test_verify_rejects_a_check_selection_before_certifying(tmp_path, capsys):
+    # Certifying these duplicate points would exit 3; the typo is reported first.
+    src = tmp_path / "dup.txt"
+    src.write_text("0 0\n0 0\n1 2\n")
+    code, stdout, err = run_cli(["verify", str(src), "--checks", "nope"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: unknown checks: nope (known: triple-pair-sum, ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, p, q", [("rational12", 0, 5), ("rational12", 5, 0), ("random8", 2, 6)])
 def test_render_profile_matches_golden(capsys, name, p, q):
     # A rational set and both orientations of one pair: the ticks and labels
     # come from the exact event parameters, the weights from the sweep.
     args = ["render", str(DATA / f"{name}.txt"), "--what", "profile", str(p), str(q)]
     assert run_cli(args, capsys) == (0, (DATA / f"{name}.profile-{p}-{q}.svg").read_text(), "")
+
+
+@pytest.mark.parametrize("name", ["halving3", "colored3"])
+@pytest.mark.parametrize("what", ["points", "construction"])
+def test_render_points_and_construction_match_golden(capsys, name, what):
+    # Both files carry @pair lines: a construction draws one segment per pair
+    # under the points, and a plain points drawing ignores them.
+    args = ["render", str(DATA / f"{name}.txt"), "--what", what]
+    code, stdout, err = run_cli(args, capsys)
+    assert (code, stdout, err) == (0, (DATA / f"{name}.{what}.svg").read_text(), "")
+    if what == "points":
+        assert "<line" not in stdout
 
 
 def test_render_svg_deterministic(capsys):

@@ -81,9 +81,9 @@ def test_names_the_readme_lists_as_gone_stay_gone():
     # The Library section's lists of removed names, each the paragraph after
     # "Those names are gone": a bullet's head is a bare name of the package
     # (`maximin_pair(ps)`, `KSetStats.f_inf(k)`), a name in one of its
-    # modules (`brute.…`) or an attribute of a removed record (`profile.…`).
+    # modules (`brute.…`, `svg.…`) or an attribute of a removed record (`profile.…`).
     import circledepth
-    from circledepth import brute, depth, geom
+    from circledepth import brute, depth, geom, svg
 
     text = (ROOT / "README.md").read_text()
     heads = []
@@ -93,12 +93,14 @@ def test_names_the_readme_lists_as_gone_stay_gone():
     gone = {
         "segment_weight_census", "maximin_pair", "kset_counts", "KSetStats",
         "TripleStats", "WeightCensus", "EdgeStats", "RepeatStats",
-        "BisectorProfile", "BisectorEvent", "in_circle", "sqdist",
+        "BisectorProfile", "BisectorEvent", "in_circle", "sqdist", "Scalar",
     }
     assert {("profile", "events"), ("profile", "pair"), ("profile", "order")} <= set(heads)
+    assert ("svg", "render_construction") in heads
     assert gone <= {h for h, _ in heads}
+    named_modules = {"brute": brute, "svg": svg}
     for head, attr in heads:
-        if head == "brute":
-            assert not hasattr(brute, attr), f"brute.{attr}"
+        if head in named_modules:
+            assert not hasattr(named_modules[head], attr), f"{head}.{attr}"
         else:
             assert not any(hasattr(module, head) for module in (circledepth, depth, geom)), head
