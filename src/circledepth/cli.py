@@ -194,8 +194,7 @@ def cmd_render(args) -> int:
     from . import svg  # only render draws, so the other subcommands skip compiling it
 
     pf, _ = _load(args.input)
-    _certify(pf.points)
-    what = args.what
+    what = args.what  # checked before any work, as verify checks --checks
     if what[0] in ("points", "construction"):
         if len(what) > 1:
             return _error(f"--what {what[0]} takes no arguments")
@@ -213,6 +212,7 @@ def cmd_render(args) -> int:
         draw = partial(svg.render_profile, pf.points, p, q)
     else:
         return _error(f"unknown render target {what[0]!r}")
+    _certify(pf.points)
     try:
         content = draw()
     except OverflowError:

@@ -262,12 +262,13 @@ def _bisector_order(
         s_x = dot(x - p, x - q) / (2 * cross(q - p, x - p)),
 
     which is invariant under scaling p, q and x together.  The sweep
-    (``depth.weight_sequence``) and :func:`validate_general_position` pass
-    the set's local form (see :class:`PointSet`), so num / cross = 2 s_x is
-    taken on the points' own denominators: p and q are scaled once onto
-    L = lcm(Dp, Dq), and for each x, a = L X - Dx p' and b = L X - Dx q'
-    are L Dx (x - p) and L Dx (x - q), so num = a . b and
-    cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
+    (``depth.weight_sequence``), for every pair, and
+    :func:`validate_general_position`, for the pairs its float screen
+    flags, pass the set's local form (see :class:`PointSet`), so
+    num / cross = 2 s_x is taken on the points' own denominators: p and q
+    are scaled once onto L = lcm(Dp, Dq), and for each x, a = L X - Dx p'
+    and b = L X - Dx q' are L Dx (x - p) and L Dx (x - q), so num = a . b
+    and cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
     ``local`` is None (every point integral, or a hand-built grid) they are
     taken on the integer grid ``ints``.  The references never come here;
     they read the grid.
@@ -364,16 +365,27 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     named tuples.  Quadruples containing a collinear triple are skipped; the
     triple itself is already reported.
 
-    The duplicates come from one sort of the points.  After them, one exact
-    sort per pair i < j decides the rest in O(n^3 log n):
-    :func:`_bisector_order` over the later points x > j returns those
-    collinear with (i, j) apart, and a quadruple i < j < k < m with no
-    collinear triple is cocircular exactly when the circumcenters of
-    (i, j, k) and (i, j, m) coincide, i.e. when k and m tie in that order.
+    The duplicates come from one sort of the points.  After them, each pair
+    i < j is decided over the later points x > j in O(n^3 log n) in all: a
+    point collinear with (i, j) is a violation, and a quadruple
+    i < j < k < m with no collinear triple is cocircular exactly when the
+    circumcenters of (i, j, k) and (i, j, m) coincide, i.e. when k and m
+    have the same s on the pair's bisector (see :func:`_bisector_order`).
     Four points on one circle never include three on a line, so leaving the
     collinear points out of the ties loses no quadruple.  The same argument
     lets a sweep of every pair over all other points certify a set (see
     :func:`_lent_grid`); this function stays the one that lists violations.
+
+    A float screen spares most pairs that sort.  Per pivot p = point i, each
+    later x gets the row Dx A, R = |A|^2 with A = Dp Dx (x - p); per
+    q = point j, with U = Dp Dq (q - p), the float of each x > j is
+    (Dq R - U . Dx A) / cross(U, Dx A), the rational 2 s_x (on the grid every
+    D is 1, and the grid's own comprehension skips the products by 1).
+    Python rounds int / int correctly, so equal values give equal floats
+    (0.0 == -0.0), and a zero cross raises ZeroDivisionError: a pair whose
+    floats are distinct, with no error or overflow, has no violation.  Only
+    the other pairs go to :func:`_bisector_order`, which lists their
+    violations.
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
@@ -387,11 +399,28 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
         return duplicates
     collinear: list[Violation] = []
     cocircular: list[Violation] = []
-    for i, j in combinations(range(n), 2):
-        order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
-        collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
-        tied = sorted(pair for group in order.ties for pair in combinations(sorted(group), 2))
-        cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)
+    for i in range(n - 1):
+        if local is None:
+            px, py = pts[i]
+            heads = [(x - px, y - py, 1) for x, y in pts[i + 1 :]]
+        else:
+            px, py, dp = local[i]
+            heads = [(dp * x - d * px, dp * y - d * py, d) for x, y, d in local[i + 1 :]]
+        rows = [(d * ax, d * ay, ax * ax + ay * ay) for ax, ay, d in heads]
+        for j, (ux, uy, dq) in enumerate(heads, i + 1):
+            try:
+                if local is None:
+                    keys = {(r2 - ux * ax - uy * ay) / (ux * ay - uy * ax) for ax, ay, r2 in rows[j - i :]}
+                else:
+                    keys = {(dq * r2 - ux * ax - uy * ay) / (ux * ay - uy * ax) for ax, ay, r2 in rows[j - i :]}
+                if len(keys) == n - 1 - j:
+                    continue  # the screen shows pair (i, j) free of violations
+            except (ZeroDivisionError, OverflowError):
+                pass
+            order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
+            collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
+            tied = sorted(pair for group in order.ties for pair in combinations(sorted(group), 2))
+            cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)
     violations = collinear + cocircular
     if not violations:
         ps.grid, ps.local = tuple(pts), local

@@ -650,6 +650,18 @@ def test_verify_rejects_a_check_selection_before_certifying(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "what, message",
+    [(["bogus"], "unknown render target 'bogus'"), (["profile", "0", "9"], "invalid pair (0, 9)")],
+)
+def test_render_rejects_its_target_before_certifying(tmp_path, capsys, what, message):
+    # Certifying these duplicate points would exit 3; the target is reported first.
+    src = tmp_path / "dup.txt"
+    src.write_text("0 0\n0 0\n1 2\n")
+    code, stdout, err = run_cli(["render", str(src), "--what", *what], capsys)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("name, p, q", [("rational12", 0, 5), ("rational12", 5, 0), ("random8", 2, 6)])
 def test_render_profile_matches_golden(capsys, name, p, q):
     # A rational set and both orientations of one pair: the ticks and labels

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import groupby, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,8 +23,8 @@ from circledepth import (
     validate_general_position,
     weight_sequence,
 )
-from circledepth import brute
-from circledepth.constructions import two_colored_convex
+from circledepth import brute, geom
+from circledepth.constructions import random_general_position, two_colored_convex
 from circledepth.geom import (
     Violation,
     _bisector_order,
@@ -257,12 +258,38 @@ crowded_point = st.tuples(st.integers(0, 3), st.sampled_from([0, Fraction(1, 2),
         st.lists(crowded_point, max_size=12),
     )
 )
+# The certifier's screen sends pair (0, 1) of each example to the exact sort
+# for its own reason: equal floats of distinct values, an overflow, and a
+# 0.0 / -0.0 tie.  The grid draws send pairs with a zero cross.
+@example(NEAR_COCIRCULAR)
+@example(BEYOND_FLOAT)
+@example(RIGHT_ANGLE_TIE)
 @settings(max_examples=150, deadline=None)
 def test_validate_matches_independent_scan(coords):
     ps = PointSet.from_coords(coords)
     violations = validate_general_position(ps)
     assert violations == general_position_violations(PointSet.from_coords(coords))
     assert (violations == []) == _scan_general_position(ps)
+
+
+def test_validate_sorts_exactly_only_the_pairs_its_screen_flags(monkeypatch):
+    sorted_pairs = []
+
+    def recording(ints, p, q, others, local=None):
+        sorted_pairs.append((p, q))
+        return _bisector_order(ints, p, q, others, local)
+
+    # Integer sets, and a rational one, whose screen takes the local form.
+    rational = parse_point_file((Path(__file__).parent / "data" / "rational12.txt").read_text())
+    clean = [random_general_position(30, 1, 10**6), two_colored_convex(6).points, rational.points]
+    monkeypatch.setattr(geom, "_bisector_order", recording)
+    for ps in clean:
+        assert validate_general_position(ps) == [] and sorted_pairs == []
+    # test_validate_matches_independent_scan checks what these return.
+    for coords in (NEAR_COCIRCULAR, BEYOND_FLOAT, RIGHT_ANGLE_TIE):
+        sorted_pairs.clear()
+        validate_general_position(PointSet.from_coords(coords))
+        assert (0, 1) in sorted_pairs
 
 
 def test_bisector_order_reports_collinear_points_apart():
