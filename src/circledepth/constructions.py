@@ -2,21 +2,18 @@
 
 Every generator is one search, ``_first_verified``, over a fixed and finite
 list of candidate sets built lazily in a fixed order.  It screens each
-candidate's claims on the candidate's lent integer grid, up to the first
-failure (a degenerate pair fails too), failure-first: the claim that
-rejected the previous candidate is tried first.  Only a candidate whose
+candidate's claims on the candidate's lent integer grid, in claim order up
+to the first failure (a degenerate pair fails too).  Only a candidate whose
 claims all hold is certified in general position, and the first that is
-certified is returned; the screen's order changes its cost, never which
-candidate is returned or what an error says.  Candidates are realized
-approximately (floats where the ideal angles are irrational) and snapped to
-integers or rationals; only the list says how a generator varies its
-layout.  The budgets are 200 samples for the two random generators, 7 slant
-patterns x 2 magnitudes x 8 jitter seeds for two_colored_convex, and 64
-jitter seeds or spacings for recursive_seven_region and
-halving_line_construction.  A generator never hands back an unverified set:
-when its list runs out it raises ConstructionError naming the generator, the
-number of candidates tried, and the last candidate's first failure with a
-count of the others.
+certified is returned.  Candidates are realized approximately (floats where
+the ideal angles are irrational) and snapped to integers or rationals; only
+the list says how a generator varies its layout.  The budgets are 200
+samples for the two random generators, 8 jitter seeds for
+two_colored_convex, and 64 jitter seeds or spacings for
+recursive_seven_region and halving_line_construction.  A generator never
+hands back an unverified set: when its list runs out it raises
+ConstructionError naming the generator, the number of candidates tried, and
+the last candidate's first failure with a count of the others.
 """
 
 from __future__ import annotations
@@ -157,24 +154,18 @@ def _claim_checker(ps: PointSet) -> Callable[[Claim], str | None]:
     return failure
 
 
-def _claims_hold(out: ConstructionOutput, order: list[int]) -> bool:
-    """Whether every claim holds on the candidate's lent grid.
+def _claims_hold(out: ConstructionOutput) -> bool:
+    """Whether every claim holds on the candidate's lent grid, checked in claim order.
 
-    Claims are tried in ``order``, a permutation of the claim indices, up to
-    the first failure, and the claim that failed is moved to the front of
-    ``order``.  A duplicate point or a degenerate swept pair counts as a
-    failure: the set could not be certified.
+    The check stops at the first failure.  A duplicate point or a degenerate
+    swept pair counts as a failure: the set could not be certified.
     """
     try:
         with _lent_grid(out.points):
             failure = _claim_checker(out.points)
-            for at, index in enumerate(order):
-                if failure(out.claims[index]) is not None:
-                    order.insert(0, order.pop(at))
-                    return False
+            return all(failure(claim) is None for claim in out.claims)
     except DegenerateInputError:
         return False
-    return True
 
 
 def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> ConstructionOutput:
@@ -182,27 +173,18 @@ def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> Cons
 
     Each candidate is first screened on its lent grid, up to its first
     failing claim, so a rejected candidate costs only the sweeps that
-    failure needed.  The screen keeps one claim order for the whole search
-    and moves each failing claim to its front: layouts in one list tend to
-    fail the same claims, so the next candidate is tried first on the claim
-    that rejected the one before.  A candidate passes the screen only if
-    every claim holds, so the order never changes which candidate passes.
-    Only a candidate that passes is certified, and it is returned without
-    checking its claims again: the lent grid and local form the screen read
-    are the ones certification stores, so the claims would read the same
-    integers and hold again.  ``what`` names the generator in the
-    ConstructionError raised when no candidate passes; the error reports the
-    last candidate's first failure (certification's, or else the claims' in
-    claim order) and counts the rest, so its length does not grow with the
-    set.
+    failure needed.  Only a candidate that passes is certified, and it is
+    returned without checking its claims again: the lent grid and local form
+    the screen read are the ones certification stores, so the claims would
+    read the same integers and hold again.  ``what`` names the generator in
+    the ConstructionError raised when no candidate passes; the error reports
+    the last candidate's first failure (certification's, or else the claims'
+    in claim order) and counts the rest, so its length does not grow with
+    the set.
     """
-    tried, last, order = 0, None, []
+    tried, last = 0, None
     for tried, last in enumerate(candidates, 1):
-        if len(order) != len(last.claims):
-            order = list(range(len(last.claims)))
-        if not _claims_hold(last, order):
-            continue
-        if not validate_general_position(last.points):
+        if _claims_hold(last) and not validate_general_position(last.points):
             return last
     if last is None:
         raise ConstructionError(f"{what}: no candidate to try")
@@ -265,10 +247,18 @@ def random_convex(n: int, seed: int) -> PointSet:
     return _first_verified(f"random_convex(n={n}, seed={seed})", layouts()).points
 
 
-def _two_colored_layout(
-    n: int, sizes: list[int], slants: tuple[int, int, int, int], magnitude: int, seed: int
-) -> list[tuple[int, int]]:
-    """Coordinates of one candidate layout for two_colored_convex."""
+def _two_colored_layout(n: int, sizes: list[int], seed: int) -> list[tuple[int, int]]:
+    """Coordinates of one candidate layout for two_colored_convex.
+
+    Each cluster's radius rises by 10^6 per point along its arc, about a
+    common radius of 10^12, plus a jitter of at most 100 drawn from the
+    seed.  One slant is enough: a scan of a wider search (seven radial
+    slant-sign patterns per cluster, at magnitudes 10^6 and 10^5, each with
+    8 jitter seeds) over n = 2..48 found that past n = 6 the first layout to
+    verify always had this slant at 10^6, at seed 0, 1 or 2, that its seed
+    0 verifies at n = 2..6 as well, and that no layout of the wider search
+    verified at n = 17, 19, 21, 23 or 25-48.
+    """
     radius = 10**12
     arc = 0.001
     jitter = 100
@@ -278,26 +268,10 @@ def _two_colored_layout(
         base = math.pi / 4 + ci * math.pi / 2
         for k in range(size):
             theta = base + (k - (size - 1) / 2) / max(size, 1) * arc
-            r = radius + magnitude * slants[ci] * (k - (size - 1) / 2)
+            r = radius + 10**6 * (k - (size - 1) / 2)
             r += rng.below(2 * jitter + 1) - jitter
             coords.append((round(r * math.cos(theta)), round(r * math.sin(theta))))
     return coords
-
-
-# Radial slant-sign patterns per cluster, tried in order.  Which pattern puts
-# every red-blue pair's cluster transitions on the favourable side of the far
-# clusters' events depends on n's parity and the cluster sizes, so the
-# generator searches this fixed list and returns the first layout whose
-# claims verify exactly.
-_TWO_COLOR_PATTERNS = [
-    (1, -1, 1, -1),
-    (-1, 1, -1, 1),
-    (1, 1, -1, -1),
-    (1, -1, -1, 1),
-    (0, 0, 0, 0),
-    (1, 1, 1, 1),
-    (-1, -1, -1, -1),
-]
 
 
 def two_colored_convex(n: int) -> ConstructionOutput:
@@ -306,10 +280,10 @@ def two_colored_convex(n: int) -> ConstructionOutput:
     Clusters of floor(n/2) or ceil(n/2) points sit on tiny arcs of a common
     circle at 45, 135, 225 and 315 degrees, colored R, B, R, B around the
     circle.  The attached claim: every red-blue pair admits a circle through
-    it enclosing at most floor(n/2) points.  Cluster radial slants control
-    the order of bisector events; the candidates run over the fixed pattern
-    list, then magnitudes 10^6 and 10^5, then jitter seeds 0..7, and the
-    first layout that verifies is returned, so output is deterministic in n.
+    it enclosing at most floor(n/2) points.  The clusters' radial slant
+    controls the order of bisector events; the candidates are jitter seeds
+    0..7 of one layout, and the first that verifies is returned, so output
+    is deterministic in n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -328,13 +302,7 @@ def two_colored_convex(n: int) -> ConstructionOutput:
         for p, q in pairs
     ]
     candidates = (
-        ConstructionOutput(
-            PointSet.from_coords(_two_colored_layout(n, sizes, pattern, magnitude, seed), cols),
-            pairs,
-            claims,
-        )
-        for pattern in _TWO_COLOR_PATTERNS
-        for magnitude in (10**6, 10**5)
+        ConstructionOutput(PointSet.from_coords(_two_colored_layout(n, sizes, seed), cols), pairs, claims)
         for seed in range(8)
     )
     return _first_verified(f"two_colored_convex(n={n})", candidates)

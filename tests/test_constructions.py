@@ -329,19 +329,25 @@ def test_two_colored_convex_error_names_the_first_failure_in_claim_order():
     with pytest.raises(ConstructionError) as info:
         two_colored_convex(17)
     assert str(info.value) == (
-        "two_colored_convex(n=17): none of 112 candidates verified; the last failed with "
-        "red-blue pair (0, 10) has a circle enclosing <= 8 points: min weight 9 (23 in all)"
+        "two_colored_convex(n=17): none of 8 candidates verified; the last failed with "
+        "red-blue pair (1, 17) has a circle enclosing <= 8 points: min weight 9 (4 in all)"
     )
 
 
-def test_two_colored_convex_screens_failure_first(monkeypatch):
-    # Screening every rejected layout in claim order sweeps 2886 pairs here.
-    calls = []
-
-    def counting(ps, p, q):
-        calls.append((p, q))
-        return weight_sequence(ps, p, q)
-
-    monkeypatch.setattr(constructions, "weight_sequence", counting)
-    two_colored_convex(12)
-    assert len(calls) < 700
+def test_two_colored_convex_screens_and_certifies_one_layout_at_the_benchmark_size(monkeypatch):
+    # Seed 0 verifies at n = 12, so the search screens one layout, certifies
+    # it and sweeps each of its 12 x 12 red-blue pairs once.
+    screened, certified, swept = [], [], []
+    real_screen = constructions._claims_hold
+    monkeypatch.setattr(constructions, "_claims_hold", lambda out: screened.append(out) or real_screen(out))
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: certified.append(ps) or validate_general_position(ps),
+    )
+    monkeypatch.setattr(
+        constructions, "weight_sequence", lambda ps, p, q: swept.append((p, q)) or weight_sequence(ps, p, q)
+    )
+    out = two_colored_convex(12)
+    assert screened == [out] and certified == [out.points]
+    assert sorted(swept) == sorted(out.designated_pairs) and len(swept) == 144
