@@ -1,15 +1,13 @@
 """Point-set generators: random instances and three extremal constructions.
 
 Every generator is one search, ``_first_verified``, over a fixed and finite
-list of candidate sets built lazily in a fixed order.  It screens each
-candidate's claims on the candidate's lent integer grid, in claim order up
-to the first failure (a degenerate pair fails too).  Only a candidate whose
-claims all hold is certified in general position, and the first that is
-certified is returned.  Candidates are realized approximately (floats where
-the ideal angles are irrational) and snapped to integers or rationals; only
-the list says how a generator varies its layout.  The budgets are 200
-samples for the two random generators, 8 jitter seeds for
-two_colored_convex, and 64 jitter seeds or spacings for
+list of candidate sets built lazily in a fixed order.  Each candidate is
+certified in general position, then its claims are checked in claim order,
+and the first candidate with no failure is returned.  Candidates are
+realized approximately (floats where the ideal angles are irrational) and
+snapped to integers or rationals; only the list says how a generator varies
+its layout.  The budgets are 200 samples for the two random generators, 8
+jitter seeds for two_colored_convex, and 64 jitter seeds or spacings for
 recursive_seven_region and halving_line_construction.  A generator never
 hands back an unverified set: when its list runs out it raises
 ConstructionError naming the generator, the number of candidates tried, and
@@ -19,18 +17,16 @@ the last candidate's first failure with a count of the others.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import cache, partial
 from typing import NamedTuple
 
 from .geom import (
     Color,
-    DegenerateInputError,
     PointSet,
     convex_hull,
     snap_to_rational,
     validate_general_position,
-    _lent_grid,
     _orient_int,
 )
 from .depth import weight_sequence
@@ -103,92 +99,66 @@ class ConstructionOutput:
 
 
 def claim_failures(out: ConstructionOutput) -> list[str]:
-    """Re-verify every claim in claim order; returns human-readable failure descriptions."""
-    failure = _claim_checker(out.points)
-    return [text for text in map(failure, out.claims) if text is not None]
+    """Check each claim of a certified output in claim order; returns a description per failure.
 
-
-def _claim_checker(ps: PointSet) -> Callable[[Claim], str | None]:
-    """A function from one claim to its failure description on ``ps``, or None if it holds.
-
-    ``ps`` must carry its integer grid, certified or lent.  Each swept pair's
-    weights are kept, so claims on one pair share its sweep.
+    Each swept pair's weights are kept, so claims on one pair share its sweep.
     """
+    ps = out.points
     ints = ps.require_certified()
     n = len(ps)
     sweep = cache(partial(weight_sequence, ps))
-
-    def failure(claim: Claim) -> str | None:
-        kind, params = claim.kind, claim.params
+    failures = []
+    for claim in out.claims:
+        kind, params, text = claim.kind, claim.params, claim.description
         if kind == "halving-pair":
             p, q = params["pair"]
             others = (ints[x] for x in range(n) if x != p and x != q)
             left = sum(_orient_int(ints[p], ints[q], x) > 0 for x in others)
             if 2 * left != n - 2:
-                return f"{claim.description}: sides {left}/{n - 2 - left}"
+                failures.append(f"{text}: sides {left}/{n - 2 - left}")
         elif kind == "weights-within":
             w = sweep(*params["pair"])
             if not all(params["lo"] <= v <= params["hi"] for v in w):
-                return f"{claim.description}: range [{min(w)}, {max(w)}]"
+                failures.append(f"{text}: range [{min(w)}, {max(w)}]")
         elif kind == "endpoint-weights":
             w = sweep(*params["pair"])
             if {w[0], w[-1]} != {params["a"], params["b"]}:
-                return f"{claim.description}: ends {{{w[0]}, {w[-1]}}}"
+                failures.append(f"{text}: ends {{{w[0]}, {w[-1]}}}")
         elif kind == "repeated-values":
             w = sweep(*params["pair"])
             for value in range(params["lo"], params["hi"] + 1):
                 mult = w.count(value)
                 if mult < params["times"]:
-                    return f"{claim.description}: value {value} occurs {mult}x"
+                    failures.append(f"{text}: value {value} occurs {mult}x")
+                    break
         elif kind == "pair-min-below":
             w = sweep(*params["pair"])
             if min(w) > params["bound"]:
-                return f"{claim.description}: min weight {min(w)}"
+                failures.append(f"{text}: min weight {min(w)}")
         elif kind == "convex-position":
             if len(convex_hull([cp.point for cp in ps.points])) != n:
-                return f"{claim.description}: hull misses points"
+                failures.append(f"{text}: hull misses points")
         else:
-            return f"unknown claim kind {kind!r}"
-        return None
-
-    return failure
-
-
-def _claims_hold(out: ConstructionOutput) -> bool:
-    """Whether every claim holds on the candidate's lent grid, checked in claim order.
-
-    The check stops at the first failure.  A duplicate point or a degenerate
-    swept pair counts as a failure: the set could not be certified.
-    """
-    try:
-        with _lent_grid(out.points):
-            failure = _claim_checker(out.points)
-            return all(failure(claim) is None for claim in out.claims)
-    except DegenerateInputError:
-        return False
+            failures.append(f"unknown claim kind {kind!r}")
+    return failures
 
 
 def _first_verified(what: str, candidates: Iterable[ConstructionOutput]) -> ConstructionOutput:
     """The first candidate in general position whose claims all verify.
 
-    Each candidate is first screened on its lent grid, up to its first
-    failing claim, so a rejected candidate costs only the sweeps that
-    failure needed.  Only a candidate that passes is certified, and it is
-    returned without checking its claims again: the lent grid and local form
-    the screen read are the ones certification stores, so the claims would
-    read the same integers and hold again.  ``what`` names the generator in
-    the ConstructionError raised when no candidate passes; the error reports
-    the last candidate's first failure (certification's, or else the claims'
-    in claim order) and counts the rest, so its length does not grow with
-    the set.
+    Each candidate is certified, then its claims are checked in claim order.
+    ``what`` names the generator in the ConstructionError raised when no
+    candidate passes; the error reports the last candidate's first failure
+    (certification's, or else the claims') and counts the rest, so its
+    length does not grow with the set.
     """
-    tried, last = 0, None
-    for tried, last in enumerate(candidates, 1):
-        if _claims_hold(last) and not validate_general_position(last.points):
-            return last
-    if last is None:
+    failures = None
+    for tried, out in enumerate(candidates, 1):
+        failures = validate_general_position(out.points) or claim_failures(out)
+        if not failures:
+            return out
+    if failures is None:
         raise ConstructionError(f"{what}: no candidate to try")
-    failures = validate_general_position(last.points) or claim_failures(last)
     raise ConstructionError(
         f"{what}: none of {tried} candidates verified; "
         f"the last failed with {failures[0]} ({len(failures)} in all)"

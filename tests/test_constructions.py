@@ -253,21 +253,22 @@ def test_search_reports_empty_candidate_list():
         _first_verified("empty(n=0)", iter(()))
 
 
-def test_search_certifies_only_a_candidate_whose_claims_hold(monkeypatch):
-    certified = []
-
-    def counting(ps):
-        certified.append(ps)
-        return validate_general_position(ps)
-
-    monkeypatch.setattr(constructions, "validate_general_position", counting)
+def test_search_certifies_each_candidate_before_its_claims(monkeypatch):
+    steps = []
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: steps.append(("certify", ps)) or validate_general_position(ps),
+    )
+    monkeypatch.setattr(
+        constructions, "claim_failures", lambda out: steps.append(("claims", out)) or claim_failures(out)
+    )
     always = Claim("weights-within", {"pair": (0, 1), "lo": 0, "hi": 99}, "pair (0, 1) anything")
-    # Pair (0, 1) sweeps clean, but 2, 3 and 4 lie on a line: only the
-    # certifier sees it.
+    # Pair (0, 1) sweeps clean, but 2, 3 and 4 lie on a line.
     off_the_pair = ConstructionOutput(
         PointSet.from_coords([(0, 0), (10, 1), (3, 7), (5, 8), (7, 9)]), claims=[always]
     )
-    # Point 2 lies on the line of pair (0, 1): its sweep raises, a failure.
+    # Point 2 lies on the line of pair (0, 1).
     on_the_pair = ConstructionOutput(
         PointSet.from_coords([(0, 0), (1, 0), (2, 0), (5, 8), (7, 9)]), claims=[always]
     )
@@ -275,54 +276,27 @@ def test_search_certifies_only_a_candidate_whose_claims_hold(monkeypatch):
         PointSet.from_coords([(0, 0), (10, 1), (3, 7), (5, 9), (8, 4)]), claims=[always]
     )
     assert _first_verified("mixed(n=5)", [on_the_pair, off_the_pair, clean]) is clean
-    assert certified == [off_the_pair.points, clean.points]
+    assert steps == [
+        ("certify", on_the_pair.points),
+        ("certify", off_the_pair.points),
+        ("certify", clean.points),
+        ("claims", clean),
+    ]
     assert on_the_pair.points.grid is None and off_the_pair.points.grid is None
     assert clean.points.gp_certified
 
 
-def test_two_colored_convex_certifies_one_layout(monkeypatch):
-    # Every rejected layout fails a claim before certification.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_two_colored_convex_sweeps_the_accepted_layout_once(monkeypatch, n):
+    # The claims are checked once, on the returned output, after it is certified.
     calls = []
     monkeypatch.setattr(
         constructions,
-        "validate_general_position",
-        lambda ps: calls.append(ps) or validate_general_position(ps),
+        "claim_failures",
+        lambda out: calls.append((out, out.points.gp_certified)) or claim_failures(out),
     )
-    out = two_colored_convex(12)
-    assert calls == [out.points] and out.points.gp_certified
-
-
-def _plain_search(candidates):
-    """Slow reference: certify each candidate, then verify all its claims in claim order."""
-    for out in candidates:
-        if not (validate_general_position(out.points) or claim_failures(out)):
-            return out
-    return None
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
-def test_two_colored_convex_accepts_what_a_plain_search_accepts(monkeypatch, n):
-    searches = []
-    real = constructions._first_verified
-
-    def capturing(what, candidates):
-        searches.append(list(candidates))
-        return real(what, searches[-1])
-
-    monkeypatch.setattr(constructions, "_first_verified", capturing)
     out = two_colored_convex(n)
-    [candidates] = searches
-    assert _plain_search(candidates) is out
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
-def test_two_colored_convex_sweeps_the_accepted_layout_once(monkeypatch, n):
-    # The screen has checked every claim on the grid certification stores,
-    # so a successful search never runs claim_failures.
-    calls = []
-    monkeypatch.setattr(constructions, "claim_failures", lambda out: calls.append(out) or [])
-    assert two_colored_convex(n).points.gp_certified
-    assert calls == []
+    assert calls == [(out, True)]
 
 
 def test_two_colored_convex_error_names_the_first_failure_in_claim_order():
@@ -334,12 +308,26 @@ def test_two_colored_convex_error_names_the_first_failure_in_claim_order():
     )
 
 
+def test_two_colored_convex_exhausted_search_certifies_and_checks_each_candidate_once(monkeypatch):
+    # All 8 candidates at n = 17 are in general position and each fails a
+    # claim: 8 certifications, 8 claim checks, and no set certified twice.
+    certified, checked = [], []
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: certified.append(ps) or validate_general_position(ps),
+    )
+    monkeypatch.setattr(constructions, "claim_failures", lambda out: checked.append(out) or claim_failures(out))
+    with pytest.raises(ConstructionError, match="none of 8 candidates verified"):
+        two_colored_convex(17)
+    assert len(certified) == 8 and len({id(ps) for ps in certified}) == 8
+    assert len(checked) == 8
+
+
 def test_two_colored_convex_screens_and_certifies_one_layout_at_the_benchmark_size(monkeypatch):
-    # Seed 0 verifies at n = 12, so the search screens one layout, certifies
-    # it and sweeps each of its 12 x 12 red-blue pairs once.
-    screened, certified, swept = [], [], []
-    real_screen = constructions._claims_hold
-    monkeypatch.setattr(constructions, "_claims_hold", lambda out: screened.append(out) or real_screen(out))
+    # Seed 0 verifies at n = 12, so the search certifies one layout and
+    # sweeps each of its 12 x 12 red-blue pairs once.
+    certified, swept = [], []
     monkeypatch.setattr(
         constructions,
         "validate_general_position",
@@ -349,5 +337,5 @@ def test_two_colored_convex_screens_and_certifies_one_layout_at_the_benchmark_si
         constructions, "weight_sequence", lambda ps, p, q: swept.append((p, q)) or weight_sequence(ps, p, q)
     )
     out = two_colored_convex(12)
-    assert screened == [out] and certified == [out.points]
+    assert certified == [out.points] and out.points.gp_certified
     assert sorted(swept) == sorted(out.designated_pairs) and len(swept) == 144
