@@ -23,7 +23,9 @@ Every kernel here decides its signs on integers that
 :func:`~circledepth.geom.validate_general_position` (or a clean
 :func:`sweep_totals`) stores on the set when it certifies it.  The sweep
 (:func:`weight_sequence`) reads each point on its own denominators,
-``PointSet.local``, so a rational set costs about what an integer one does;
+``PointSet.local``, so a rational set costs about what an integer one does,
+and reads an integer set whose coordinates span less than 2^25 as
+``PointSet.floats``, doubles that hold every integer it forms exactly;
 the references (:func:`oracle_weights`, O(n^3 log n) over all pairs,
 :func:`triple_counts` and :func:`j_edge_counts`) read the common integer
 grid that :meth:`PointSet.require_certified` returns, and so share no
@@ -61,8 +63,9 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> tuple[int, ...]:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
     The sweep sorts on the integers stored on ``ps`` by certification or
-    lent for a sweep: the local form (:attr:`PointSet.local`), or the grid
-    when every point is integral.  Before the first event every point whose
+    lent for a sweep: the local form (:attr:`PointSet.local`), or when every
+    point is integral the grid, as exact doubles where the set's spread
+    allows (:attr:`PointSet.floats`).  Before the first event every point whose
     side is s < s_x is enclosed, and each event adds or removes its point:
     the weights are a running sum of the sides in sorted order.  Here the
     sweep asserts that the set does not degenerate on the pair: a point
@@ -76,7 +79,7 @@ def weight_sequence(ps: PointSet, p: int, q: int) -> tuple[int, ...]:
         raise ValueError("pair indices must differ")
     lo, hi = (p, q) if p < q else (q, p)
     others = [*range(lo), *range(lo + 1, hi), *range(hi + 1, len(ints))]
-    order, collinear = _bisector_order(ints, p, q, others, ps.local)
+    order, collinear = _bisector_order(ps.floats or ints, p, q, others, ps.local)
     if collinear:
         raise DegenerateInputError("collinear triple on a swept pair", (p, q, collinear[0]))
     if order.ties:
@@ -434,8 +437,8 @@ def sweep_totals(
     The first degeneracy raises :class:`DegenerateInputError` (from a
     worker too) and leaves the set uncertified;
     :func:`~circledepth.geom.validate_general_position` lists every
-    violation.  A clean fold stores the grid and the local form on the set,
-    the same ones that function would store.
+    violation.  A clean fold stores the grid, the local form and the float
+    copy on the set, the same ones that function would store.
 
     A given list, empty or not, needs a certified set, since a partial sweep
     certifies nothing, and gives ``triples=None``.
@@ -444,10 +447,10 @@ def sweep_totals(
         ps.require_certified()
         return _fold(ps, pairs, jobs).totals(every_pair=False)
     with nullcontext(ps.grid) if ps.gp_certified else _lent_grid(ps) as grid:
-        local = ps.local
+        local, floats = ps.local, ps.floats
         total = _fold(ps, all_pairs(len(ps)), jobs)
     # Every pair swept clean: the set is in general position.
-    ps.grid, ps.local = grid, local
+    ps.grid, ps.local, ps.floats = grid, local, floats
     return total.totals(every_pair=True)
 
 

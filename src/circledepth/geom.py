@@ -3,7 +3,10 @@
 Every coordinate is a `fractions.Fraction`, so all predicates decide signs
 exactly and every identity downstream is an integer equality, never a
 tolerance comparison.  Predicates clear denominators internally and work on
-plain Python integers, which keeps the common all-integer case fast.
+plain Python integers, which keeps the common all-integer case fast.  On an
+integer set whose coordinates span less than 2^25 the sweep and the
+certifier's screen take those integers as doubles, which hold every value
+they form exactly (see :class:`PointSet`).
 """
 
 from __future__ import annotations
@@ -70,12 +73,25 @@ class PointSet:
     bisector sweep and the certifier (:func:`_bisector_order`) read it, so a
     pair's events cost what the pair's points need, not what the whole set
     needs.  It is None when every D is 1: the grid is then the points
-    themselves, and the sweep reads the grid.
+    themselves, and the sweep reads the grid or its float copy.
 
-    Both are set only on a set in general position, by
+    ``floats`` is that float copy: when ``local`` is None and the grid's
+    x-range and y-range are both below 2^25 (:data:`FLOAT_SPREAD`), the
+    grid translated by its least x and y, as doubles; otherwise None.  Every
+    coordinate of it is an integer in [0, 2^25), so every difference of two
+    is below 2^25 in magnitude and every product of two differences below
+    2^50.  The sweep's num and cross are sums of two such products, below
+    2^51, and the certifier's screen values are below 2^53: integers that a
+    double holds exactly.  So each +, - and * on them is exact, and
+    num / cross is the correctly rounded quotient, the same float that
+    int / int gives on the grid.  The sweep and the certifier's screen read
+    it in place of the grid; no reference reads it, so no product of degree
+    3 or more ever sees a float.
+
+    The three are set only on a set in general position, by
     :func:`validate_general_position` or by a sweep of every pair that met
     no degeneracy (:func:`circledepth.depth.sweep_totals`), and a violation
-    clears both: one collinear triple or cocircular quadruple breaks the
+    clears them: one collinear triple or cocircular quadruple breaks the
     strict-sign reasoning of the depth machinery.  They are a snapshot taken
     by certification, so a set whose ``points`` change must be certified
     again.  Indices are stable: operations name points by position in
@@ -86,11 +102,14 @@ class PointSet:
         self.points = [] if points is None else points
         self.grid: tuple[tuple[int, int], ...] | None = None
         self.local: tuple[tuple[int, int, int], ...] | None = None
+        self.floats: tuple[tuple[float, float], ...] | None = None
 
     def __eq__(self, other):  # also makes the set unhashable, as it is mutable
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.points, self.grid, self.local) == (other.points, other.grid, other.local)
+        return (self.points, self.grid, self.local, self.floats) == (
+            other.points, other.grid, other.local, other.floats
+        )
 
     def __repr__(self) -> str:
         return f"PointSet(points={self.points!r})"
@@ -154,6 +173,24 @@ def _grid_and_local(
     return [(x * (lcm // d), y * (lcm // d)) for x, y, d in local], tuple(local)
 
 
+# Coordinates that span less than this take the float copy (see PointSet).
+FLOAT_SPREAD = 1 << 25
+
+
+def _float_copy(
+    grid: Sequence[tuple[int, int]], local: Sequence[tuple[int, int, int]] | None
+) -> tuple[tuple[float, float], ...] | None:
+    """The float copy of an integral set (see :class:`PointSet`), or None
+    when the set has a local form, is empty, or spans 2^25 or more."""
+    if local is not None or not grid:
+        return None
+    xs, ys = [x for x, _ in grid], [y for _, y in grid]
+    x0, y0 = min(xs), min(ys)
+    if max(xs) - x0 >= FLOAT_SPREAD or max(ys) - y0 >= FLOAT_SPREAD:
+        return None
+    return tuple((float(x - x0), float(y - y0)) for x, y in grid)
+
+
 def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Index pairs i < j with pts[i] == pts[j], in lexicographic order.
 
@@ -175,23 +212,24 @@ def _lent_grid(ps: PointSet) -> Iterator[tuple[tuple[int, int], ...]]:
     """Lend an uncertified ``ps`` its integer grid for the length of a sweep.
 
     Raises :class:`DegenerateInputError` naming the first two coincident
-    points, if any; otherwise stores the grid as ``ps.grid`` and the local
-    form as ``ps.local``, and yields the grid.  The lend is safe because
+    points, if any; otherwise stores the grid as ``ps.grid``, the local
+    form as ``ps.local`` and the float copy as ``ps.floats``, and yields the
+    grid.  The lend is safe because
     :func:`circledepth.depth.weight_sequence` raises on every collinear
-    point or tie of the pair it sweeps.  Both are cleared when the block
-    exits, whether or not it raised, so a lend is never left behind as a
-    certification: only a caller that swept every pair clean may store them
-    on the set again.
+    point or tie of the pair it sweeps.  All three are cleared when the
+    block exits, whether or not it raised, so a lend is never left behind as
+    a certification: only a caller that swept every pair clean may store
+    them on the set again.
     """
     pts, local = _grid_and_local([cp.point for cp in ps.points])
     duplicates = _duplicate_pairs(pts)
     if duplicates:
         raise DegenerateInputError("duplicate points", duplicates[0])
-    ps.grid, ps.local = tuple(pts), local
+    ps.grid, ps.local, ps.floats = tuple(pts), local, _float_copy(pts, local)
     try:
         yield ps.grid
     finally:
-        ps.grid = ps.local = None
+        ps.grid = ps.local = ps.floats = None
 
 
 def _sign(value: int) -> int:
@@ -234,9 +272,11 @@ def _exact_keys(nums: list[int], crosses: list[int]) -> list[int]:
 class BisectorOrder(NamedTuple):
     """One bisector's sort, from :func:`_bisector_order`: ``others`` are the
     points with a circumcenter on it, in the order given, with their num and
-    signed cross (2 s = num / cross; cross > 0 for a point left of p->q);
-    ``rank`` lists positions into ``others`` in increasing s, and ``ties``
-    the groups of points with equal s, each in that order."""
+    signed cross (2 s = num / cross; cross > 0 for a point left of p->q),
+    integers, held as exact doubles when the sort read the float copy (see
+    :class:`PointSet`); ``rank`` lists positions into ``others`` in
+    increasing s, and ``ties`` the groups of points with equal s, each in
+    that order."""
 
     others: list[int]
     nums: list[int]
@@ -270,16 +310,22 @@ def _bisector_order(
     and b = L X - Dx q' are L Dx (x - p) and L Dx (x - q), so num = a . b
     and cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
     ``local`` is None (every point integral, or a hand-built grid) they are
-    taken on the integer grid ``ints``.  The references never come here;
-    they read the grid.
+    taken on ``ints``: the integer grid, or its float copy, whose
+    coordinates lie in [0, 2^25) (see :class:`PointSet`).  On the copy each
+    difference is below 2^25 in magnitude, each of the four products below
+    2^50, and num and cross, sums of two products, below 2^51, so a double
+    holds every value exactly and num and cross are the grid's integers.
+    The references never come here; they read the grid.
 
-    The key is the float num / cross, which Python rounds correctly, and
+    The key is the float num / cross, which Python rounds correctly (int /
+    int on the grid, one IEEE division on the copy: the same float), and
     correct rounding is monotone: distinct floats order the points exactly
     as s does, with no ties.  Only when two floats are equal (0.0 and -0.0
     too) or a quotient overflows does the bisector sort on
-    :func:`_exact_keys`, which finds its ties; the sort is stable, so tied
-    points keep the order of ``others``.  A zero cross is an x collinear
-    with p and q, with no circumcenter: these are the second list.
+    :func:`_exact_keys`, on num and cross as ints, which finds its ties; the
+    sort is stable, so tied points keep the order of ``others``.  A zero
+    cross is an x collinear with p and q, with no circumcenter: these are
+    the second list.
     """
     # A display, not list(): it draws its list object from CPython's free
     # list, so a sweep's traced memory does not depend on that list's state.
@@ -317,7 +363,7 @@ def _bisector_order(
     except OverflowError:
         exact = True
     if exact:
-        keys = _exact_keys(nums, crosses)
+        keys = _exact_keys([*map(int, nums)], [*map(int, crosses)])
     rank = sorted(range(len(keys)), key=keys.__getitem__)
     groups = ([others[i] for i in group] for _, group in groupby(rank, key=keys.__getitem__))
     ties = [group for group in groups if len(group) > 1] if exact else []
@@ -359,8 +405,9 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     """List duplicates, collinear triples and cocircular quadruples.
 
     Returns an empty list exactly when the set is in general position, and
-    then stores the integer grid as ``ps.grid`` and the local form it
-    decided on as ``ps.local``; a violation clears both.  Violations are
+    then stores the integer grid as ``ps.grid``, the local form it decided
+    on as ``ps.local`` and the float copy as ``ps.floats`` (see
+    :class:`PointSet`); a violation clears all three.  Violations are
     data, not errors: callers (e.g. the construction generators) repair the
     named tuples.  Quadruples containing a collinear triple are skipped; the
     triple itself is already reported.
@@ -381,28 +428,34 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     q = point j, with U = Dp Dq (q - p), the float of each x > j is
     (Dq R - U . Dx A) / cross(U, Dx A), the rational 2 s_x (on the grid every
     D is 1, and the grid's own comprehension skips the products by 1).
-    Python rounds int / int correctly, so equal values give equal floats
+    Where the set has a float copy, the rows and the screen read it: R is
+    below 2^51, each U . A term below 2^50 and so every partial sum below
+    2^53, and cross(U, A) below 2^51, all integers that a double holds
+    exactly, so each float is the one int / int gives on the grid.  Python
+    rounds int / int correctly, so equal values give equal floats
     (0.0 == -0.0), and a zero cross raises ZeroDivisionError: a pair whose
     floats are distinct, with no error or overflow, has no violation.  Only
-    the other pairs go to :func:`_bisector_order`, which lists their
-    violations.
+    the other pairs go to :func:`_bisector_order`, on the same form, which
+    lists their violations.
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
     pts, local = _grid_and_local([cp.point for cp in ps.points])
     n = len(pts)
-    ps.grid = ps.local = None
+    ps.grid = ps.local = ps.floats = None
     duplicates = [Violation("duplicate", pair) for pair in _duplicate_pairs(pts)]
     if duplicates:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.
         return duplicates
+    floats = _float_copy(pts, local)
+    coords = floats or pts
     collinear: list[Violation] = []
     cocircular: list[Violation] = []
     for i in range(n - 1):
         if local is None:
-            px, py = pts[i]
-            heads = [(x - px, y - py, 1) for x, y in pts[i + 1 :]]
+            px, py = coords[i]
+            heads = [(x - px, y - py, 1) for x, y in coords[i + 1 :]]
         else:
             px, py, dp = local[i]
             heads = [(dp * x - d * px, dp * y - d * py, d) for x, y, d in local[i + 1 :]]
@@ -417,13 +470,13 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
                     continue  # the screen shows pair (i, j) free of violations
             except (ZeroDivisionError, OverflowError):
                 pass
-            order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
+            order, on_line = _bisector_order(coords, i, j, range(j + 1, n), local)
             collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
             tied = sorted(pair for group in order.ties for pair in combinations(sorted(group), 2))
             cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)
     violations = collinear + cocircular
     if not violations:
-        ps.grid, ps.local = tuple(pts), local
+        ps.grid, ps.local, ps.floats = tuple(pts), local, floats
     return violations
 
 

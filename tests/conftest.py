@@ -99,8 +99,18 @@ def fork_small_maps(monkeypatch):
 # are in general position.  RIGHT_ANGLE_TIE is not: points 2 and 3 see pair
 # (0, 1) at a right angle, so both sit at s = 0, one with the float key 0.0
 # and the other with -0.0.
+#
+# NEAR_COCIRCULAR_SMALL is the same case within the float copy's bound
+# (geom.FLOAT_SPREAD): its coordinates span less than 2^25, so the sweep and
+# the certifier read it as doubles, and on pair (0, 1) points 2 and 3 have
+# distinct s (nums and crosses of 47 to 50 bits) whose floats are both
+# -4.7899962744382405.  It is in general position, four points near a circle
+# of radius about 2^24.
 _A, _M1, _M2 = 343796015, 299303201, 518408351  # M2^2 - 3 M1^2 = -2
 NEAR_COCIRCULAR = [(-_A, 0), (_A, 0), (_A * _M1, _A), (_A * _M2, 3 * _A)]
+NEAR_COCIRCULAR_SMALL = [
+    (30719070, 26106757), (33287273, 19749359), (25385928, 2379102), (18975384, 146411)
+]
 BEYOND_FLOAT = [(0, 0), (10**200, 1), (2 * 10**200 + 1, 2), (5, 7)]
 RIGHT_ANGLE_TIE = [(0, 0), (4, 0), (2, 2), (2, -2), (1, 5)]
 

@@ -130,6 +130,20 @@ def test_seven_region_two_levels_has_more_repeat_orders():
     assert len(deep.designated_pairs) == 9
 
 
+@pytest.mark.parametrize("g, levels", [(7, 1), (3, 1), (4, 2), (3, 3)])
+def test_seven_region_certifies_one_layout(monkeypatch, g, levels):
+    # Criterion 10's size and the generate sizes GENERATED pins: one layout
+    # is built and certified once.
+    certified = []
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: certified.append(ps) or validate_general_position(ps),
+    )
+    out = recursive_seven_region(g, levels)
+    assert len(certified) == 1 and certified[0] is out.points and out.points.gp_certified
+
+
 def test_seven_region_rejects_bad_params():
     with pytest.raises(ValueError):
         recursive_seven_region(2, 1)

@@ -32,12 +32,13 @@ from circledepth.brute import kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound, check_oracle_match
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 from circledepth.depth import _simplest_between
-from circledepth.geom import _bisector_order, _incircle_det_int, _orient_int
+from circledepth.geom import FLOAT_SPREAD, _bisector_order, _incircle_det_int, _orient_int
 from circledepth.pointfile import parse_point_file
 
 from conftest import (
     BEYOND_FLOAT,
     NEAR_COCIRCULAR,
+    NEAR_COCIRCULAR_SMALL,
     InProcessChild,
     in_circle,
     make_set,
@@ -114,6 +115,10 @@ def test_profile_builds_events_on_first_read(quad):
     assert order.ties == [] and all(type(v) is list for v in order)
     assert all(type(v) is int for v in (*order.others, *order.nums, *order.crosses, *order.rank))
     assert [(order.others[i], order.crosses[i] > 0) for i in order.rank] == [(1, False), (3, True)]
+    # The quad spans less than 2^25, so the sweep reads its float copy: the
+    # same lists, with num and cross the same integers held as floats.
+    on_floats, _ = _bisector_order(quad.floats, 0, 2, [1, 3])
+    assert all(type(v) is float for v in (*on_floats.nums, *on_floats.crosses)) and on_floats == order
 
 
 def test_two_point_set():
@@ -207,12 +212,13 @@ def _certify_event_order(ps: PointSet, p: int, q: int) -> None:
     # centred at s enclose y for s > s_y when y is left of p->q and for
     # s < s_y otherwise.  So s_x < s_y exactly when y is outside that circle
     # and left, or inside and right: det * side(x) * side(y) < 0.  The order
-    # checked is geom._bisector_order's, the sort the sweep sums, and the
-    # weights are the running sum of those sides in that order.
+    # checked is geom._bisector_order's on the form the sweep reads, the
+    # sort the sweep sums, and the weights are the running sum of those
+    # sides in that order.
     grid = ps.require_certified()
     a, b = grid[p], grid[q]
     others = [x for x in range(len(ps)) if x != p and x != q]
-    order, _ = _bisector_order(grid, p, q, others, ps.local)
+    order, _ = _bisector_order(ps.floats or grid, p, q, others, ps.local)
     events = [order.others[i] for i in order.rank]
     side = {x: _orient_int(a, b, grid[x]) for x in events}
     assert [order.crosses[i] > 0 for i in order.rank] == [side[x] > 0 for x in events]
@@ -231,11 +237,40 @@ def test_event_order_is_certified_by_in_circle_tests():
         two_colored_convex(5).points,
         make_set(NEAR_COCIRCULAR),
         make_set(BEYOND_FLOAT),
+        # On the float copy, one with equal floats of distinct s; 12 points
+        # offset by 2^60 that span 2^25 - 1, and the same spanning 2^25.
+        make_set(NEAR_COCIRCULAR_SMALL),
+        *(_offset_set(12, 611, spread) for spread in (FLOAT_SPREAD - 1, FLOAT_SPREAD)),
     ]
     for ps in corpus:
         assert not validate_general_position(ps)
         for p, q in permutations(range(len(ps)), 2):
             _certify_event_order(ps, p, q)
+
+
+def _offset_set(n: int, seed: int, spread: int, offset: int = 2**60) -> PointSet:
+    """A certified random set whose x coordinates span exactly ``spread``,
+    offset by ``offset`` on both axes."""
+    coords = [(cp.point.x, cp.point.y) for cp in random_general_position(n, seed, spread).points]
+    low, high = min(x for x, _ in coords), max(x for x, _ in coords)
+    ps = PointSet.from_coords([(offset + (x - low) * spread // (high - low), offset - y) for x, y in coords])
+    assert not validate_general_position(ps)
+    return ps
+
+
+@pytest.mark.parametrize("spread", [FLOAT_SPREAD - 1, FLOAT_SPREAD])
+def test_the_sweep_reads_the_float_copy_below_the_bound_and_gets_the_grids_weights(monkeypatch, spread):
+    # Every pair's weights, read on the float copy of a set spanning
+    # 2^25 - 1, are those of the integer grid; at 2^25 there is no copy.
+    ps = _offset_set(14, 5, spread)
+    assert (ps.floats is not None) == (spread < FLOAT_SPREAD)
+    read = []
+    real = depth._bisector_order
+    monkeypatch.setattr(depth, "_bisector_order", lambda ints, *args: read.append(ints) or real(ints, *args))
+    swept = {pair: weight_sequence(ps, *pair) for pair in permutations(range(14), 2)}
+    assert all(ints is (ps.floats or ps.grid) for ints in read)
+    ps.floats = None
+    assert swept == {pair: weight_sequence(ps, *pair) for pair in swept}
 
 
 def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatch):
@@ -579,10 +614,11 @@ def test_sweep_totals_certifies_exactly_when_the_certifier_does(coords, colors):
     if validate_general_position(certified):
         with pytest.raises(DegenerateInputError):
             sweep_totals(swept)
-        assert swept.grid is None and swept.local is None
+        assert swept.grid is None and swept.local is None and swept.floats is None
     else:
         assert sweep_totals(swept) == sweep_totals(certified)
         assert swept.grid == certified.grid and swept.local == certified.local
+        assert swept.floats == certified.floats
 
 
 integer_coord = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))

@@ -19,6 +19,7 @@ from circledepth import (
     oracle_weights,
     orientation,
     snap_to_rational,
+    sweep_totals,
     triple_counts,
     validate_general_position,
     weight_sequence,
@@ -26,16 +27,26 @@ from circledepth import (
 from circledepth import brute, geom
 from circledepth.constructions import random_general_position, two_colored_convex
 from circledepth.geom import (
+    FLOAT_SPREAD,
     Violation,
     _bisector_order,
     _exact_keys,
+    _float_copy,
     _grid_and_local,
     _lent_grid,
 )
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
 
-from conftest import BEYOND_FLOAT, NEAR_COCIRCULAR, RIGHT_ANGLE_TIE, in_circle, make_set, sqdist
+from conftest import (
+    BEYOND_FLOAT,
+    NEAR_COCIRCULAR,
+    NEAR_COCIRCULAR_SMALL,
+    RIGHT_ANGLE_TIE,
+    in_circle,
+    make_set,
+    sqdist,
+)
 
 P = Point.of
 
@@ -173,11 +184,14 @@ def test_certification_stores_the_integer_grid():
         ps.gp_certified = False  # derived from the grid, never set
     # Beside it, each point on its own denominators (X, Y, D); on an integer
     # set there is none.  A violation clears both.
-    assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1))
-    assert make_set([(0, 0), (4, 0), (0, 4)]).local is None
+    assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1)) and ps.floats is None
+    integral = make_set([(0, 0), (4, 0), (0, 4)])
+    assert integral.local is None and integral.floats == ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))
     ps.points.append(ps.points[0])
     assert validate_general_position(ps) == [Violation("duplicate", (0, 3))]
     assert ps.grid is None and ps.local is None
+    integral.points.append(integral.points[0])
+    assert validate_general_position(integral) and integral.floats is None
 
 
 def test_recertifying_after_appending_a_duplicate_clears_the_grid():
@@ -209,6 +223,38 @@ def test_lent_grid_is_cleared_whether_or_not_the_block_raises():
         with _lent_grid(ps):
             raise DegenerateInputError("met in the sweep")
     assert ps.grid is None and ps.local is None and not ps.gp_certified
+    integral = PointSet.from_coords([(-3, 0), (0, 1), (1, 1)])
+    with _lent_grid(integral):
+        assert integral.floats == ((0.0, 0.0), (3.0, 1.0), (4.0, 1.0))
+    assert integral.floats is None
+
+
+def _the_spread_set(spread, axis, offset=2**40):
+    # Four points in general position whose x (axis 0) or y (axis 1)
+    # coordinates span exactly ``spread``, the other axis 7, offset by
+    # ``offset`` on both.
+    coords = [(0, 0), (spread, 1), (3, 5), (1, 7)]
+    return [(offset + c[axis], offset + c[1 - axis]) for c in coords]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_the_float_copy_is_taken_below_a_spread_of_2_to_the_25(axis):
+    # Spread 2^25 - 1 takes it, 2^25 does not, and rational input never does;
+    # the certifier, the lend and a certifying fold decide alike.
+    below = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD - 1, axis))
+    at = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD, axis))
+    rational = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
+    expected = tuple(
+        (float(c[axis]), float(c[1 - axis])) for c in _the_spread_set(FLOAT_SPREAD - 1, 0, offset=0)
+    )
+    for ps, floats in ((below, expected), (at, None), (rational, None)):
+        with _lent_grid(ps):
+            assert ps.floats == floats
+        assert validate_general_position(ps) == [] and ps.floats == floats
+        swept = PointSet(ps.points)
+        assert sweep_totals(swept) == sweep_totals(ps) and swept.floats == floats
+    assert below.floats[1][axis] == FLOAT_SPREAD - 1
+    assert _float_copy([], None) is None and _float_copy([(2**70, -(2**70))], None) == ((0.0, 0.0),)
 
 
 def _scan_general_position(ps: PointSet) -> bool:
@@ -264,6 +310,7 @@ crowded_point = st.tuples(st.integers(0, 3), st.sampled_from([0, Fraction(1, 2),
 @example(NEAR_COCIRCULAR)
 @example(BEYOND_FLOAT)
 @example(RIGHT_ANGLE_TIE)
+@example(NEAR_COCIRCULAR_SMALL)
 @settings(max_examples=150, deadline=None)
 def test_validate_matches_independent_scan(coords):
     ps = PointSet.from_coords(coords)
@@ -285,11 +332,15 @@ def test_validate_sorts_exactly_only_the_pairs_its_screen_flags(monkeypatch):
     monkeypatch.setattr(geom, "_bisector_order", recording)
     for ps in clean:
         assert validate_general_position(ps) == [] and sorted_pairs == []
-    # test_validate_matches_independent_scan checks what these return.
-    for coords in (NEAR_COCIRCULAR, BEYOND_FLOAT, RIGHT_ANGLE_TIE):
+    # test_validate_matches_independent_scan checks what these return.  The
+    # last two are read on the float copy, whose screen flags them alike.
+    for coords in (NEAR_COCIRCULAR, BEYOND_FLOAT, RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL):
         sorted_pairs.clear()
-        validate_general_position(PointSet.from_coords(coords))
+        ps = PointSet.from_coords(coords)
+        validate_general_position(ps)
         assert (0, 1) in sorted_pairs
+        floats = _float_copy(*_grid_and_local([cp.point for cp in ps.points]))
+        assert (floats is not None) == (coords in (RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL))
 
 
 def test_bisector_order_reports_collinear_points_apart():
@@ -335,31 +386,59 @@ def local_sets(draw):
     return coords
 
 
+@st.composite
+def offset_sets(draw):
+    """3-9 integer points offset by about +-2^40 or +-2^60 whose x or y
+    coordinates span exactly 2^25 - 1, 2^25 or 2^25 + 1, so only the first
+    takes the float copy.  Beyond 2^53 a double holds the coordinates only
+    once translated.  Coordinates drawn from {0, spread // 2, spread} make
+    collinear triples and cocircular quadruples."""
+    spread = draw(st.sampled_from([FLOAT_SPREAD - 1, FLOAT_SPREAD, FLOAT_SPREAD + 1]))
+    base, sign = draw(st.sampled_from([2**40, 2**60])), draw(st.sampled_from([-1, 1]))
+    ox, oy = (sign * draw(st.integers(base - 2**20, base + 2**20)) for _ in range(2))
+    coord = st.one_of(st.integers(0, spread), st.sampled_from([0, spread // 2, spread]))
+    coords = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=9))
+    # The first two points set the spread of one axis; the other's is at most it.
+    axis = draw(st.sampled_from([0, 1]))
+    for i, value in ((0, 0), (1, spread)):
+        coords[i] = (value, coords[i][1]) if axis == 0 else (coords[i][0], value)
+    return [(ox + x, oy + y) for x, y in coords]
+
+
 def _events_and_ties(order):
     return (
-        [(order.others[i], order.crosses[i] > 0, Fraction(order.nums[i], order.crosses[i]))
+        [(order.others[i], order.crosses[i] > 0, Fraction(int(order.nums[i]), int(order.crosses[i])))
          for i in order.rank],
         order.ties,
     )
 
 
-@given(local_sets())
+@given(st.one_of(local_sets(), offset_sets()))
 # Pair (0, 1) has L = 1; point 2 gives the bisector's smallest den, so a
 # shift taken from it cannot tell points 3 and 4 apart, which the largest
 # den's shift does.
 @example([(0, 0), (1, 0), (5, 1), (0, 3), (Fraction(-1, 997), 3)])
+@example(NEAR_COCIRCULAR_SMALL)
 @settings(max_examples=150, deadline=None)
 def test_local_kernel_matches_the_global_grid(coords):
+    # The local form and the float copy each give the grid's events.
     points = [P(x, y) for x, y in coords]
     grid, local = _grid_and_local(points)
+    floats = _float_copy(grid, local)
+    spread = max(max(c) - min(c) for c in zip(*grid))
+    assert (floats is not None) == (local is None and spread < FLOAT_SPREAD)
+    forms = [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
     for p, q in permutations(range(len(points)), 2):
         others = [x for x in range(len(points)) if x != p and x != q]
         on_grid, collinear = _bisector_order(grid, p, q, others)
-        on_local, local_collinear = _bisector_order(grid, p, q, others, local)
-        assert _events_and_ties(on_local) == _events_and_ties(on_grid)
-        assert local_collinear == collinear
-    violations = validate_general_position(PointSet.from_coords(coords))
+        for ints, form in forms:
+            on_form, form_collinear = _bisector_order(ints, p, q, others, form)
+            assert _events_and_ties(on_form) == _events_and_ties(on_grid)
+            assert form_collinear == collinear
+    ps = PointSet.from_coords(coords)
+    violations = validate_general_position(ps)
     assert violations == general_position_violations(PointSet.from_coords(coords))
+    assert ps.floats == (None if violations else floats)
 
 
 def _fraction_order(points, p, q, others):
@@ -388,27 +467,50 @@ _red_blue_sets = st.sampled_from(range(2, 6)).map(
 )
 
 
-@given(st.one_of(_integer_sets, local_sets(), _red_blue_sets))
+@given(st.one_of(_integer_sets, local_sets(), _red_blue_sets, offset_sets()))
 @example(NEAR_COCIRCULAR)
 @example(BEYOND_FLOAT)
 @example(RIGHT_ANGLE_TIE)
+@example(NEAR_COCIRCULAR_SMALL)
 @settings(max_examples=120, deadline=None)
 def test_float_filtered_order_is_the_integer_key_order(coords):
-    # For every ordered pair, on the local form and on the grid, the kernel's
-    # order, ties and collinear points equal both the order of its integer
-    # keys and the order of s as Fractions.
+    # For every ordered pair, on the grid, the local form and the float copy,
+    # the kernel's order, ties and collinear points equal both the order of
+    # its integer keys and the order of s as Fractions.  On the float copy
+    # num and cross are the grid's integers, held exactly.
     points = [P(x, y) for x, y in coords]
     grid, local = _grid_and_local(points)
+    floats = _float_copy(grid, local)
+    forms = [(grid, None)] + [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
     for p, q in permutations(range(len(points)), 2):
         others = [x for x in range(len(points)) if x != p and x != q]
         expected = _fraction_order(points, p, q, others)
-        for form in {None, local}:
-            order, collinear = _bisector_order(grid, p, q, others, form)
+        on_grid, _ = _bisector_order(grid, p, q, others)
+        for ints, form in forms:
+            order, collinear = _bisector_order(ints, p, q, others, form)
             if order.others:
-                keys = _exact_keys(order.nums, order.crosses)
+                keys = _exact_keys([*map(int, order.nums)], [*map(int, order.crosses)])
                 assert order.rank == sorted(range(len(keys)), key=keys.__getitem__)
+            if ints is floats:
+                assert (order.nums, order.crosses) == (on_grid.nums, on_grid.crosses)
             ranked = [order.others[i] for i in order.rank]
             assert (ranked, order.ties, collinear) == expected
+
+
+def test_the_float_copy_falls_back_to_exact_keys_where_floats_tie():
+    # RIGHT_ANGLE_TIE's tie and NEAR_COCIRCULAR_SMALL's distinct s, read on
+    # the float copy: equal float keys send both to the exact keys, and the
+    # order and ties are the grid's.
+    for coords, ranked, ties in (
+        (RIGHT_ANGLE_TIE, [2, 3, 4], [[2, 3]]),
+        (NEAR_COCIRCULAR_SMALL, [3, 2], []),
+    ):
+        grid, local = _grid_and_local([P(x, y) for x, y in coords])
+        floats = _float_copy(grid, local)
+        order, collinear = _bisector_order(floats, 0, 1, [2, 3, 4][: len(coords) - 2])
+        assert len({num / cross for num, cross in zip(order.nums[:2], order.crosses[:2])}) == 1
+        assert ([order.others[i] for i in order.rank], order.ties, collinear) == (ranked, ties, [])
+        assert order == _bisector_order(grid, 0, 1, [2, 3, 4][: len(coords) - 2])[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
