@@ -472,9 +472,14 @@ def halving_line_construction(n: int) -> ConstructionOutput:
     splits the remaining 2n-2 points evenly, its unbounded weights are both
     n-1, and every weight along its bisector lies in {n-2, n-1, n}.
     The candidates run over 64 initial spacing parameters, skipping any with
-    no float layout; the raw layout contains one exactly-cocircular
-    quadruple by construction, which snapping almost always (and perturbed
-    spacings surely) break.
+    no float layout.  The raw layout puts p_1 = (-1, 0), q_1 = (1, 0),
+    p_n = (0, e) and q_n = (0, -1/e) on one circle by construction, and
+    after snapping they stay on it exactly when y(p_n) y(q_n) = -1.  At the
+    first spacing, e = 1/n^2, that is when n divides 10^6 (n = 2, 4, 5, 8,
+    10, 16, 20, 25, 32, 40, 50, 64, ...), and the next spacing is taken.
+    The first spacing also has no float layout (an empty admissible
+    interval) at n = 46, 48, 49, 51, 53, 56, 57, 62, 63 and 66 more sizes up
+    to 200, and n = 199 takes the eighth.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

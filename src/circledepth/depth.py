@@ -20,8 +20,9 @@ otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
 
 Every kernel here decides its signs on integers that
-:func:`~circledepth.geom.validate_general_position` (or a clean
-:func:`sweep_totals`) stores on the set when it certifies it.  The sweep
+:mod:`~circledepth.geom` stores on the set when it certifies it, through
+:func:`~circledepth.geom.validate_general_position` or a clean
+:func:`sweep_totals`; nothing here writes them.  The sweep
 (:func:`weight_sequence`) reads each point on its own denominators,
 ``PointSet.local``, so a rational set costs about what an integer one does,
 and reads an integer set whose coordinates span less than 2^25 as
@@ -43,7 +44,6 @@ red-blue tables of a colored set are the same functions over
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -55,17 +55,17 @@ from .geom import (
     DegenerateInputError,
     PointSet,
     _bisector_order,
-    _lent_grid,
+    _certifying,
 )
 
 
 def weight_sequence(ps: PointSet, p: int, q: int) -> tuple[int, ...]:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    The sweep sorts on the integers stored on ``ps`` by certification or
-    lent for a sweep: the local form (:attr:`PointSet.local`), or when every
-    point is integral the grid, as exact doubles where the set's spread
-    allows (:attr:`PointSet.floats`).  Before the first event every point whose
+    The sweep sorts on the integers that certification stores on ``ps``:
+    the local form (:attr:`PointSet.local`), or when every point is
+    integral the grid, as exact doubles where the set's spread allows
+    (:attr:`PointSet.floats`).  Before the first event every point whose
     side is s < s_x is enclosed, and each event adds or removes its point:
     the weights are a running sum of the sides in sorted order.  Here the
     sweep asserts that the set does not degenerate on the pair: a point
@@ -430,15 +430,14 @@ def sweep_totals(
     are merged, so the result is the same for any jobs value.
 
     ``pairs=None`` sweeps every pair, and only then may the fold certify a
-    set not yet certified: after a duplicate check the set is lent its grid
-    (:func:`~circledepth.geom._lent_grid`), and every pair i < j is swept
-    over all other points, so a collinear triple is a zero cross on its
-    smallest pair and a cocircular quadruple a tie on its smallest pair.
-    The first degeneracy raises :class:`DegenerateInputError` (from a
-    worker too) and leaves the set uncertified;
-    :func:`~circledepth.geom.validate_general_position` lists every
-    violation.  A clean fold stores the grid, the local form and the float
-    copy on the set, the same ones that function would store.
+    set not yet certified (:func:`~circledepth.geom._certifying`): after a
+    duplicate check every pair i < j is swept over all other points, so a
+    collinear triple is a zero cross on its smallest pair and a cocircular
+    quadruple a tie on its smallest pair.  The first degeneracy raises
+    :class:`DegenerateInputError` (from a worker too) and leaves the set
+    uncertified; :func:`~circledepth.geom.validate_general_position` lists
+    every violation.  A clean fold leaves on the set the three forms that
+    function would store.
 
     A given list, empty or not, needs a certified set, since a partial sweep
     certifies nothing, and gives ``triples=None``.
@@ -446,11 +445,8 @@ def sweep_totals(
     if pairs is not None:
         ps.require_certified()
         return _fold(ps, pairs, jobs).totals(every_pair=False)
-    with nullcontext(ps.grid) if ps.gp_certified else _lent_grid(ps) as grid:
-        local, floats = ps.local, ps.floats
+    with _certifying(ps):
         total = _fold(ps, all_pairs(len(ps)), jobs)
-    # Every pair swept clean: the set is in general position.
-    ps.grid, ps.local, ps.floats = grid, local, floats
     return total.totals(every_pair=True)
 
 

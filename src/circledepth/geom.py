@@ -88,11 +88,12 @@ class PointSet:
     it in place of the grid; no reference reads it, so no product of degree
     3 or more ever sees a float.
 
-    The three are set only on a set in general position, by
-    :func:`validate_general_position` or by a sweep of every pair that met
-    no degeneracy (:func:`circledepth.depth.sweep_totals`), and a violation
-    clears them: one collinear triple or cocircular quadruple breaks the
-    strict-sign reasoning of the depth machinery.  They are a snapshot taken
+    The three come from :func:`_forms` and are stored by certification
+    only: by :func:`validate_general_position`, or by a sweep of every pair
+    (:func:`circledepth.depth.sweep_totals`, through :func:`_certifying`),
+    which keeps them when it meets no degeneracy.  A violation clears them:
+    one collinear triple or cocircular quadruple breaks the strict-sign
+    reasoning of the depth machinery.  They are a snapshot taken
     by certification, so a set whose ``points`` change must be certified
     again.  Indices are stable: operations name points by position in
     ``points``.
@@ -150,17 +151,21 @@ class PointSet:
         return self.grid
 
 
-def _int_coords(points: Sequence[Point]) -> list[tuple[int, int]]:
+def _int_coords(points: Sequence[Point]) -> tuple[tuple[int, int], ...]:
     # Scale all coordinates onto a common integer grid.  Sign predicates are
     # invariant under a common positive scaling, so this is exact.
-    return _grid_and_local(points)[0]
+    return _forms(points)[0]
 
 
-def _grid_and_local(
-    points: Sequence[Point],
-) -> tuple[list[tuple[int, int]], tuple[tuple[int, int, int], ...] | None]:
-    """The common integer grid of ``points`` and their local form (see
-    :class:`PointSet`), which is None when every point is integral."""
+# Coordinates that span less than this take the float copy (see PointSet).
+FLOAT_SPREAD = 1 << 25
+
+
+def _forms(points: Sequence[Point]) -> tuple[tuple, tuple | None, tuple | None]:
+    """The three forms of ``points`` that certification stores (see
+    :class:`PointSet`): the common integer grid; the local form, None when
+    every point is integral; and the float copy, None unless the set is
+    integral, not empty, and spans less than 2^25 on both axes."""
     local = []
     lcm = 1
     for p in points:
@@ -168,27 +173,14 @@ def _grid_and_local(
         lcm = math.lcm(lcm, d)
         x, y = p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator)
         local.append((x, y, d))
-    if lcm == 1:
-        return [(x, y) for x, y, _ in local], None
-    return [(x * (lcm // d), y * (lcm // d)) for x, y, d in local], tuple(local)
-
-
-# Coordinates that span less than this take the float copy (see PointSet).
-FLOAT_SPREAD = 1 << 25
-
-
-def _float_copy(
-    grid: Sequence[tuple[int, int]], local: Sequence[tuple[int, int, int]] | None
-) -> tuple[tuple[float, float], ...] | None:
-    """The float copy of an integral set (see :class:`PointSet`), or None
-    when the set has a local form, is empty, or spans 2^25 or more."""
-    if local is not None or not grid:
-        return None
+    if lcm != 1:
+        return tuple((x * (lcm // d), y * (lcm // d)) for x, y, d in local), tuple(local), None
+    grid = tuple((x, y) for x, y, _ in local)
     xs, ys = [x for x, _ in grid], [y for _, y in grid]
-    x0, y0 = min(xs), min(ys)
-    if max(xs) - x0 >= FLOAT_SPREAD or max(ys) - y0 >= FLOAT_SPREAD:
-        return None
-    return tuple((float(x - x0), float(y - y0)) for x, y in grid)
+    x0, y0 = min(xs, default=0), min(ys, default=0)
+    if not grid or max(xs) - x0 >= FLOAT_SPREAD or max(ys) - y0 >= FLOAT_SPREAD:
+        return grid, None, None
+    return grid, None, tuple((float(x - x0), float(y - y0)) for x, y in grid)
 
 
 def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -208,28 +200,29 @@ def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 @contextmanager
-def _lent_grid(ps: PointSet) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Lend an uncertified ``ps`` its integer grid for the length of a sweep.
+def _certifying(ps: PointSet) -> Iterator[None]:
+    """Certify ``ps`` by the block, which must sweep every pair over all others.
 
-    Raises :class:`DegenerateInputError` naming the first two coincident
-    points, if any; otherwise stores the grid as ``ps.grid``, the local
-    form as ``ps.local`` and the float copy as ``ps.floats``, and yields the
-    grid.  The lend is safe because
-    :func:`circledepth.depth.weight_sequence` raises on every collinear
-    point or tie of the pair it sweeps.  All three are cleared when the
-    block exits, whether or not it raised, so a lend is never left behind as
-    a certification: only a caller that swept every pair clean may store
-    them on the set again.
+    On a certified set this does nothing.  Otherwise it raises
+    :class:`DegenerateInputError` naming the first two coincident points,
+    if any, stores the forms (:func:`_forms`) and clears them only if the
+    block raises.  :func:`circledepth.depth.weight_sequence` raises on every
+    collinear point or tie of the pair it sweeps, so a clean exit of
+    :func:`circledepth.depth.sweep_totals`, its one caller, certifies.
     """
-    pts, local = _grid_and_local([cp.point for cp in ps.points])
-    duplicates = _duplicate_pairs(pts)
+    if ps.gp_certified:
+        yield
+        return
+    forms = _forms([cp.point for cp in ps.points])
+    duplicates = _duplicate_pairs(forms[0])
     if duplicates:
         raise DegenerateInputError("duplicate points", duplicates[0])
-    ps.grid, ps.local, ps.floats = tuple(pts), local, _float_copy(pts, local)
+    ps.grid, ps.local, ps.floats = forms
     try:
-        yield ps.grid
-    finally:
+        yield
+    except BaseException:
         ps.grid = ps.local = ps.floats = None
+        raise
 
 
 def _sign(value: int) -> int:
@@ -405,11 +398,10 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     """List duplicates, collinear triples and cocircular quadruples.
 
     Returns an empty list exactly when the set is in general position, and
-    then stores the integer grid as ``ps.grid``, the local form it decided
-    on as ``ps.local`` and the float copy as ``ps.floats`` (see
-    :class:`PointSet`); a violation clears all three.  Violations are
-    data, not errors: callers (e.g. the construction generators) repair the
-    named tuples.  Quadruples containing a collinear triple are skipped; the
+    then stores the three forms of :func:`_forms` as ``ps.grid``,
+    ``ps.local`` and ``ps.floats`` (see :class:`PointSet`); a violation
+    clears all three.  Violations are data, not errors: callers (e.g. the
+    construction generators) repair the named tuples.  Quadruples containing a collinear triple are skipped; the
     triple itself is already reported.
 
     The duplicates come from one sort of the points.  After them, each pair
@@ -421,7 +413,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     Four points on one circle never include three on a line, so leaving the
     collinear points out of the ties loses no quadruple.  The same argument
     lets a sweep of every pair over all other points certify a set (see
-    :func:`_lent_grid`); this function stays the one that lists violations.
+    :func:`_certifying`); this function stays the one that lists violations.
 
     A float screen spares most pairs that sort.  Per pivot p = point i, each
     later x gets the row Dx A, R = |A|^2 with A = Dp Dx (x - p); per
@@ -440,7 +432,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
-    pts, local = _grid_and_local([cp.point for cp in ps.points])
+    pts, local, floats = _forms([cp.point for cp in ps.points])
     n = len(pts)
     ps.grid = ps.local = ps.floats = None
     duplicates = [Violation("duplicate", pair) for pair in _duplicate_pairs(pts)]
@@ -448,7 +440,6 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.
         return duplicates
-    floats = _float_copy(pts, local)
     coords = floats or pts
     collinear: list[Violation] = []
     cocircular: list[Violation] = []
@@ -476,7 +467,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
             cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)
     violations = collinear + cocircular
     if not violations:
-        ps.grid, ps.local, ps.floats = tuple(pts), local, floats
+        ps.grid, ps.local, ps.floats = pts, local, floats
     return violations
 
 

@@ -15,6 +15,7 @@ from circledepth.constructions import (
     ConstructionOutput,
     Rng,
     _first_verified,
+    _halving_layout,
     claim_failures,
     halving_line_construction,
     random_convex,
@@ -193,6 +194,36 @@ def test_halving_construction_deterministic():
     a = halving_line_construction(4)
     b = halving_line_construction(4)
     assert [cp.point for cp in a.points.points] == [cp.point for cp in b.points.points]
+
+
+def _recording_certifications(monkeypatch):
+    verdicts = []
+    monkeypatch.setattr(
+        constructions,
+        "validate_general_position",
+        lambda ps: verdicts.append(validate_general_position(ps)) or verdicts[-1],
+    )
+    return verdicts
+
+
+def test_halving_search_breaks_the_cocircular_quadruple_with_a_second_spacing(monkeypatch):
+    # At the first spacing p_n = (0, 1/n^2) and q_n = (0, -n^2) snap onto the
+    # circle through p_1 = (-1, 0) and q_1 = (1, 0) exactly when n divides
+    # 10^6: the quadruple (0, 1, 2n - 2, 2n - 1) is cocircular at n = 5.
+    verdicts = _recording_certifications(monkeypatch)
+    out = halving_line_construction(5)
+    assert [[str(v) for v in verdict] for verdict in verdicts] == [["cocircular(0, 1, 8, 9)"], []]
+    assert out.points.gp_certified and claim_failures(out) == []
+
+
+def test_halving_search_skips_a_spacing_with_no_float_layout(monkeypatch):
+    # The first spacing has no float layout at n = 46; the second does, and
+    # is the one candidate certified.
+    with pytest.raises(ConstructionError, match="empty admissible interval"):
+        _halving_layout(46, 1 / 46**2)
+    verdicts = _recording_certifications(monkeypatch)
+    out = halving_line_construction(46)
+    assert verdicts == [[]] and len(out.points) == 92 and claim_failures(out) == []
 
 
 def test_claim_failures_detects_violations():

@@ -24,16 +24,15 @@ from circledepth import (
     validate_general_position,
     weight_sequence,
 )
-from circledepth import brute, geom
+from circledepth import brute, depth, geom
 from circledepth.constructions import random_general_position, two_colored_convex
 from circledepth.geom import (
     FLOAT_SPREAD,
     Violation,
     _bisector_order,
+    _certifying,
     _exact_keys,
-    _float_copy,
-    _grid_and_local,
-    _lent_grid,
+    _forms,
 )
 from circledepth.brute import general_position_violations
 from circledepth.pointfile import PointFileError, parse_point_file, serialize_point_file
@@ -208,25 +207,48 @@ def test_two_coincident_points_are_a_duplicate():
     ps = PointSet.from_coords([(0, 0), (0, 0)])
     assert validate_general_position(ps) == [Violation("duplicate", (0, 1))]
     with pytest.raises(DegenerateInputError) as info:
-        with _lent_grid(ps):
+        with _certifying(ps):
             pass
     assert info.value.indices == (0, 1) and ps.grid is None
 
 
-def test_lent_grid_is_cleared_whether_or_not_the_block_raises():
-    ps = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
-    with _lent_grid(ps) as grid:
-        assert grid == ps.require_certified() == ((3, 0), (0, 2), (6, 6))
-        assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1))
-    assert ps.grid is None and ps.local is None
-    with pytest.raises(DegenerateInputError):
-        with _lent_grid(ps):
-            raise DegenerateInputError("met in the sweep")
-    assert ps.grid is None and ps.local is None and not ps.gp_certified
-    integral = PointSet.from_coords([(-3, 0), (0, 1), (1, 1)])
-    with _lent_grid(integral):
-        assert integral.floats == ((0.0, 0.0), (3.0, 1.0), (4.0, 1.0))
-    assert integral.floats is None
+def test_certifying_keeps_the_forms_only_when_the_block_exits_clean(monkeypatch):
+    # A rational set (local form) and integer sets that span 2^25 - 1 (float
+    # copy) and 2^25 (neither).
+    sets = [
+        [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)],
+        *(_the_spread_set(spread, 0) for spread in (FLOAT_SPREAD - 1, FLOAT_SPREAD)),
+    ]
+    assert [make_set(coords).floats is None for coords in sets] == [True, False, True]
+
+    def interrupted(ps, p, q):
+        raise KeyboardInterrupt
+
+    for coords in sets:
+        # A clean block leaves exactly what validate_general_position stores.
+        ps = PointSet.from_coords(coords)
+        with _certifying(ps):
+            assert ps.gp_certified
+        assert ps == make_set(coords)
+        # A block that raises leaves no forms, whatever it raises.
+        ps = PointSet.from_coords(coords)
+        with pytest.raises(DegenerateInputError):
+            with _certifying(ps):
+                raise DegenerateInputError("met in the sweep")
+        assert (ps.grid, ps.local, ps.floats) == (None, None, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(depth, "weight_sequence", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                sweep_totals(ps)
+            assert (ps.grid, ps.local, ps.floats) == (None, None, None)
+            # A set certified before the block stays certified.
+            certified = make_set(coords)
+            with pytest.raises(KeyboardInterrupt):
+                sweep_totals(certified)
+            with pytest.raises(DegenerateInputError):
+                with _certifying(certified):
+                    raise DegenerateInputError("met in the sweep")
+            assert certified == make_set(coords)
 
 
 def _the_spread_set(spread, axis, offset=2**40):
@@ -240,7 +262,7 @@ def _the_spread_set(spread, axis, offset=2**40):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_the_float_copy_is_taken_below_a_spread_of_2_to_the_25(axis):
     # Spread 2^25 - 1 takes it, 2^25 does not, and rational input never does;
-    # the certifier, the lend and a certifying fold decide alike.
+    # the certifier and a certifying fold store what _forms decides.
     below = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD - 1, axis))
     at = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD, axis))
     rational = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
@@ -248,13 +270,13 @@ def test_the_float_copy_is_taken_below_a_spread_of_2_to_the_25(axis):
         (float(c[axis]), float(c[1 - axis])) for c in _the_spread_set(FLOAT_SPREAD - 1, 0, offset=0)
     )
     for ps, floats in ((below, expected), (at, None), (rational, None)):
-        with _lent_grid(ps):
-            assert ps.floats == floats
+        assert _forms([cp.point for cp in ps.points])[2] == floats
         assert validate_general_position(ps) == [] and ps.floats == floats
         swept = PointSet(ps.points)
         assert sweep_totals(swept) == sweep_totals(ps) and swept.floats == floats
     assert below.floats[1][axis] == FLOAT_SPREAD - 1
-    assert _float_copy([], None) is None and _float_copy([(2**70, -(2**70))], None) == ((0.0, 0.0),)
+    assert _forms([]) == ((), None, None)
+    assert _forms([P(2**70, -(2**70))]) == (((2**70, -(2**70)),), None, ((0.0, 0.0),))
 
 
 def _scan_general_position(ps: PointSet) -> bool:
@@ -339,7 +361,7 @@ def test_validate_sorts_exactly_only_the_pairs_its_screen_flags(monkeypatch):
         ps = PointSet.from_coords(coords)
         validate_general_position(ps)
         assert (0, 1) in sorted_pairs
-        floats = _float_copy(*_grid_and_local([cp.point for cp in ps.points]))
+        floats = _forms([cp.point for cp in ps.points])[2]
         assert (floats is not None) == (coords in (RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL))
 
 
@@ -423,8 +445,7 @@ def _events_and_ties(order):
 def test_local_kernel_matches_the_global_grid(coords):
     # The local form and the float copy each give the grid's events.
     points = [P(x, y) for x, y in coords]
-    grid, local = _grid_and_local(points)
-    floats = _float_copy(grid, local)
+    grid, local, floats = _forms(points)
     spread = max(max(c) - min(c) for c in zip(*grid))
     assert (floats is not None) == (local is None and spread < FLOAT_SPREAD)
     forms = [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
@@ -479,8 +500,7 @@ def test_float_filtered_order_is_the_integer_key_order(coords):
     # its integer keys and the order of s as Fractions.  On the float copy
     # num and cross are the grid's integers, held exactly.
     points = [P(x, y) for x, y in coords]
-    grid, local = _grid_and_local(points)
-    floats = _float_copy(grid, local)
+    grid, local, floats = _forms(points)
     forms = [(grid, None)] + [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
     for p, q in permutations(range(len(points)), 2):
         others = [x for x in range(len(points)) if x != p and x != q]
@@ -505,8 +525,7 @@ def test_the_float_copy_falls_back_to_exact_keys_where_floats_tie():
         (RIGHT_ANGLE_TIE, [2, 3, 4], [[2, 3]]),
         (NEAR_COCIRCULAR_SMALL, [3, 2], []),
     ):
-        grid, local = _grid_and_local([P(x, y) for x, y in coords])
-        floats = _float_copy(grid, local)
+        grid, _, floats = _forms([P(x, y) for x, y in coords])
         order, collinear = _bisector_order(floats, 0, 1, [2, 3, 4][: len(coords) - 2])
         assert len({num / cross for num, cross in zip(order.nums[:2], order.crosses[:2])}) == 1
         assert ([order.others[i] for i in order.rank], order.ties, collinear) == (ranked, ties, [])
