@@ -19,15 +19,23 @@ and x is enclosed exactly for parameters on its own side of s_x: the side is
 otherwise.  Both facts follow from expanding |c(s) - p|^2 - |c(s) - x|^2,
 which is affine in s with slope 2 * cross(q - p, x - p).
 
-Every kernel here decides its signs on integers that
+Every kernel here decides its signs on the forms that
 :mod:`~circledepth.geom` stores on the set when it certifies it, through
 :func:`~circledepth.geom.validate_general_position` or a clean
 :func:`sweep_totals`; nothing here writes them.  The sweep
-(:func:`weight_sequence`) reads each point on its own denominators,
-``PointSet.local``, so a rational set costs about what an integer one does,
-and reads an integer set whose coordinates span less than 2^25 as
-``PointSet.floats``, doubles that hold every integer it forms exactly;
-the references (:func:`oracle_weights`, O(n^3 log n) over all pairs,
+(:func:`weight_sequence`) first sorts each pair on ``PointSet.floats``,
+the set's float form (E, coords): (a) an integral set spanning less than
+2^25 as exact doubles, E = 0; (b) one spanning less than 2^53 translated,
+its integers exact and each num and cross within E = 4 u D^2 (1 + 2u) of
+the true value, D the span and u = 2^-53; (c) any other set translated,
+scaled into [0, 1] and rounded, E = 17 u.  A pair is certified when every
+|cross| exceeds E and adjacent sorted keys lie more than twice their error
+bound apart (distinct keys when E = 0; see
+:func:`~circledepth.geom._bisector_order`).  Any other pair, and every
+pair of a set with a coordinate beyond the doubles, is sorted exactly on
+integers: on each point's own denominators, ``PointSet.local``, so a
+rational set costs about what an integer one does, or on the grid.  The
+references (:func:`oracle_weights`, O(n^3 log n) over all pairs,
 :func:`triple_counts` and :func:`j_edge_counts`) read the common integer
 grid that :meth:`PointSet.require_certified` returns, and so share no
 arithmetic with the sweep.
@@ -62,24 +70,26 @@ from .geom import (
 def weight_sequence(ps: PointSet, p: int, q: int) -> tuple[int, ...]:
     """Weight sequence of the bisector of pair (p, q), in increasing-s order.
 
-    The sweep sorts on the integers that certification stores on ``ps``:
-    the local form (:attr:`PointSet.local`), or when every point is
-    integral the grid, as exact doubles where the set's spread allows
-    (:attr:`PointSet.floats`).  Before the first event every point whose
-    side is s < s_x is enclosed, and each event adds or removes its point:
-    the weights are a running sum of the sides in sorted order.  Here the
-    sweep asserts that the set does not degenerate on the pair: a point
-    collinear with p and q, or two tied events, raise
-    :class:`DegenerateInputError` naming the points.  So a clean sweep of
-    every pair over all other points, after a duplicate check, certifies a
-    set (see :func:`sweep_totals`).
+    The sweep sorts on the forms that certification stores on ``ps``: on
+    the float form (:attr:`PointSet.floats`) where its error bound
+    certifies the pair's order, and otherwise exactly on the local form
+    (:attr:`PointSet.local`) or, when every point is integral, the grid.
+    Before the first event every point whose side is s < s_x is enclosed,
+    and each event adds or removes its point: the weights are a running sum
+    of the sides in sorted order.  Here the sweep asserts that the set does
+    not degenerate on the pair: a point collinear with p and q, or two tied
+    events, raise :class:`DegenerateInputError` naming the points.  The
+    float stage certifies neither (its bound excludes both), so only the
+    exact branch meets them.  So a clean sweep of every pair over all other
+    points, after a duplicate check, certifies a set (see
+    :func:`sweep_totals`).
     """
     ints = ps.require_certified()
     if p == q:
         raise ValueError("pair indices must differ")
     lo, hi = (p, q) if p < q else (q, p)
     others = [*range(lo), *range(lo + 1, hi), *range(hi + 1, len(ints))]
-    order, collinear = _bisector_order(ps.floats or ints, p, q, others, ps.local)
+    order, collinear = _bisector_order(ints, p, q, others, ps.local, ps.floats)
     if collinear:
         raise DegenerateInputError("collinear triple on a swept pair", (p, q, collinear[0]))
     if order.ties:

@@ -3,10 +3,12 @@
 Every coordinate is a `fractions.Fraction`, so all predicates decide signs
 exactly and every identity downstream is an integer equality, never a
 tolerance comparison.  Predicates clear denominators internally and work on
-plain Python integers, which keeps the common all-integer case fast.  On an
-integer set whose coordinates span less than 2^25 the sweep and the
-certifier's screen take those integers as doubles, which hold every value
-they form exactly (see :class:`PointSet`).
+plain Python integers, which keeps the common all-integer case fast.  The
+sweep first sorts each bisector on doubles, under an error bound proven for
+the set, and takes the integers only where that bound cannot separate two
+events (see :class:`PointSet` and :func:`_bisector_order`): a semi-static
+filter in the sense of Fortune and Van Wyk (ACM TOG 15(3), 1996) and
+Shewchuk (DCG 18(3), 1997).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import truediv
+from operator import sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -70,23 +72,46 @@ class PointSet:
     ``constructions.claim_failures`` and everything in ``brute``.
     ``local`` is each point on its own denominators, homogeneous integers
     (X, Y, D) with D the lcm of the point's two reduced denominators; the
-    bisector sweep and the certifier (:func:`_bisector_order`) read it, so a
-    pair's events cost what the pair's points need, not what the whole set
-    needs.  It is None when every D is 1: the grid is then the points
-    themselves, and the sweep reads the grid or its float copy.
+    certifier and the sweep's exact branch (:func:`_bisector_order`) read
+    it, so a pair's events cost what the pair's points need, not what the
+    whole set needs.  It is None when every D is 1: the grid is then the
+    points themselves, and those two read the grid.
 
-    ``floats`` is that float copy: when ``local`` is None and the grid's
-    x-range and y-range are both below 2^25 (:data:`FLOAT_SPREAD`), the
-    grid translated by its least x and y, as doubles; otherwise None.  Every
-    coordinate of it is an integer in [0, 2^25), so every difference of two
-    is below 2^25 in magnitude and every product of two differences below
-    2^50.  The sweep's num and cross are sums of two such products, below
-    2^51, and the certifier's screen values are below 2^53: integers that a
-    double holds exactly.  So each +, - and * on them is exact, and
-    num / cross is the correctly rounded quotient, the same float that
-    int / int gives on the grid.  The sweep and the certifier's screen read
-    it in place of the grid; no reference reads it, so no product of degree
-    3 or more ever sees a float.
+    ``floats`` is the float form ``(E, coords)``: the points as doubles,
+    and a bound E on the error of each num and cross that the sweep forms
+    from them (:func:`_bisector_order`).  :func:`_forms` translates the grid
+    by its least x and y, which moves no s, and with D the larger of the
+    translated x-range and y-range and u = 2^-53 takes one of three cases:
+
+    (a) An integral set with D < 2^25 (:data:`FLOAT_SPREAD`): the
+        translated integers, and E = 0.  Every difference of two is below
+        2^25, every product of two below 2^50, num and cross below 2^51 and
+        the certifier's screen values below 2^53: integers that a double
+        holds exactly.  So each +, - and * is exact, and num / cross is the
+        float that int / int gives on the grid.
+    (b) An integral set with D < 2^53: the translated integers, still
+        exact, and so is each difference of two, at most D in magnitude.
+        Only the two products of num or cross and their sum round, each by
+        at most u times its magnitude (integers do not underflow): u D^2
+        per product, and u 2 D^2 (1 + u) for the sum, so
+        E = 4 u D^2 (1 + 2 u), rounded up.
+    (c) Any other set, rational or wider: the translated grid scaled by
+        2^-b, b the bit length of D, so that every coordinate lies in
+        [0, 1) and the largest in [1/2, 1), each rounded once to a double in
+        [0, 1].  With eta = 2^-1075, half the least subnormal, a rounding of
+        a value in [0, 1] errs by at most u + eta (zero rounds to zero); a
+        difference of two coordinates by at most 2 (u + eta) + u, as a
+        float subtraction that lands among the subnormals is exact; a
+        product of two differences, each in [-1, 1], by
+        2 (3 u + 2 eta) + u + eta; and num or cross by twice that plus the
+        sum's own 2 u: 16 u + 10 eta, below E = 17 u.  A set with a
+        coordinate of magnitude 2^1024 or more, beyond the doubles, has no
+        float form: its pairs are all sorted on integers.
+
+    So E = 0 holds the grid's exact integers, and E > 0 approximations
+    whose signs and order the sweep certifies per pair before it uses them.
+    The certifier's screen reads the float form only where E = 0, and no
+    reference reads it, so no product of degree 3 or more ever sees a float.
 
     The three come from :func:`_forms` and are stored by certification
     only: by :func:`validate_general_position`, or by a sweep of every pair
@@ -103,7 +128,7 @@ class PointSet:
         self.points = [] if points is None else points
         self.grid: tuple[tuple[int, int], ...] | None = None
         self.local: tuple[tuple[int, int, int], ...] | None = None
-        self.floats: tuple[tuple[float, float], ...] | None = None
+        self.floats: tuple[float, tuple[tuple[float, float], ...]] | None = None
 
     def __eq__(self, other):  # also makes the set unhashable, as it is mutable
         if other.__class__ is not self.__class__:
@@ -157,15 +182,18 @@ def _int_coords(points: Sequence[Point]) -> tuple[tuple[int, int], ...]:
     return _forms(points)[0]
 
 
-# Coordinates that span less than this take the float copy (see PointSet).
+# Integral sets that span less than this take the exact float form, E = 0
+# (case (a) of PointSet).
 FLOAT_SPREAD = 1 << 25
+# The float form's bound in case (c) of PointSet, 17 u.
+_ROUNDED_BOUND = 17 / (1 << 53)
 
 
 def _forms(points: Sequence[Point]) -> tuple[tuple, tuple | None, tuple | None]:
     """The three forms of ``points`` that certification stores (see
     :class:`PointSet`): the common integer grid; the local form, None when
-    every point is integral; and the float copy, None unless the set is
-    integral, not empty, and spans less than 2^25 on both axes."""
+    every point is integral; and the float form (E, coords), in case (a),
+    (b) or (c), None for an empty set or a coordinate of 2^1024 or more."""
     local = []
     lcm = 1
     for p in points:
@@ -174,13 +202,25 @@ def _forms(points: Sequence[Point]) -> tuple[tuple, tuple | None, tuple | None]:
         x, y = p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator)
         local.append((x, y, d))
     if lcm != 1:
-        return tuple((x * (lcm // d), y * (lcm // d)) for x, y, d in local), tuple(local), None
-    grid = tuple((x, y) for x, y, _ in local)
+        grid = tuple((x * (lcm // d), y * (lcm // d)) for x, y, d in local)
+        local = tuple(local)
+    else:
+        grid, local = tuple((x, y) for x, y, _ in local), None
+    if not grid:
+        return grid, local, None
     xs, ys = [x for x, _ in grid], [y for _, y in grid]
-    x0, y0 = min(xs, default=0), min(ys, default=0)
-    if not grid or max(xs) - x0 >= FLOAT_SPREAD or max(ys) - y0 >= FLOAT_SPREAD:
-        return grid, None, None
-    return grid, None, tuple((float(x - x0), float(y - y0)) for x, y in grid)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    span = max(x1 - x0, y1 - y0)
+    if local is None and span < 1 << 53:
+        if span < FLOAT_SPREAD:
+            bound = 0.0
+        else:  # 4 u D^2 (1 + 2u), rounded to nearest, then one step up
+            bound = math.nextafter(4 * span * span * ((1 << 53) + 2) / (1 << 106), math.inf)
+        return grid, local, (bound, tuple((float(x - x0), float(y - y0)) for x, y in grid))
+    if max(-x0, x1, -y0, y1) >= lcm << 1024:
+        return grid, local, None
+    scale = 1 << span.bit_length()
+    return grid, local, (_ROUNDED_BOUND, tuple(((x - x0) / scale, (y - y0) / scale) for x, y in grid))
 
 
 def _duplicate_pairs(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -265,17 +305,39 @@ def _exact_keys(nums: list[int], crosses: list[int]) -> list[int]:
 class BisectorOrder(NamedTuple):
     """One bisector's sort, from :func:`_bisector_order`: ``others`` are the
     points with a circumcenter on it, in the order given, with their num and
-    signed cross (2 s = num / cross; cross > 0 for a point left of p->q),
-    integers, held as exact doubles when the sort read the float copy (see
-    :class:`PointSet`); ``rank`` lists positions into ``others`` in
-    increasing s, and ``ties`` the groups of points with equal s, each in
-    that order."""
+    signed cross (2 s = num / cross; cross > 0 for a point left of p->q);
+    ``rank`` lists positions into ``others`` in increasing s, and ``ties``
+    the groups of points with equal s, each in that order.  From the exact
+    branch num and cross are integers; from the float stage they are
+    doubles, exact where the float form's bound E is 0 and otherwise
+    approximations whose signs alone are certified (see :class:`PointSet`)."""
 
     others: list[int]
-    nums: list[int]
-    crosses: list[int]
+    nums: list
+    crosses: list
     rank: list[int]
     ties: list[list[int]]
+
+
+def _crosses_and_nums(
+    coords: Sequence[tuple], p: int, q: int, others: list[int]
+) -> tuple[list, list]:
+    """cross(q - p, x - p) and num = (x - p) . (x - q) of each x in
+    ``others``, each a sum of two products of coordinate differences."""
+    (px, py), (qx, qy) = coords[p], coords[q]
+    ux, uy = qx - px, qy - py
+    crosses, nums = [], []
+    for x in others:
+        xx, xy = coords[x]
+        ax, ay = xx - px, xy - py
+        crosses.append(ux * ay - uy * ax)
+        nums.append(ax * (xx - qx) + ay * (xy - qy))
+    return crosses, nums
+
+
+# A relative slack on the float stage's error terms, far above the few
+# roundings of u = 2^-53 taken in forming them.
+_SLACK = 1 + 2**-40
 
 
 def _bisector_order(
@@ -284,6 +346,7 @@ def _bisector_order(
     q: int,
     others: Iterable[int],
     local: Sequence[tuple[int, int, int]] | None = None,
+    floats: tuple[float, Sequence[tuple[float, float]]] | None = None,
 ) -> tuple[BisectorOrder, list[int]]:
     """The points ``others`` in increasing order of their circumcenter with
     (p, q) along the pair's bisector, exactly, and apart from them the
@@ -294,46 +357,70 @@ def _bisector_order(
 
         s_x = dot(x - p, x - q) / (2 * cross(q - p, x - p)),
 
-    which is invariant under scaling p, q and x together.  The sweep
-    (``depth.weight_sequence``), for every pair, and
-    :func:`validate_general_position`, for the pairs its float screen
-    flags, pass the set's local form (see :class:`PointSet`), so
-    num / cross = 2 s_x is taken on the points' own denominators: p and q
-    are scaled once onto L = lcm(Dp, Dq), and for each x, a = L X - Dx p'
-    and b = L X - Dx q' are L Dx (x - p) and L Dx (x - q), so num = a . b
-    and cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
-    ``local`` is None (every point integral, or a hand-built grid) they are
-    taken on ``ints``: the integer grid, or its float copy, whose
-    coordinates lie in [0, 2^25) (see :class:`PointSet`).  On the copy each
-    difference is below 2^25 in magnitude, each of the four products below
-    2^50, and num and cross, sums of two products, below 2^51, so a double
-    holds every value exactly and num and cross are the grid's integers.
-    The references never come here; they read the grid.
+    which is invariant under translating and scaling p, q and x together.
 
-    The key is the float num / cross, which Python rounds correctly (int /
-    int on the grid, one IEEE division on the copy: the same float), and
-    correct rounding is monotone: distinct floats order the points exactly
-    as s does, with no ties.  Only when two floats are equal (0.0 and -0.0
-    too) or a quotient overflows does the bisector sort on
-    :func:`_exact_keys`, on num and cross as ints, which finds its ties; the
-    sort is stable, so tied points keep the order of ``others``.  A zero
-    cross is an x collinear with p and q, with no circumcenter: these are
-    the second list.
+    Given the set's float form (E, coords) (see :class:`PointSet`), the
+    sweep (``depth.weight_sequence``) first sorts on doubles: num and cross
+    from the coords, the key num / cross.  With E = 0 they are the grid's
+    integers, and correct rounding is monotone, so distinct keys with no
+    zero cross order the points exactly as s does, with no ties.  With
+    E > 0 each num and cross errs by at most E, and the pair is
+    certified when every |cross| exceeds E, which fixes each cross's sign
+    and rules out a point collinear with p and q, and when adjacent sorted
+    keys differ by more than 2 e (1 + 2^-40), with
+
+        e = (E (1 + K) / (c_min - E) + 2 u K) (1 + 2^-40),
+
+    K the largest |key|, c_min the smallest |cross| and u = 2^-53.  For a
+    key k = fl(n / c), n and c within E of the true N and C and
+    s = N / C, |n/c - s| = |(n - N) - s (c - C)| / |c| <= E (1 + |s|) / |c|,
+    which solved for |s| gives at most E (1 + |n/c|) / (|c| - E); rounding
+    adds u |n/c|, and |n/c| <= K (1 + 2u).  The factor 1 + 2^-40 covers
+    those (1 + 2u), the roundings in computing e and the gap, and the
+    absolute error 2^-1075 of a subnormal key.  So every key lies within e
+    of its s, and keys more than 2 e apart order their points exactly.  A
+    certified pair returns the doubles: ``nums`` and ``crosses`` whose
+    signs, and with E = 0 values, are the true ones.
+
+    Any failure, and a set with no float form, takes the exact branch.  The
+    sweep and :func:`validate_general_position`, for the pairs its screen
+    flags, pass the set's local form, so num / cross = 2 s_x is taken on the
+    points' own denominators: p and q are scaled once onto
+    L = lcm(Dp, Dq), and for each x, a = L X - Dx p' and b = L X - Dx q' are
+    L Dx (x - p) and L Dx (x - q), so num = a . b and
+    cross = Dx cross(q' - p', a) both carry the factor (L Dx)^2.  When
+    ``local`` is None (every point integral, or a hand-built grid) they are
+    taken on the integer grid ``ints``.  The key is the float num / cross,
+    which Python rounds correctly; only when two keys are equal (0.0 and
+    -0.0 too) or a quotient overflows does the bisector sort on
+    :func:`_exact_keys`, which finds its ties; the sort is stable, so tied
+    points keep the order of ``others``.  A zero cross is an x collinear
+    with p and q, with no circumcenter: these are the second list.  The
+    references never come here; they read the grid.
     """
     # A display, not list(): it draws its list object from CPython's free
     # list, so a sweep's traced memory does not depend on that list's state.
     others = [*others]
-    crosses, nums = [], []
+    if floats is not None:
+        bound, coords = floats
+        crosses, nums = _crosses_and_nums(coords, p, q, others)
+        least = min(map(abs, crosses), default=math.inf)
+        if least > bound:
+            keys = list(map(truediv, nums, crosses))
+            rank = sorted(range(len(keys)), key=keys.__getitem__)
+            if not bound:
+                certified = len(set(keys)) == len(keys)
+            else:
+                top = max(map(abs, keys), default=0.0)
+                err = (bound * (1 + top) / (least - bound) + 2**-52 * top) * _SLACK
+                ranked = list(map(keys.__getitem__, rank))
+                certified = min(map(sub, ranked[1:], ranked), default=math.inf) > 2 * err * _SLACK
+            if certified:
+                return BisectorOrder(others, nums, crosses, rank, []), []
     if local is None:
-        px, py = ints[p]
-        qx, qy = ints[q]
-        ux, uy = qx - px, qy - py
-        for x in others:
-            xx, xy = ints[x]
-            ax, ay = xx - px, xy - py
-            crosses.append(ux * ay - uy * ax)
-            nums.append(ax * (ax - ux) + ay * (ay - uy))
+        crosses, nums = _crosses_and_nums(ints, p, q, others)
     else:
+        crosses, nums = [], []
         (px, py, dp), (qx, qy, dq) = local[p], local[q]
         scale = math.lcm(dp, dq)
         px, py = px * (scale // dp), py * (scale // dp)
@@ -356,7 +443,7 @@ def _bisector_order(
     except OverflowError:
         exact = True
     if exact:
-        keys = _exact_keys([*map(int, nums)], [*map(int, crosses)])
+        keys = _exact_keys(nums, crosses)
     rank = sorted(range(len(keys)), key=keys.__getitem__)
     groups = ([others[i] for i in group] for _, group in groupby(rank, key=keys.__getitem__))
     ties = [group for group in groups if len(group) > 1] if exact else []
@@ -420,15 +507,16 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
     q = point j, with U = Dp Dq (q - p), the float of each x > j is
     (Dq R - U . Dx A) / cross(U, Dx A), the rational 2 s_x (on the grid every
     D is 1, and the grid's own comprehension skips the products by 1).
-    Where the set has a float copy, the rows and the screen read it: R is
-    below 2^51, each U . A term below 2^50 and so every partial sum below
-    2^53, and cross(U, A) below 2^51, all integers that a double holds
-    exactly, so each float is the one int / int gives on the grid.  Python
+    Where the set's float form is exact (case (a) of :class:`PointSet`,
+    E = 0), the rows and the screen read it: R is below 2^51, each U . A
+    term below 2^50 and so every partial sum below 2^53, and cross(U, A)
+    below 2^51, all integers that a double holds exactly, so each float is
+    the one int / int gives on the grid.  Python
     rounds int / int correctly, so equal values give equal floats
     (0.0 == -0.0), and a zero cross raises ZeroDivisionError: a pair whose
     floats are distinct, with no error or overflow, has no violation.  Only
-    the other pairs go to :func:`_bisector_order`, on the same form, which
-    lists their violations.
+    the other pairs go to the exact branch of :func:`_bisector_order`, on
+    the local form or the grid, which lists their violations.
     ``brute.general_position_violations`` is the exhaustive O(n^4)
     reference, with the same output.
     """
@@ -440,7 +528,8 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
         # Coincident points make every predicate on them meaningless; report
         # only the duplicates and let the caller fix those first.
         return duplicates
-    coords = floats or pts
+    # The screen reads the float form only where it is exact (E = 0).
+    coords = floats[1] if floats is not None and not floats[0] else pts
     collinear: list[Violation] = []
     cocircular: list[Violation] = []
     for i in range(n - 1):
@@ -461,7 +550,7 @@ def validate_general_position(ps: PointSet) -> list[Violation]:
                     continue  # the screen shows pair (i, j) free of violations
             except (ZeroDivisionError, OverflowError):
                 pass
-            order, on_line = _bisector_order(coords, i, j, range(j + 1, n), local)
+            order, on_line = _bisector_order(pts, i, j, range(j + 1, n), local)
             collinear.extend(Violation("collinear", (i, j, x)) for x in on_line)
             tied = sorted(pair for group in order.ties for pair in combinations(sorted(group), 2))
             cocircular.extend(Violation("cocircular", (i, j, k, m)) for k, m in tied)

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,24 @@ NEAR_COCIRCULAR_SMALL = [
     (30719070, 26106757), (33287273, 19749359), (25385928, 2379102), (18975384, 146411)
 ]
 BEYOND_FLOAT = [(0, 0), (10**200, 1), (2 * 10**200 + 1, 2), (5, 7)]
+
+# Cocircular sets whose float forms carry a bound: a Pythagorean quadruple
+# on x^2 + y^2 = 25 and two more points, scaled by 2^20 (still exact, bound
+# 0), 2^30 or 2^40, and four rational points of the unit circle with two
+# more.  Points 0-3 are cocircular in both and no three are collinear.
+PYTHAGOREAN = [(5, 0), (3, 4), (-4, 3), (0, -5), (1, 1), (7, 3)]
+UNIT_CIRCLE = [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(4, 5), Fraction(3, 5)),
+    (Fraction(5, 13), Fraction(12, 13)),
+    (Fraction(7, 25), Fraction(24, 25)),
+    (0, 0),
+    (Fraction(1, 7), Fraction(-2, 9)),
+]
+COCIRCULAR_UNDER_A_BOUND = {
+    **{f"pythagorean-2^{k}": [(x << k, y << k) for x, y in PYTHAGOREAN] for k in (20, 30, 40)},
+    "unit-circle": UNIT_CIRCLE,
+}
 RIGHT_ANGLE_TIE = [(0, 0), (4, 0), (2, 2), (2, -2), (1, 5)]
 
 

@@ -13,6 +13,8 @@ from circledepth.cli import main
 from circledepth.pointfile import parse_point_file, serialize_point_file
 from circledepth.report import input_digest
 
+from conftest import COCIRCULAR_UNDER_A_BOUND
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -314,6 +316,10 @@ DEGENERATE = {
     "duplicate-pair": "0 0\n0 0\n",
     "duplicates": "1/2 3\n7 1\n0.5 3\n9 -4\n7 1\n2 8\n",
     "rationals": "1/2 0\n0 1/3\n1 2/3\n3/2 4/3\n-1/6 5\n2 1/7\n",
+    # Cocircular sets on float forms (exact at 2^20, under a bound in the
+    # rest): the sweep's float stage must fall back to the exact branch,
+    # which meets the tie.
+    **{name: "".join(f"{x} {y}\n" for x, y in coords) for name, coords in COCIRCULAR_UNDER_A_BOUND.items()},
 }
 
 
@@ -327,6 +333,19 @@ def test_analyze_reports_the_violations_verify_reports(name, tmp_path, capsys):
     assert code == 3 and expected.startswith("general-position violation: ")
     for jobs in ("1", "2"):
         assert run_cli(["analyze", str(path), "--jobs", jobs], capsys) == (3, "", expected)
+
+
+def test_a_set_beyond_the_doubles_is_analyzed_and_verified_on_integers(tmp_path, capsys):
+    # 1e4300 fits no double, so the set has no float form and every pair is
+    # swept on integers: the sha256 of each report is pinned.
+    path = tmp_path / "huge.txt"
+    path.write_text("0 0\n1e4300 1\n3 1e-4300\n5 7\n")
+    for command, digest in (
+        ("analyze", "0859a24e94d168322b0870a3c91e06fd446ed830db6801b54ceba70799d11fba"),
+        ("verify", "3e53f35e1ed84e003b37809c4793f28e1bf919dbbb301fe635e10025d4042eef"),
+    ):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
 
 
 def test_analyze_parse_error_exit(tmp_path, capsys):

@@ -32,11 +32,12 @@ from circledepth.brute import kset_counts_bruteforce
 from circledepth.checks import check_minimax_bound, check_oracle_match
 from circledepth.constructions import random_convex, random_general_position, two_colored_convex
 from circledepth.depth import _simplest_between
-from circledepth.geom import FLOAT_SPREAD, _bisector_order, _incircle_det_int, _orient_int
+from circledepth.geom import FLOAT_SPREAD, _bisector_order, _forms, _incircle_det_int, _orient_int
 from circledepth.pointfile import parse_point_file
 
 from conftest import (
     BEYOND_FLOAT,
+    COCIRCULAR_UNDER_A_BOUND,
     NEAR_COCIRCULAR,
     NEAR_COCIRCULAR_SMALL,
     InProcessChild,
@@ -115,9 +116,11 @@ def test_profile_builds_events_on_first_read(quad):
     assert order.ties == [] and all(type(v) is list for v in order)
     assert all(type(v) is int for v in (*order.others, *order.nums, *order.crosses, *order.rank))
     assert [(order.others[i], order.crosses[i] > 0) for i in order.rank] == [(1, False), (3, True)]
-    # The quad spans less than 2^25, so the sweep reads its float copy: the
-    # same lists, with num and cross the same integers held as floats.
-    on_floats, _ = _bisector_order(quad.floats, 0, 2, [1, 3])
+    # The quad spans less than 2^25, so the sweep certifies its pairs on the
+    # exact float form (bound 0): the same lists, with num and cross the same
+    # integers held as floats.
+    assert quad.floats[0] == 0
+    on_floats, _ = _bisector_order(quad.require_certified(), 0, 2, [1, 3], quad.local, quad.floats)
     assert all(type(v) is float for v in (*on_floats.nums, *on_floats.crosses)) and on_floats == order
 
 
@@ -212,13 +215,13 @@ def _certify_event_order(ps: PointSet, p: int, q: int) -> None:
     # centred at s enclose y for s > s_y when y is left of p->q and for
     # s < s_y otherwise.  So s_x < s_y exactly when y is outside that circle
     # and left, or inside and right: det * side(x) * side(y) < 0.  The order
-    # checked is geom._bisector_order's on the form the sweep reads, the
+    # checked is geom._bisector_order's on the forms the sweep reads, the
     # sort the sweep sums, and the weights are the running sum of those
     # sides in that order.
     grid = ps.require_certified()
     a, b = grid[p], grid[q]
     others = [x for x in range(len(ps)) if x != p and x != q]
-    order, _ = _bisector_order(ps.floats or grid, p, q, others, ps.local)
+    order, _ = _bisector_order(grid, p, q, others, ps.local, ps.floats)
     events = [order.others[i] for i in order.rank]
     side = {x: _orient_int(a, b, grid[x]) for x in events}
     assert [order.crosses[i] > 0 for i in order.rank] == [side[x] > 0 for x in events]
@@ -237,8 +240,9 @@ def test_event_order_is_certified_by_in_circle_tests():
         two_colored_convex(5).points,
         make_set(NEAR_COCIRCULAR),
         make_set(BEYOND_FLOAT),
-        # On the float copy, one with equal floats of distinct s; 12 points
-        # offset by 2^60 that span 2^25 - 1, and the same spanning 2^25.
+        # On the exact float form, one with equal floats of distinct s; 12
+        # points offset by 2^60 that span 2^25 - 1 (exact), and the same
+        # spanning 2^25 (under a bound).
         make_set(NEAR_COCIRCULAR_SMALL),
         *(_offset_set(12, 611, spread) for spread in (FLOAT_SPREAD - 1, FLOAT_SPREAD)),
     ]
@@ -260,17 +264,58 @@ def _offset_set(n: int, seed: int, spread: int, offset: int = 2**60) -> PointSet
 
 @pytest.mark.parametrize("spread", [FLOAT_SPREAD - 1, FLOAT_SPREAD])
 def test_the_sweep_reads_the_float_copy_below_the_bound_and_gets_the_grids_weights(monkeypatch, spread):
-    # Every pair's weights, read on the float copy of a set spanning
-    # 2^25 - 1, are those of the integer grid; at 2^25 there is no copy.
+    # Every pair's weights, read on the float form of a set spanning
+    # 2^25 - 1 (exact, bound 0) or 2^25 (under a bound), are those of the
+    # integer grid alone.
     ps = _offset_set(14, 5, spread)
-    assert (ps.floats is not None) == (spread < FLOAT_SPREAD)
+    assert (ps.floats[0] == 0) == (spread < FLOAT_SPREAD)
     read = []
     real = depth._bisector_order
-    monkeypatch.setattr(depth, "_bisector_order", lambda ints, *args: read.append(ints) or real(ints, *args))
+    monkeypatch.setattr(depth, "_bisector_order", lambda *args: read.append(args) or real(*args))
     swept = {pair: weight_sequence(ps, *pair) for pair in permutations(range(14), 2)}
-    assert all(ints is (ps.floats or ps.grid) for ints in read)
+    assert all(args[0] is ps.grid and args[-1] is ps.floats for args in read)
     ps.floats = None
     assert swept == {pair: weight_sequence(ps, *pair) for pair in swept}
+
+
+def test_the_exact_branch_takes_only_the_pairs_the_float_bound_cannot_certify(monkeypatch):
+    # Counts, not times, guard the float stage's gain.  A pair that reaches
+    # the exact branch comes back with integer nums.  No pair of rational12
+    # does (bound 17 u); 96 of the 276 pairs of two_colored_convex(12)
+    # (points near 7e11, bound 4 u D^2 (1 + 2u)) do; and so does every pair
+    # of a set with a coordinate beyond the doubles, which has no float form.
+    exact = []
+    real = depth._bisector_order
+
+    def recording(*args):
+        order, collinear = real(*args)
+        exact.append(all(type(v) is int for v in order.nums))
+        return order, collinear
+
+    monkeypatch.setattr(depth, "_bisector_order", recording)
+    for ps, counts in (
+        (parse_point_file((DATA / "rational12.txt").read_text()).points, (0, 66)),
+        (PointSet(two_colored_convex(12).points.points), (96, 276)),
+        (parse_point_file("0 0\n1e4300 1\n3 1e-4300\n5 7\n").points, (6, 6)),
+    ):
+        exact.clear()
+        sweep_totals(ps)
+        assert (sum(exact), len(exact)) == counts
+    assert ps.floats is None
+
+
+@pytest.mark.parametrize("name", list(COCIRCULAR_UNDER_A_BOUND))
+def test_a_cocircular_set_under_a_float_bound_raises_what_the_exact_sweep_raises(name):
+    # The float stage cannot separate the tied events of points 0-3, so the
+    # exact branch finds the tie, and the error is the integer sweep's.
+    coords = COCIRCULAR_UNDER_A_BOUND[name]
+    bound, _ = _forms([Point.of(x, y) for x, y in coords])[2]
+    assert (bound > 0) == (name != "pythagorean-2^20")
+    ps = PointSet.from_coords(coords)
+    with pytest.raises(DegenerateInputError) as info:
+        sweep_totals(ps)
+    assert (str(info.value), info.value.indices) == ("cocircular quadruple on a swept pair", (0, 1, 2, 3))
+    assert ps.grid is None and ps.floats is None
 
 
 def test_sweep_totals_sweeps_each_pair_once_through_the_module_global(monkeypatch):

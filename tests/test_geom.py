@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -182,10 +183,14 @@ def test_certification_stores_the_integer_grid():
     with pytest.raises(AttributeError):
         ps.gp_certified = False  # derived from the grid, never set
     # Beside it, each point on its own denominators (X, Y, D); on an integer
-    # set there is none.  A violation clears both.
-    assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1)) and ps.floats is None
+    # set there is none.  The float form is the grid translated and scaled
+    # into [0, 1] under the bound 17 u on the rational set, and the integers
+    # themselves, exact (bound 0), on a small integer set.  A violation
+    # clears all three.
+    assert ps.local == ((1, 0, 2), (0, 1, 3), (1, 1, 1))
+    assert ps.floats == (17 / 2**53, ((0.375, 0.0), (0.0, 0.25), (0.75, 0.75)))
     integral = make_set([(0, 0), (4, 0), (0, 4)])
-    assert integral.local is None and integral.floats == ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))
+    assert integral.local is None and integral.floats == (0.0, ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0)))
     ps.points.append(ps.points[0])
     assert validate_general_position(ps) == [Violation("duplicate", (0, 3))]
     assert ps.grid is None and ps.local is None
@@ -213,13 +218,13 @@ def test_two_coincident_points_are_a_duplicate():
 
 
 def test_certifying_keeps_the_forms_only_when_the_block_exits_clean(monkeypatch):
-    # A rational set (local form) and integer sets that span 2^25 - 1 (float
-    # copy) and 2^25 (neither).
+    # A rational set (local form) and integer sets that span 2^25 - 1 (exact
+    # float form) and 2^25 (float form under a bound).
     sets = [
         [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)],
         *(_the_spread_set(spread, 0) for spread in (FLOAT_SPREAD - 1, FLOAT_SPREAD)),
     ]
-    assert [make_set(coords).floats is None for coords in sets] == [True, False, True]
+    assert [make_set(coords).floats[0] > 0 for coords in sets] == [True, False, True]
 
     def interrupted(ps, p, q):
         raise KeyboardInterrupt
@@ -261,22 +266,32 @@ def _the_spread_set(spread, axis, offset=2**40):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_the_float_copy_is_taken_below_a_spread_of_2_to_the_25(axis):
-    # Spread 2^25 - 1 takes it, 2^25 does not, and rational input never does;
-    # the certifier and a certifying fold store what _forms decides.
+    # Spread 2^25 - 1 takes the exact copy (bound 0); 2^25 takes the same
+    # translated integers under the bound 4 u D^2 (1 + 2u), rounded up, and
+    # rational input its scaled form under 17 u.  The certifier and a
+    # certifying fold store what _forms decides.
     below = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD - 1, axis))
     at = PointSet.from_coords(_the_spread_set(FLOAT_SPREAD, axis))
     rational = PointSet.from_coords([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1)])
-    expected = tuple(
-        (float(c[axis]), float(c[1 - axis])) for c in _the_spread_set(FLOAT_SPREAD - 1, 0, offset=0)
-    )
-    for ps, floats in ((below, expected), (at, None), (rational, None)):
+    translated = [
+        tuple((float(c[axis]), float(c[1 - axis])) for c in _the_spread_set(spread, 0, offset=0))
+        for spread in (FLOAT_SPREAD - 1, FLOAT_SPREAD)
+    ]
+    at_bound = math.nextafter(4 * FLOAT_SPREAD**2 * (2**53 + 2) / 2**106, math.inf)
+    scaled = ((0.375, 0.0), (0.0, 0.25), (0.75, 0.75))
+    for ps, floats in (
+        (below, (0.0, translated[0])),
+        (at, (at_bound, translated[1])),
+        (rational, (17 / 2**53, scaled)),
+    ):
         assert _forms([cp.point for cp in ps.points])[2] == floats
         assert validate_general_position(ps) == [] and ps.floats == floats
         swept = PointSet(ps.points)
         assert sweep_totals(swept) == sweep_totals(ps) and swept.floats == floats
-    assert below.floats[1][axis] == FLOAT_SPREAD - 1
+    assert below.floats[1][1][axis] == FLOAT_SPREAD - 1
+    assert Fraction(1, 2) < Fraction(at_bound) <= Fraction(1, 2) * (1 + Fraction(4, 2**53))
     assert _forms([]) == ((), None, None)
-    assert _forms([P(2**70, -(2**70))]) == (((2**70, -(2**70)),), None, ((0.0, 0.0),))
+    assert _forms([P(2**70, -(2**70))]) == (((2**70, -(2**70)),), None, (0.0, ((0.0, 0.0),)))
 
 
 def _scan_general_position(ps: PointSet) -> bool:
@@ -355,14 +370,16 @@ def test_validate_sorts_exactly_only_the_pairs_its_screen_flags(monkeypatch):
     for ps in clean:
         assert validate_general_position(ps) == [] and sorted_pairs == []
     # test_validate_matches_independent_scan checks what these return.  The
-    # last two are read on the float copy, whose screen flags them alike.
+    # last two are read on the exact float form, whose screen flags them
+    # alike; the screen reads the grid of the other two, whose float forms
+    # carry a bound.
     for coords in (NEAR_COCIRCULAR, BEYOND_FLOAT, RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL):
         sorted_pairs.clear()
         ps = PointSet.from_coords(coords)
         validate_general_position(ps)
         assert (0, 1) in sorted_pairs
-        floats = _forms([cp.point for cp in ps.points])[2]
-        assert (floats is not None) == (coords in (RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL))
+        bound, _ = _forms([cp.point for cp in ps.points])[2]
+        assert (bound == 0) == (coords in (RIGHT_ANGLE_TIE, NEAR_COCIRCULAR_SMALL))
 
 
 def test_bisector_order_reports_collinear_points_apart():
@@ -409,13 +426,14 @@ def local_sets(draw):
 
 
 @st.composite
-def offset_sets(draw):
+def offset_sets(draw, spreads=st.sampled_from([FLOAT_SPREAD - 1, FLOAT_SPREAD, FLOAT_SPREAD + 1])):
     """3-9 integer points offset by about +-2^40 or +-2^60 whose x or y
-    coordinates span exactly 2^25 - 1, 2^25 or 2^25 + 1, so only the first
-    takes the float copy.  Beyond 2^53 a double holds the coordinates only
-    once translated.  Coordinates drawn from {0, spread // 2, spread} make
-    collinear triples and cocircular quadruples."""
-    spread = draw(st.sampled_from([FLOAT_SPREAD - 1, FLOAT_SPREAD, FLOAT_SPREAD + 1]))
+    coordinates span exactly a drawn spread, by default 2^25 - 1, 2^25 or
+    2^25 + 1, so only the first takes the exact float copy.  Beyond 2^53 a
+    double holds the coordinates only once translated.  Coordinates drawn
+    from {0, spread // 2, spread} make collinear triples and cocircular
+    quadruples."""
+    spread = draw(spreads)
     base, sign = draw(st.sampled_from([2**40, 2**60])), draw(st.sampled_from([-1, 1]))
     ox, oy = (sign * draw(st.integers(base - 2**20, base + 2**20)) for _ in range(2))
     coord = st.one_of(st.integers(0, spread), st.sampled_from([0, spread // 2, spread]))
@@ -427,12 +445,19 @@ def offset_sets(draw):
     return [(ox + x, oy + y) for x, y in coords]
 
 
-def _events_and_ties(order):
-    return (
-        [(order.others[i], order.crosses[i] > 0, Fraction(int(order.nums[i]), int(order.crosses[i])))
-         for i in order.rank],
-        order.ties,
-    )
+def _events_and_ties(order, exact=True):
+    # Each event with its side, and where num and cross are exact its 2 s.
+    events = [(order.others[i], order.crosses[i] > 0) for i in order.rank]
+    if exact:
+        values = (Fraction(int(order.nums[i]), int(order.crosses[i])) for i in order.rank)
+        events = [(*event, value) for event, value in zip(events, values)]
+    return events, order.ties
+
+
+def _exactly_held(order, floats) -> bool:
+    # True unless the order came from the float stage under a bound E > 0,
+    # whose num and cross are approximations; the exact branch's are ints.
+    return floats is None or not floats[0] or all(type(v) is int for v in order.nums)
 
 
 @given(st.one_of(local_sets(), offset_sets()))
@@ -443,18 +468,21 @@ def _events_and_ties(order):
 @example(NEAR_COCIRCULAR_SMALL)
 @settings(max_examples=150, deadline=None)
 def test_local_kernel_matches_the_global_grid(coords):
-    # The local form and the float copy each give the grid's events.
+    # The local form and the float form, alone and together, give the
+    # grid's events, sides, ties and collinear points, and where their num
+    # and cross are exact the grid's values of s.
     points = [P(x, y) for x, y in coords]
     grid, local, floats = _forms(points)
     spread = max(max(c) - min(c) for c in zip(*grid))
-    assert (floats is not None) == (local is None and spread < FLOAT_SPREAD)
-    forms = [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
+    assert (floats[0] == 0) == (local is None and spread < FLOAT_SPREAD)
+    forms = [(None, floats)] + [(local, None), (local, floats)] * (local is not None)
     for p, q in permutations(range(len(points)), 2):
         others = [x for x in range(len(points)) if x != p and x != q]
         on_grid, collinear = _bisector_order(grid, p, q, others)
-        for ints, form in forms:
-            on_form, form_collinear = _bisector_order(ints, p, q, others, form)
-            assert _events_and_ties(on_form) == _events_and_ties(on_grid)
+        for form, filtered in forms:
+            on_form, form_collinear = _bisector_order(grid, p, q, others, form, filtered)
+            exact = _exactly_held(on_form, filtered)
+            assert _events_and_ties(on_form, exact) == _events_and_ties(on_grid, exact)
             assert form_collinear == collinear
     ps = PointSet.from_coords(coords)
     violations = validate_general_position(ps)
@@ -495,41 +523,158 @@ _red_blue_sets = st.sampled_from(range(2, 6)).map(
 @example(NEAR_COCIRCULAR_SMALL)
 @settings(max_examples=120, deadline=None)
 def test_float_filtered_order_is_the_integer_key_order(coords):
-    # For every ordered pair, on the grid, the local form and the float copy,
-    # the kernel's order, ties and collinear points equal both the order of
-    # its integer keys and the order of s as Fractions.  On the float copy
-    # num and cross are the grid's integers, held exactly.
+    # For every ordered pair, on the grid, the local form and the float
+    # form, alone and together, the kernel's order, sides, ties and
+    # collinear points equal the order of s as Fractions, and where num and
+    # cross are exact the order of their integer keys.  On the exact float
+    # form (bound 0) num and cross are the grid's integers.
     points = [P(x, y) for x, y in coords]
     grid, local, floats = _forms(points)
-    forms = [(grid, None)] + [(grid, local)] * (local is not None) + [(floats, None)] * (floats is not None)
+    forms = [(None, None), (None, floats)] + [(local, None), (local, floats)] * (local is not None)
     for p, q in permutations(range(len(points)), 2):
         others = [x for x in range(len(points)) if x != p and x != q]
-        expected = _fraction_order(points, p, q, others)
+        ranked, ties, collinear = _fraction_order(points, p, q, others)
         on_grid, _ = _bisector_order(grid, p, q, others)
-        for ints, form in forms:
-            order, collinear = _bisector_order(ints, p, q, others, form)
-            if order.others:
+        sides = dict(zip(on_grid.others, (cross > 0 for cross in on_grid.crosses)))
+        for form, filtered in forms:
+            order, on_line = _bisector_order(grid, p, q, others, form, filtered)
+            if order.others and _exactly_held(order, filtered):
                 keys = _exact_keys([*map(int, order.nums)], [*map(int, order.crosses)])
                 assert order.rank == sorted(range(len(keys)), key=keys.__getitem__)
-            if ints is floats:
+            if form is None and filtered is floats and not floats[0]:
                 assert (order.nums, order.crosses) == (on_grid.nums, on_grid.crosses)
-            ranked = [order.others[i] for i in order.rank]
-            assert (ranked, order.ties, collinear) == expected
+            events = [order.others[i] for i in order.rank]
+            assert (events, order.ties, on_line) == (ranked, ties, collinear)
+            assert [order.crosses[i] > 0 for i in order.rank] == [sides[x] for x in events]
 
 
 def test_the_float_copy_falls_back_to_exact_keys_where_floats_tie():
     # RIGHT_ANGLE_TIE's tie and NEAR_COCIRCULAR_SMALL's distinct s, read on
-    # the float copy: equal float keys send both to the exact keys, and the
-    # order and ties are the grid's.
+    # the exact float form: equal float keys send both to the exact branch,
+    # whose order, ties and integers are the grid's.
     for coords, ranked, ties in (
         (RIGHT_ANGLE_TIE, [2, 3, 4], [[2, 3]]),
         (NEAR_COCIRCULAR_SMALL, [3, 2], []),
     ):
         grid, _, floats = _forms([P(x, y) for x, y in coords])
-        order, collinear = _bisector_order(floats, 0, 1, [2, 3, 4][: len(coords) - 2])
+        others = [2, 3, 4][: len(coords) - 2]
+        order, collinear = _bisector_order(grid, 0, 1, others, None, floats)
+        assert floats[0] == 0 and all(type(v) is int for v in (*order.nums, *order.crosses))
         assert len({num / cross for num, cross in zip(order.nums[:2], order.crosses[:2])}) == 1
         assert ([order.others[i] for i in order.rank], order.ties, collinear) == (ranked, ties, [])
-        assert order == _bisector_order(grid, 0, 1, [2, 3, 4][: len(coords) - 2])[0]
+        assert order == _bisector_order(grid, 0, 1, others)[0]
+
+
+@st.composite
+def near_cocircular_sets(draw):
+    """4-8 points on or near a circle of radius 2^10 to 2^60: rational points
+    of the circle, each kept or nudged by about 1/997, or lattice points of
+    the circle x^2 + y^2 = 65^2, scaled by a power of two and each kept or
+    nudged by one unit.  Kept points are cocircular; nudged ones are
+    near-cocircular."""
+    n = draw(st.integers(4, 8))
+    if draw(st.booleans()):
+        radius = 2 ** draw(st.integers(10, 60))
+        t = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 97))
+        nudge = st.sampled_from([0, 0, Fraction(1, 997), Fraction(-1, 991)])
+        ts = draw(st.lists(t, min_size=n, max_size=n))
+        return [
+            (radius * (1 - t * t) / (1 + t * t) + draw(nudge), radius * 2 * t / (1 + t * t) + draw(nudge))
+            for t in ts
+        ]
+    scale = 2 ** draw(st.integers(4, 54))
+    points = draw(st.lists(st.sampled_from(_LATTICE_65), min_size=n, max_size=n, unique=True))
+    nudge = st.sampled_from([0, 0, 1, -1])
+    return [(scale * x + draw(nudge), scale * y + draw(nudge)) for x, y in points]
+
+
+_LATTICE_65 = [(x, y) for x in range(-65, 66) for y in range(-65, 66) if x * x + y * y == 65 * 65]
+BEYOND_DOUBLES = [(0, 0), (10**4300, 1), (3, Fraction(1, 10**4300)), (5, 7)]
+BELOW_SUBNORMALS = [(0, 0), (Fraction(1, 10**400), 0), (0, Fraction(1, 10**400))]
+_SPANS = [FLOAT_SPREAD - 1, FLOAT_SPREAD + 1, 2**53 - 1, 2**53 + 1]
+
+
+@given(
+    st.one_of(
+        local_sets(),
+        offset_sets(st.one_of(st.integers(FLOAT_SPREAD, 2**53 + 1), st.sampled_from([2**53 - 1, 2**53, 2**53 + 1]))),
+        near_cocircular_sets(),
+    )
+)
+@example(NEAR_COCIRCULAR)
+@example(BEYOND_FLOAT)
+@example(RIGHT_ANGLE_TIE)
+@example(BELOW_SUBNORMALS)
+@example(_the_spread_set(_SPANS[0], 0))
+@example(_the_spread_set(_SPANS[1], 0))
+@example(_the_spread_set(_SPANS[2], 0))
+@example(_the_spread_set(_SPANS[3], 1))
+@settings(max_examples=150, deadline=None)
+def test_the_float_stage_orders_every_pair_as_the_exact_branch(coords):
+    # Sets with many distinct denominators, integer sets spanning 2^25 to
+    # 2^53 + 1 and near-cocircular ones: on every ordered pair the float
+    # stage gives the exact branch's order, sides, ties and collinear
+    # points.  Where it certifies a pair under a bound E > 0, every num and
+    # cross it returns lies within E of the exact value on the form's own
+    # coordinates: the grid translated (integers), or also scaled by 2^-b
+    # (case (c)).
+    # BEYOND_DOUBLES has no float form (see the next test), and an example
+    # of it could not be printed: its integers have more than 4300 digits.
+    points = [P(x, y) for x, y in coords]
+    grid, local, floats = _forms(points)
+    bound, _ = floats
+    span = max(max(c) - min(c) for c in zip(*grid))
+    scale = 1 if local is None and span < 2**53 else 2 ** span.bit_length()
+    for p, q in permutations(range(len(points)), 2):
+        others = [x for x in range(len(points)) if x != p and x != q]
+        exact, collinear = _bisector_order(grid, p, q, others, local)
+        order, on_line = _bisector_order(grid, p, q, others, local, floats)
+        assert _events_and_ties(order, False) == _events_and_ties(exact, False)
+        assert on_line == collinear
+        if bound and order.others and type(order.nums[0]) is float:
+            on_grid, _ = _bisector_order(grid, p, q, others)
+            for approx, value in zip((*order.nums, *order.crosses), (*on_grid.nums, *on_grid.crosses)):
+                assert abs(Fraction(approx) - Fraction(value, scale * scale)) <= bound
+
+
+@pytest.mark.parametrize(
+    "coords, case",
+    [
+        (_the_spread_set(FLOAT_SPREAD - 1, 0), "a"),
+        (_the_spread_set(FLOAT_SPREAD + 1, 0), "b"),
+        (_the_spread_set(2**53 - 1, 1), "b"),
+        (_the_spread_set(2**53, 0), "c"),
+        (_the_spread_set(2**53 + 1, 1), "c"),
+        (BELOW_SUBNORMALS, "c"),
+        (NEAR_COCIRCULAR, "c"),
+        ([(0, 0), (2**1024 - 1, 1), (3, 5)], "c"),
+        ([(0, 0), (-(2**1024), 1), (3, 5)], None),
+        (BEYOND_DOUBLES, None),
+    ],
+)
+def test_the_float_form_takes_its_case_from_the_set(coords, case):
+    # Integral sets take the translated integers, exact below a span of 2^25
+    # and under 4 u D^2 (1 + 2u), rounded up, below 2^53; wider or rational
+    # sets take the translated grid scaled into [0, 1] under 17 u, whatever
+    # underflows; a coordinate beyond the doubles gives no float form.
+    grid, _, floats = _forms([P(x, y) for x, y in coords])
+    if case is None:
+        assert floats is None
+        return
+    bound, form = floats
+    span = max(max(c) - min(c) for c in zip(*grid))
+    low = [min(c) for c in zip(*grid)]
+    if case == "c":
+        scale = 2 ** span.bit_length()
+        assert bound == 17 / 2**53 and max(map(max, form)) <= 1
+        assert form == tuple(tuple((v - m) / scale for v, m in zip(point, low)) for point in grid)
+        return
+    assert form == tuple(tuple(float(v - m) for v, m in zip(point, low)) for point in grid)
+    if case == "a":
+        assert bound == 0
+    else:
+        least = Fraction(4 * span * span, 2**53) * (1 + Fraction(2, 2**53))
+        assert least <= Fraction(bound) <= least * (1 + Fraction(4, 2**53))
 
 
 @pytest.mark.parametrize("seed", range(12))
